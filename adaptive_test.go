@@ -2,7 +2,6 @@ package qplacer
 
 import (
 	"context"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -61,40 +60,6 @@ func TestParallelismWithinBoundsNotAnnotated(t *testing.T) {
 	for _, note := range res.Timings.Notes {
 		if strings.Contains(note, "clamped") {
 			t.Fatalf("in-bounds parallelism annotated a clamp: %v", res.Timings.Notes)
-		}
-	}
-}
-
-// TestGoldenCorpusToggles holds the scheduling toggles to the golden
-// fixtures: delta evaluation and adaptive granularity — on, off, or forced
-// to fan out — must be byte-invisible in every corpus combination, serially
-// and in parallel. The fixtures were generated at the defaults (both on,
-// serial), so each variant re-proves the exactness contract end to end.
-func TestGoldenCorpusToggles(t *testing.T) {
-	if testing.Short() {
-		t.Skip("toggle corpus re-run skipped in -short mode")
-	}
-	raiseGOMAXPROCS(t, 4)
-	variants := []struct {
-		name  string
-		extra []Option
-	}{
-		{"delta-off-serial", []Option{WithParallelism(1), WithDeltaEval(false)}},
-		{"delta-off-parallel", []Option{WithParallelism(3), WithDeltaEval(false)}},
-		{"fanout-parallel", []Option{WithParallelism(3), WithAdaptiveGranularity(false)}},
-		{"all-off-parallel", []Option{WithParallelism(2), WithDeltaEval(false), WithAdaptiveGranularity(false)}},
-	}
-	for _, o := range goldenCombos() {
-		path := filepath.Join("testdata", "golden", goldenName(o)+".json")
-		want := loadFixture(t, path)
-		for _, v := range variants {
-			t.Run(goldenName(o)+"/"+v.name, func(t *testing.T) {
-				got := buildFixture(t, o, v.extra...)
-				compareFixture(t, want, got)
-				if t.Failed() {
-					t.Logf("%s drifted from %s: the exactness contract is broken", v.name, path)
-				}
-			})
 		}
 	}
 }

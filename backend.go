@@ -3,13 +3,12 @@ package qplacer
 import (
 	"context"
 	"fmt"
-	"sort"
-	"sync"
 	"time"
 
 	"qplacer/internal/component"
 	"qplacer/internal/frequency"
 	"qplacer/internal/geom"
+	"qplacer/internal/registry"
 	"qplacer/internal/topology"
 )
 
@@ -83,19 +82,6 @@ type StageState struct {
 	// inherently sequential algorithms (e.g. the annealer's Metropolis
 	// chain) are free to ignore it.
 	Parallelism int
-
-	// AdaptiveGranularity, when set, lets each parallelizable stage fall
-	// back to its serial kernel below an auto-calibrated problem-size
-	// cutoff (see WithAdaptiveGranularity). Like Parallelism it is a
-	// scheduling hint only: gating selects between bit-identical
-	// implementations, so results never depend on it.
-	AdaptiveGranularity bool
-
-	// DeltaEval, when set, enables incremental gradient evaluation across
-	// placement iterations (see WithDeltaEval). The delta paths are exact
-	// by construction; a backend honouring this MUST still produce results
-	// bit-identical to a full recompute.
-	DeltaEval bool
 }
 
 // PlaceOutcome reports a finished global placement.
@@ -151,9 +137,8 @@ const (
 )
 
 var (
-	backendMu    sync.RWMutex
-	placerReg    = map[string]Placer{}
-	legalizerReg = map[string]Legalizer{}
+	placers    = registry.New[Placer](ErrDuplicatePlacer, ErrUnknownPlacer)
+	legalizers = registry.New[Legalizer](ErrDuplicateLegalizer, ErrUnknownLegalizer)
 )
 
 // RegisterPlacer makes a placement backend available to every engine under
@@ -164,16 +149,7 @@ func RegisterPlacer(p Placer) error {
 	if p == nil {
 		return fmt.Errorf("qplacer: register nil placer")
 	}
-	if p.Name() == "" {
-		return fmt.Errorf("qplacer: register placer with empty name")
-	}
-	backendMu.Lock()
-	defer backendMu.Unlock()
-	if _, ok := placerReg[p.Name()]; ok {
-		return fmt.Errorf("%w %q", ErrDuplicatePlacer, p.Name())
-	}
-	placerReg[p.Name()] = p
-	return nil
+	return placers.Register(p.Name(), p)
 }
 
 // RegisterLegalizer makes a legalization backend available to every engine
@@ -184,64 +160,21 @@ func RegisterLegalizer(l Legalizer) error {
 	if l == nil {
 		return fmt.Errorf("qplacer: register nil legalizer")
 	}
-	if l.Name() == "" {
-		return fmt.Errorf("qplacer: register legalizer with empty name")
-	}
-	backendMu.Lock()
-	defer backendMu.Unlock()
-	if _, ok := legalizerReg[l.Name()]; ok {
-		return fmt.Errorf("%w %q", ErrDuplicateLegalizer, l.Name())
-	}
-	legalizerReg[l.Name()] = l
-	return nil
+	return legalizers.Register(l.Name(), l)
 }
 
 // Placers returns every registered placer name, sorted — built-ins plus
 // RegisterPlacer additions.
-func Placers() []string {
-	backendMu.RLock()
-	defer backendMu.RUnlock()
-	out := make([]string, 0, len(placerReg))
-	for name := range placerReg {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+func Placers() []string { return placers.Names() }
 
 // Legalizers returns every registered legalizer name, sorted — built-ins
 // plus RegisterLegalizer additions.
-func Legalizers() []string {
-	backendMu.RLock()
-	defer backendMu.RUnlock()
-	out := make([]string, 0, len(legalizerReg))
-	for name := range legalizerReg {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+func Legalizers() []string { return legalizers.Names() }
 
 // PlacerByName returns the registered placement backend. The error wraps
 // ErrUnknownPlacer when no backend is registered under the name.
-func PlacerByName(name string) (Placer, error) {
-	backendMu.RLock()
-	p, ok := placerReg[name]
-	backendMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("%w %q", ErrUnknownPlacer, name)
-	}
-	return p, nil
-}
+func PlacerByName(name string) (Placer, error) { return placers.Get(name) }
 
 // LegalizerByName returns the registered legalization backend. The error
 // wraps ErrUnknownLegalizer when no backend is registered under the name.
-func LegalizerByName(name string) (Legalizer, error) {
-	backendMu.RLock()
-	l, ok := legalizerReg[name]
-	backendMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("%w %q", ErrUnknownLegalizer, name)
-	}
-	return l, nil
-}
+func LegalizerByName(name string) (Legalizer, error) { return legalizers.Get(name) }

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"qplacer/internal/anneal"
+	"qplacer/internal/component"
 	"qplacer/internal/detail"
 	"qplacer/internal/geom"
 	"qplacer/internal/legal"
@@ -22,22 +23,26 @@ import (
 // frequency-aware local-swap hill climb ("swap").
 
 // nesterovPlacer is the frequency-aware electrostatic engine of §IV-C,
-// refactored behind the Placer interface.
-type nesterovPlacer struct{}
+// refactored behind the Placer interface. The registered backend evaluates
+// gradients incrementally (delta evaluation) and gates each parallel stage
+// at auto-calibrated cutoffs. fullEval and cutoffs select the reference
+// paths instead — full recompute, fixed gating — which are bit-identical by
+// contract; only the exactness tests set them.
+type nesterovPlacer struct {
+	name     string
+	fullEval bool
+	cutoffs  *parallel.Cutoffs
+}
 
-func (nesterovPlacer) Name() string { return DefaultPlacerName }
+func (p nesterovPlacer) Name() string { return p.name }
 
-func (nesterovPlacer) Place(ctx context.Context, st *StageState, observer Observer) (*PlaceOutcome, error) {
+func (p nesterovPlacer) Place(ctx context.Context, st *StageState, observer Observer) (*PlaceOutcome, error) {
 	cfg := place.DefaultConfig()
 	cfg.Span = obs.SpanFrom(ctx)
 	cfg.Seed = st.Options.Seed
 	cfg.Workers = st.Parallelism
-	cfg.DeltaEval = st.DeltaEval
-	if !st.AdaptiveGranularity {
-		// The zero cutoffs disable gating: every stage fans out whenever a
-		// pool exists. nil would mean auto-calibrate.
-		cfg.Cutoffs = &parallel.Cutoffs{}
-	}
+	cfg.DeltaEval = !p.fullEval
+	cfg.Cutoffs = p.cutoffs
 	if st.Options.MaxIters > 0 {
 		cfg.MaxIters = st.Options.MaxIters
 	}
@@ -46,7 +51,7 @@ func (nesterovPlacer) Place(ctx context.Context, st *StageState, observer Observ
 	}
 	cfg.Progress = func(iter int, overflow float64) {
 		observer.OnProgress(Progress{
-			Stage: StagePlace, Backend: DefaultPlacerName,
+			Stage: StagePlace, Backend: p.name,
 			Iteration: iter, Objective: overflow,
 		})
 	}
@@ -100,62 +105,36 @@ func (annealPlacer) Place(ctx context.Context, st *StageState, observer Observer
 	}, nil
 }
 
-// legalProgress adapts the legal package's step/total hook to Progress
-// events (completed steps as the iteration, the total as the objective so
-// observers can show a fraction).
-func legalProgress(observer Observer, backend string) func(step, total int) {
-	return func(step, total int) {
-		observer.OnProgress(Progress{
-			Stage: StageLegalize, Backend: backend,
-			Iteration: step, Objective: float64(total),
-		})
-	}
+// legalBackend adapts one internal/legal entry point behind the Legalizer
+// interface: the integration-aware legalizer of §IV-C2 (greedy spiral +
+// min-cost-flow + Tetris + integration repair, "shelf") or its greedy
+// row-scan variant ("greedy"). cutoffs nil auto-calibrates the scans'
+// gating; the exactness tests pin it.
+type legalBackend struct {
+	name    string
+	run     func(context.Context, *component.Netlist, geom.Rect, float64, legal.Config) (*legal.Result, error)
+	cutoffs *parallel.Cutoffs
 }
 
-// shelfLegalizer is the integration-aware legalizer of §IV-C2 (greedy spiral
-// + min-cost-flow + Tetris + integration repair) behind the Legalizer
-// interface.
-type shelfLegalizer struct{}
+func (l legalBackend) Name() string { return l.name }
 
-func (shelfLegalizer) Name() string { return DefaultLegalizerName }
-
-func (shelfLegalizer) Legalize(ctx context.Context, st *StageState, region geom.Rect, observer Observer) (*LegalizeOutcome, error) {
+func (l legalBackend) Legalize(ctx context.Context, st *StageState, region geom.Rect, observer Observer) (*LegalizeOutcome, error) {
 	cfg := legal.DefaultConfig()
 	cfg.Span = obs.SpanFrom(ctx)
 	// The Classic baseline gets the classical (frequency-oblivious)
 	// legalizer, exactly as it would from its own engine.
 	cfg.FrequencyAware = st.Options.Scheme == SchemeQplacer
 	cfg.Workers = st.Parallelism
-	if !st.AdaptiveGranularity {
-		cfg.Cutoffs = &parallel.Cutoffs{}
+	cfg.Cutoffs = l.cutoffs
+	// Completed passes are the iteration, the total the objective, so
+	// observers can show a fraction.
+	cfg.Progress = func(step, total int) {
+		observer.OnProgress(Progress{
+			Stage: StageLegalize, Backend: l.name,
+			Iteration: step, Objective: float64(total),
+		})
 	}
-	cfg.Progress = legalProgress(observer, DefaultLegalizerName)
-	res, err := legal.LegalizeCtx(ctx, st.Netlist, region, st.Options.DeltaC, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &LegalizeOutcome{
-		IntegratedAll:       res.IntegratedAll,
-		QubitDisplacement:   res.QubitDisplacement,
-		SegmentDisplacement: res.SegmentDisplacement,
-	}, nil
-}
-
-// greedyLegalizer is the greedy row-scan variant of internal/legal.
-type greedyLegalizer struct{}
-
-func (greedyLegalizer) Name() string { return "greedy" }
-
-func (greedyLegalizer) Legalize(ctx context.Context, st *StageState, region geom.Rect, observer Observer) (*LegalizeOutcome, error) {
-	cfg := legal.DefaultConfig()
-	cfg.Span = obs.SpanFrom(ctx)
-	cfg.FrequencyAware = st.Options.Scheme == SchemeQplacer
-	cfg.Workers = st.Parallelism
-	if !st.AdaptiveGranularity {
-		cfg.Cutoffs = &parallel.Cutoffs{}
-	}
-	cfg.Progress = legalProgress(observer, "greedy")
-	res, err := legal.RowScanCtx(ctx, st.Netlist, region, st.Options.DeltaC, cfg)
+	res, err := l.run(ctx, st.Netlist, region, st.Options.DeltaC, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -179,51 +158,32 @@ func (noneDetailed) Refine(_ context.Context, st *StageState, _ geom.Rect, _ Obs
 	return &DetailOutcome{HPWLBefore: w, HPWLAfter: w}, nil
 }
 
-// detailConfig assembles the shared detail.Config from the stage state,
-// mirroring how the placer/legalizer adapters thread spans, parallelism, and
-// adaptive granularity.
-func detailConfig(ctx context.Context, st *StageState, backend string, observer Observer) detail.Config {
-	cfg := detail.Config{
+// detailBackend adapts one internal/detail pass behind the DetailedPlacer
+// interface: the independent-set + min-cost-flow reassignment ("mcmf"),
+// deterministic and bit-identical at every worker count, or the seeded
+// frequency-aware local-swap hill climb ("swap"), which is inherently
+// sequential and ignores StageState.Parallelism — legal, since parallelism
+// never changes results.
+type detailBackend struct {
+	name string
+	run  func(context.Context, *component.Netlist, detail.Config) (*detail.Result, error)
+}
+
+func (d detailBackend) Name() string { return d.name }
+
+func (d detailBackend) Refine(ctx context.Context, st *StageState, _ geom.Rect, observer Observer) (*DetailOutcome, error) {
+	res, err := d.run(ctx, st.Netlist, detail.Config{
 		Span:      obs.SpanFrom(ctx),
 		Workers:   st.Parallelism,
 		Collision: st.Collision,
 		Seed:      st.Options.Seed,
-	}
-	if !st.AdaptiveGranularity {
-		cfg.Cutoffs = &parallel.Cutoffs{}
-	}
-	cfg.Progress = func(step int, hpwl float64) {
-		observer.OnProgress(Progress{
-			Stage: StageDetail, Backend: backend,
-			Iteration: step, Objective: hpwl,
-		})
-	}
-	return cfg
-}
-
-// mcmfDetailed is the independent-set + min-cost-flow reassignment pass of
-// internal/detail, deterministic and bit-identical at every worker count.
-type mcmfDetailed struct{}
-
-func (mcmfDetailed) Name() string { return "mcmf" }
-
-func (mcmfDetailed) Refine(ctx context.Context, st *StageState, _ geom.Rect, observer Observer) (*DetailOutcome, error) {
-	res, err := detail.MCMF(ctx, st.Netlist, detailConfig(ctx, st, "mcmf", observer))
-	if err != nil {
-		return nil, err
-	}
-	return &DetailOutcome{Moved: res.Moved, HPWLBefore: res.HPWLBefore, HPWLAfter: res.HPWLAfter}, nil
-}
-
-// swapDetailed is the seeded frequency-aware local-swap hill climb of
-// internal/detail. Inherently sequential; it ignores StageState.Parallelism,
-// which is legal — parallelism never changes results.
-type swapDetailed struct{}
-
-func (swapDetailed) Name() string { return "swap" }
-
-func (swapDetailed) Refine(ctx context.Context, st *StageState, _ geom.Rect, observer Observer) (*DetailOutcome, error) {
-	res, err := detail.Swap(ctx, st.Netlist, detailConfig(ctx, st, "swap", observer))
+		Progress: func(step int, hpwl float64) {
+			observer.OnProgress(Progress{
+				Stage: StageDetail, Backend: d.name,
+				Iteration: step, Objective: hpwl,
+			})
+		},
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -232,13 +192,13 @@ func (swapDetailed) Refine(ctx context.Context, st *StageState, _ geom.Rect, obs
 
 func init() {
 	for _, err := range []error{
-		RegisterPlacer(nesterovPlacer{}),
+		RegisterPlacer(nesterovPlacer{name: DefaultPlacerName}),
 		RegisterPlacer(annealPlacer{}),
-		RegisterLegalizer(shelfLegalizer{}),
-		RegisterLegalizer(greedyLegalizer{}),
+		RegisterLegalizer(legalBackend{name: DefaultLegalizerName, run: legal.LegalizeCtx}),
+		RegisterLegalizer(legalBackend{name: "greedy", run: legal.RowScanCtx}),
 		RegisterDetailedPlacer(noneDetailed{}),
-		RegisterDetailedPlacer(mcmfDetailed{}),
-		RegisterDetailedPlacer(swapDetailed{}),
+		RegisterDetailedPlacer(detailBackend{name: "mcmf", run: detail.MCMF}),
+		RegisterDetailedPlacer(detailBackend{name: "swap", run: detail.Swap}),
 	} {
 		if err != nil {
 			panic(err)

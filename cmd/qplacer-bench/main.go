@@ -133,8 +133,6 @@ func main() {
 		check      = flag.String("check", "", "validate an existing document instead of benchmarking")
 		minSpeedup = flag.Float64("min-speedup", 0.5, "-check: minimum best parallel speedup per group (0.5 tolerates single-core hosts; CI uses 0.7)")
 		requireWin = flag.Bool("require-win", true, "-check: fail when no parallel entry in the whole document beats serial (speedup > 1), unless the document is flagged degraded_host")
-		noDelta    = flag.Bool("no-delta", false, "disable incremental (delta) gradient evaluation for the measured runs")
-		noAdaptive = flag.Bool("no-adaptive", false, "disable adaptive granularity: every parallel stage fans out regardless of problem size")
 		noTimings  = flag.Bool("no-timings", false, "skip the extra traced run that records the per-stage span breakdown")
 		suites     = flag.String("suite", "", "comma-separated generated-suite files (see qplacer-gen); their topologies join the sweep and their spec hashes are recorded")
 		version    = flag.Bool("version", false, "print build/version info and exit")
@@ -212,24 +210,13 @@ func main() {
 		log.Printf("NOTE: worker counts above GOMAXPROCS=%d are clamped by the engine; those entries measure the clamped pool", max)
 	}
 
-	// Scheduling toggles for the measured runs. Both are exact — parity
-	// still holds against any serial baseline — but the timing columns
-	// reflect the toggled configuration.
-	var extra []qplacer.Option
-	if *noDelta {
-		extra = append(extra, qplacer.WithDeltaEval(false))
-	}
-	if *noAdaptive {
-		extra = append(extra, qplacer.WithAdaptiveGranularity(false))
-	}
-
 	for _, topo := range splitList(*topologies) {
 		for _, placer := range splitList(*placers) {
 			for _, legalizer := range splitList(*legalizers) {
 				for _, detailed := range splitList(*detaileds) {
 					var serial *Entry
 					for _, w := range workerList {
-						e, err := measure(ctx, topo, placer, legalizer, detailed, w, *iters, *runs, *warmup, !*noTimings, extra)
+						e, err := measure(ctx, topo, placer, legalizer, detailed, w, *iters, *runs, *warmup, !*noTimings)
 						if err != nil {
 							log.Fatal(err)
 						}
@@ -270,7 +257,7 @@ func main() {
 // columns are identical across runs; only the clock varies. With timings set,
 // one additional traced run captures the per-stage span breakdown after the
 // measured runs, so tracing overhead never touches the timing columns.
-func measure(ctx context.Context, topo, placer, legalizer, detailed string, workers, iters, runs, warmup int, timings bool, extra []qplacer.Option) (Entry, error) {
+func measure(ctx context.Context, topo, placer, legalizer, detailed string, workers, iters, runs, warmup int, timings bool) (Entry, error) {
 	e := Entry{
 		Topology: topo, Placer: placer, Legalizer: legalizer,
 		Detailed: detailed,
@@ -283,12 +270,11 @@ func measure(ctx context.Context, topo, placer, legalizer, detailed string, work
 		Legalizer:      legalizer,
 		DetailedPlacer: detailed,
 	}
-	engineOpts := append([]qplacer.Option{qplacer.WithParallelism(workers)}, extra...)
 	for r := 0; r < warmup+runs; r++ {
 		start := time.Now()
 		// A fresh engine per run: the plan cache would otherwise hand the
 		// second run back the first run's result without doing any work.
-		plan, err := qplacer.New(engineOpts...).
+		plan, err := qplacer.New(qplacer.WithParallelism(workers)).
 			Plan(ctx, qplacer.WithOptions(opts))
 		if err != nil {
 			return e, fmt.Errorf("%s/%s/%s/%s workers=%d: %w", topo, placer, legalizer, detailed, workers, err)
@@ -311,7 +297,7 @@ func measure(ctx context.Context, topo, placer, legalizer, detailed string, work
 		e.DetailHPWLmm = plan.DetailHPWLAfter
 	}
 	if timings {
-		plan, err := qplacer.New(append(engineOpts, qplacer.WithTracing(true))...).
+		plan, err := qplacer.New(qplacer.WithParallelism(workers), qplacer.WithTracing(true)).
 			Plan(ctx, qplacer.WithOptions(opts))
 		if err != nil {
 			return e, fmt.Errorf("%s/%s/%s/%s workers=%d traced run: %w", topo, placer, legalizer, detailed, workers, err)

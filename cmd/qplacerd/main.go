@@ -79,8 +79,6 @@ func main() {
 		debugAddr = flag.String("debug-addr", "", "serve net/http/pprof on this separate address (empty = disabled)")
 		version   = flag.Bool("version", false, "print build/version info and exit")
 	)
-	// -queue predates -max-queue; keep it working for existing scripts.
-	flag.IntVar(maxQueue, "queue", 64, "deprecated alias for -max-queue")
 	flag.Parse()
 
 	if *version {

@@ -3,9 +3,9 @@ package qplacer
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"qplacer/internal/geom"
+	"qplacer/internal/registry"
 )
 
 // This file defines the third pluggable pipeline stage: detailed placement.
@@ -44,7 +44,7 @@ type DetailedPlacer interface {
 // detailed placement existed. On the wire "" and "none" are interchangeable.
 const DefaultDetailedPlacerName = "none"
 
-var detailedReg = map[string]DetailedPlacer{}
+var detaileds = registry.New[DetailedPlacer](ErrDuplicateDetailedPlacer, ErrUnknownDetailedPlacer)
 
 // RegisterDetailedPlacer makes a detailed-placement backend available to
 // every engine under d.Name(), exactly like the built-in "none", "mcmf", and
@@ -54,40 +54,14 @@ func RegisterDetailedPlacer(d DetailedPlacer) error {
 	if d == nil {
 		return fmt.Errorf("qplacer: register nil detailed placer")
 	}
-	if d.Name() == "" {
-		return fmt.Errorf("qplacer: register detailed placer with empty name")
-	}
-	backendMu.Lock()
-	defer backendMu.Unlock()
-	if _, ok := detailedReg[d.Name()]; ok {
-		return fmt.Errorf("%w %q", ErrDuplicateDetailedPlacer, d.Name())
-	}
-	detailedReg[d.Name()] = d
-	return nil
+	return detaileds.Register(d.Name(), d)
 }
 
 // DetailedPlacers returns every registered detailed-placer name, sorted —
 // built-ins plus RegisterDetailedPlacer additions.
-func DetailedPlacers() []string {
-	backendMu.RLock()
-	defer backendMu.RUnlock()
-	out := make([]string, 0, len(detailedReg))
-	for name := range detailedReg {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+func DetailedPlacers() []string { return detaileds.Names() }
 
 // DetailedPlacerByName returns the registered detailed-placement backend.
 // The error wraps ErrUnknownDetailedPlacer when no backend is registered
 // under the name.
-func DetailedPlacerByName(name string) (DetailedPlacer, error) {
-	backendMu.RLock()
-	d, ok := detailedReg[name]
-	backendMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("%w %q", ErrUnknownDetailedPlacer, name)
-	}
-	return d, nil
-}
+func DetailedPlacerByName(name string) (DetailedPlacer, error) { return detaileds.Get(name) }

@@ -166,11 +166,7 @@ func (e *Engine) Plan(ctx context.Context, opts ...Option) (*PlanResult, error) 
 	for _, o := range opts {
 		o(&s)
 	}
-	return e.planWith(ctx, s.opts, s.observer, s.validation, planKnobs{
-		parallelism: s.parallelism,
-		adaptive:    s.adaptive,
-		deltaEval:   s.deltaEval,
-	}, s.tracing)
+	return e.planWith(ctx, s.opts, s.observer, s.validation, s.parallelism, s.tracing)
 }
 
 // PlanOptions is Plan taking the options as a struct — the migration path
@@ -179,23 +175,12 @@ func (e *Engine) Plan(ctx context.Context, opts ...Option) (*PlanResult, error) 
 // validation mode.
 func (e *Engine) PlanOptions(ctx context.Context, opts Options) (*PlanResult, error) {
 	s := e.settings
-	return e.planWith(ctx, opts, s.observer, s.validation, planKnobs{
-		parallelism: s.parallelism,
-		adaptive:    s.adaptive,
-		deltaEval:   s.deltaEval,
-	}, s.tracing)
+	return e.planWith(ctx, opts, s.observer, s.validation, s.parallelism, s.tracing)
 }
 
-// planKnobs bundles the scheduling-only settings threaded into one plan run.
-// None of them may change results, which is why they travel beside Options
-// rather than inside it.
-type planKnobs struct {
-	parallelism int
-	adaptive    bool
-	deltaEval   bool
-}
-
-func (e *Engine) planWith(ctx context.Context, opts Options, observer Observer, vmode ValidationMode, knobs planKnobs, traced bool) (*PlanResult, error) {
+// planWith runs one plan. par is a scheduling hint only — it never changes
+// results, which is why it travels beside Options rather than inside it.
+func (e *Engine) planWith(ctx context.Context, opts Options, observer Observer, vmode ValidationMode, par int, traced bool) (*PlanResult, error) {
 	start := time.Now()
 	if ctx == nil {
 		ctx = context.Background()
@@ -230,7 +215,6 @@ func (e *Engine) planWith(ctx context.Context, opts Options, observer Observer, 
 	// hot path gains nothing from oversubscription, it only pays context
 	// switches. The clamp is a scheduling decision, so it is annotated on
 	// the trace rather than reported as an error.
-	par := knobs.parallelism
 	if max := runtime.GOMAXPROCS(0); par > max {
 		root.Note(fmt.Sprintf("parallelism clamped from %d to %d (GOMAXPROCS)", par, max))
 		par = max
@@ -266,13 +250,11 @@ func (e *Engine) planWith(ctx context.Context, opts Options, observer Observer, 
 		out.Integrated = true
 	case SchemeQplacer, SchemeClassic:
 		state := &StageState{
-			Options:             norm,
-			Device:              st.device,
-			Netlist:             nl,
-			Collision:           st.collision,
-			Parallelism:         par,
-			AdaptiveGranularity: knobs.adaptive,
-			DeltaEval:           knobs.deltaEval,
+			Options:     norm,
+			Device:      st.device,
+			Netlist:     nl,
+			Collision:   st.collision,
+			Parallelism: par,
 		}
 		placer, err := PlacerByName(norm.Placer)
 		if err != nil {

@@ -3,13 +3,18 @@ package qplacer
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+
+	"qplacer/internal/legal"
+	"qplacer/internal/parallel"
 )
 
 // The golden-corpus regression harness: checked-in fixtures pin the exact
@@ -397,5 +402,68 @@ func TestGoldenCorpusDetailedNone(t *testing.T) {
 					DefaultDetailedPlacerName, b, a)
 			}
 		})
+	}
+}
+
+// registerReferenceBackends registers, once per test binary, copies of the
+// built-in gradient placer and legalizers that run their reference paths:
+// full gradient recompute instead of delta evaluation ("-full-eval"), and
+// zero cutoffs, so every parallel stage fans out instead of gating at the
+// calibrated sizes ("-fanout"). They register only when the first caller
+// runs, after the conformance suites have enumerated the registries.
+var registerReferenceBackends = sync.OnceValue(func() error {
+	fanout := &parallel.Cutoffs{}
+	return errors.Join(
+		RegisterPlacer(nesterovPlacer{name: "nesterov-full-eval", fullEval: true}),
+		RegisterPlacer(nesterovPlacer{name: "nesterov-fanout", cutoffs: fanout}),
+		RegisterPlacer(nesterovPlacer{name: "nesterov-full-eval-fanout", fullEval: true, cutoffs: fanout}),
+		RegisterLegalizer(legalBackend{name: "shelf-fanout", run: legal.LegalizeCtx, cutoffs: fanout}),
+		RegisterLegalizer(legalBackend{name: "greedy-fanout", run: legal.RowScanCtx, cutoffs: fanout}),
+	)
+})
+
+// TestGoldenCorpusToggles holds the reference paths of placement and
+// legalization to the golden fixtures: full recompute instead of delta
+// evaluation, and forced fan-out instead of calibrated gating, must be
+// byte-invisible in every corpus combination, serially and in parallel. The
+// fixtures were generated on the default paths (serial), so each variant
+// re-proves the exactness contract end to end. The annealer has neither
+// path, so its combinations vary only the legalizer.
+func TestGoldenCorpusToggles(t *testing.T) {
+	if testing.Short() {
+		t.Skip("toggle corpus re-run skipped in -short mode")
+	}
+	raiseGOMAXPROCS(t, 4)
+	if err := registerReferenceBackends(); err != nil {
+		t.Fatal(err)
+	}
+	variants := []struct {
+		name                string
+		parallelism         int
+		placerSfx, legalSfx string
+	}{
+		{"delta-off-serial", 1, "-full-eval", ""},
+		{"delta-off-parallel", 3, "-full-eval", ""},
+		{"fanout-parallel", 3, "-fanout", "-fanout"},
+		{"all-off-parallel", 2, "-full-eval-fanout", "-fanout"},
+	}
+	for _, o := range goldenCombos() {
+		path := filepath.Join("testdata", "golden", goldenName(o)+".json")
+		want := loadFixture(t, path)
+		for _, v := range variants {
+			t.Run(goldenName(o)+"/"+v.name, func(t *testing.T) {
+				ref := o
+				if ref.Placer == DefaultPlacerName {
+					ref.Placer += v.placerSfx
+				}
+				ref.Legalizer += v.legalSfx
+				got := buildFixture(t, ref, WithParallelism(v.parallelism))
+				got.Options.Placer, got.Options.Legalizer = o.Placer, o.Legalizer
+				compareFixture(t, want, got)
+				if t.Failed() {
+					t.Logf("%s drifted from %s: the exactness contract is broken", v.name, path)
+				}
+			})
+		}
 	}
 }

@@ -3,8 +3,8 @@ package circuit
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
+
+	"qplacer/internal/registry"
 )
 
 // ErrUnknown is returned (wrapped) by ByName for unregistered names.
@@ -13,53 +13,24 @@ var ErrUnknown = errors.New("circuit: unknown benchmark")
 // ErrDuplicate is returned (wrapped) by Register when the name is taken.
 var ErrDuplicate = errors.New("circuit: duplicate benchmark name")
 
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Benchmark{}
-)
+var benchmarks = registry.New[Benchmark](ErrDuplicate, ErrUnknown)
 
 // Register adds a benchmark to the registry. The Table I workloads are
 // registered this way at init; callers may add custom benchmarks at runtime.
 // The benchmark's Name must be non-empty and unused, and Build non-nil.
 func Register(b Benchmark) error {
-	if b.Name == "" {
-		return fmt.Errorf("circuit: register with empty name")
-	}
 	if b.Build == nil {
 		return fmt.Errorf("circuit: register %q with nil builder", b.Name)
 	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, ok := registry[b.Name]; ok {
-		return fmt.Errorf("%w %q", ErrDuplicate, b.Name)
-	}
-	registry[b.Name] = b
-	return nil
+	return benchmarks.Register(b.Name, b)
 }
 
 // ByName returns the named benchmark. The error wraps ErrUnknown when no
 // benchmark is registered under the name.
-func ByName(name string) (Benchmark, error) {
-	regMu.RLock()
-	b, ok := registry[name]
-	regMu.RUnlock()
-	if !ok {
-		return Benchmark{}, fmt.Errorf("%w %q", ErrUnknown, name)
-	}
-	return b, nil
-}
+func ByName(name string) (Benchmark, error) { return benchmarks.Get(name) }
 
 // Names returns every registered benchmark name, sorted.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+func Names() []string { return benchmarks.Names() }
 
 func init() {
 	for _, b := range TableI() {

@@ -190,16 +190,6 @@ func (c Config) maxSet() int {
 	return DefaultMaxSet
 }
 
-func resolveCutoffs(cfg Config, pool *parallel.Pool) parallel.Cutoffs {
-	if cfg.Cutoffs != nil {
-		return *cfg.Cutoffs
-	}
-	if pool == nil {
-		return parallel.Cutoffs{}
-	}
-	return parallel.AutoCutoffs()
-}
-
 // independentSet extracts up to max instances of one class, no two of which
 // share a net or a near-resonant pair, scanning from a round-rotated offset
 // so successive rounds give different instances their turn. Independence
@@ -252,7 +242,7 @@ func independentSet(nl *component.Netlist, cm *frequency.CollisionMap, inc [][]i
 func MCMF(ctx context.Context, nl *component.Netlist, cfg Config) (*Result, error) {
 	pool := parallel.New(cfg.Workers)
 	defer pool.Close()
-	cut := resolveCutoffs(cfg, pool)
+	cut := parallel.Resolve(cfg.Cutoffs, pool)
 
 	before := place.HPWL(nl)
 	res := &Result{HPWLBefore: before, HPWLAfter: before}

@@ -8,6 +8,7 @@ import (
 
 	"qplacer/internal/component"
 	"qplacer/internal/frequency"
+	"qplacer/internal/parallel"
 	"qplacer/internal/physics"
 	"qplacer/internal/place"
 	"qplacer/internal/topology"
@@ -159,6 +160,45 @@ func TestMCMFNeverIncreasesHPWLAndIsWorkerInvariant(t *testing.T) {
 			for i := range pos {
 				if pos[i] != ref[i] {
 					t.Fatalf("%s workers=%d: coordinate %d differs from serial run", devName, workers, i)
+				}
+			}
+		}
+	}
+}
+
+// TestMCMFCutoffsBitIdentical runs the reassignment pass under every
+// granularity policy — always fan out (zero cutoffs), auto-calibrated (nil),
+// and cutoffs so high the cost-matrix fill gates serial — at worker counts
+// 1, 2 and 3, and requires the layout and result bit-identical to the first
+// (serial, fan-out) run.
+func TestMCMFCutoffsBitIdentical(t *testing.T) {
+	policies := []struct {
+		name string
+		cut  *parallel.Cutoffs
+	}{{"fanout", &parallel.Cutoffs{}}, {"auto", nil}, {"serial", &parallel.Cutoffs{ScanCells: 1 << 30}}}
+	for _, devName := range []string{"grid", "falcon"} {
+		base, cm := placedNetlist(t, devName)
+		var want []float64
+		var wantRes *Result
+		for _, workers := range []int{1, 2, 3} {
+			for _, p := range policies {
+				nl := base.Clone()
+				res, err := MCMF(context.Background(), nl, Config{Workers: workers, Cutoffs: p.cut, Collision: cm})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := nl.Positions()
+				if want == nil {
+					want, wantRes = got, res
+					continue
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%s workers=%d %s: pos[%d] = %v, want %v (bitwise)", devName, workers, p.name, i, got[i], want[i])
+					}
+				}
+				if *res != *wantRes {
+					t.Fatalf("%s workers=%d %s: result %+v, want %+v", devName, workers, p.name, *res, *wantRes)
 				}
 			}
 		}

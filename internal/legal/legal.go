@@ -167,19 +167,6 @@ func (lg *legalizer) setup() {
 	lg.buckets = make(map[[2]int][]int)
 }
 
-// resolveCutoffs maps Config.Cutoffs to the thresholds in effect: explicit
-// when set, auto-calibrated otherwise. A serial run skips calibration — with
-// no pool there is nothing to gate.
-func resolveCutoffs(cfg Config, pool *parallel.Pool) parallel.Cutoffs {
-	if cfg.Cutoffs != nil {
-		return *cfg.Cutoffs
-	}
-	if pool == nil {
-		return parallel.Cutoffs{}
-	}
-	return parallel.AutoCutoffs()
-}
-
 // buildPartners rebuilds the collision map as an adjacency list:
 // partners[i] holds the near-resonant same-kind instances of i (excluding
 // same-resonator segment pairs, which are one physical wire), ascending.
@@ -287,7 +274,7 @@ func LegalizeCtx(ctx context.Context, nl *component.Netlist, region geom.Rect, d
 		pool:   parallel.New(cfg.Workers),
 	}
 	defer lg.pool.Close()
-	lg.cut = resolveCutoffs(cfg, lg.pool)
+	lg.cut = parallel.Resolve(cfg.Cutoffs, lg.pool)
 	setupTimer := cfg.Span.Child("setup").Start()
 	lg.setup()
 	setupTimer.End()
@@ -337,14 +324,15 @@ func overlapsEps(a, b geom.Rect) bool {
 	return a.Inflate(-overlapEps / 2).Overlaps(b.Inflate(-overlapEps / 2))
 }
 
-// overlapsPlaced reports whether r overlaps any fixed legal rect, except the
-// instance ids in skip. Queries go through the spatial hash.
-func (lg *legalizer) overlapsPlaced(r geom.Rect, skip map[int]bool) bool {
+// overlapsPlaced reports whether r overlaps any fixed legal rect, except
+// instance skip's own (-1 skips nothing). Queries go through the spatial
+// hash.
+func (lg *legalizer) overlapsPlaced(r geom.Rect, skip int) bool {
 	x0, y0, x1, y1 := lg.bucketRange(r)
 	for y := y0; y <= y1; y++ {
 		for x := x0; x <= x1; x++ {
 			for _, idx := range lg.buckets[[2]int{x, y}] {
-				if skip != nil && skip[lg.order[idx]] {
+				if lg.order[idx] == skip {
 					continue
 				}
 				if overlapsEps(r, lg.placed[idx]) {
@@ -392,9 +380,10 @@ func (lg *legalizer) guardOK(in *component.Instance, c geom.Point) bool {
 // instance's legal rect fits without overlap and — preferentially — clear
 // of its near-resonant partners. If no guarded spot exists within the
 // search radius, the nearest unguarded spot is used (the residual hotspot
-// shows up in P_h, as in the paper). Returns the centre and true, or the
-// original position and false.
-func (lg *legalizer) findSpot(in *component.Instance, want geom.Point, skip map[int]bool) (geom.Point, bool) {
+// shows up in P_h, as in the paper). skip names the one instance whose own
+// footprint does not block (-1 for none). Returns the centre and true, or
+// the original position and false.
+func (lg *legalizer) findSpot(in *component.Instance, want geom.Point, skip int) (geom.Point, bool) {
 	// Preference order: a guarded (isolation-preserving) spot anywhere —
 	// escalating the bounds outward if needed — beats an unguarded spot
 	// nearby. Only when no guarded spot exists at any escalation level does
@@ -427,7 +416,7 @@ func (lg *legalizer) findSpot(in *component.Instance, want geom.Point, skip map[
 	return want, false
 }
 
-func (lg *legalizer) findSpotIn(in *component.Instance, want geom.Point, skip map[int]bool, bounds geom.Rect) (spot geom.Point, ok bool, fallback geom.Point, haveFallback bool) {
+func (lg *legalizer) findSpotIn(in *component.Instance, want geom.Point, skip int, bounds geom.Rect) (spot geom.Point, ok bool, fallback geom.Point, haveFallback bool) {
 	base := LegalRect(in)
 	w, h := base.W(), base.H()
 	for _, off := range geom.SpiralOffsets(lg.cfg.MaxRings) {
@@ -475,7 +464,7 @@ func (lg *legalizer) legalizeQubits(res *Result) error {
 			return err
 		}
 		in := lg.nl.Instances[qi]
-		spot, ok := lg.findSpot(in, in.Pos, nil)
+		spot, ok := lg.findSpot(in, in.Pos, -1)
 		if ok {
 			res.QubitDisplacement += spot.Dist(in.Pos)
 			in.Pos = spot
@@ -569,9 +558,9 @@ func (lg *legalizer) legalizeSegments(res *Result) error {
 			// (minimal displacement preserves the engine's isolation); the
 			// predecessor serves as a secondary anchor when the primary
 			// neighbourhood is saturated, keeping the chain contiguous.
-			spot, ok := lg.findSpot(in, in.Pos, nil)
+			spot, ok := lg.findSpot(in, in.Pos, -1)
 			if ok && havePrev && spot.Dist(prev) > 3*in.W {
-				if alt, okAlt := lg.findSpot(in, prev, nil); okAlt {
+				if alt, okAlt := lg.findSpot(in, prev, -1); okAlt {
 					spot = alt
 				}
 			}
@@ -689,7 +678,6 @@ func (lg *legalizer) pullIn(sid int, cluster []int, res *Result) bool {
 		return lg.nl.Instances[anchors[a]].Pos.Dist2(in.Pos) <
 			lg.nl.Instances[anchors[b]].Pos.Dist2(in.Pos)
 	})
-	skip := map[int]bool{sid: true}
 	// Free-spot search tightly around each anchor.
 	base := LegalRect(in)
 	step := base.W() + 0.02
@@ -702,7 +690,7 @@ func (lg *legalizer) pullIn(sid int, cluster []int, res *Result) bool {
 		} {
 			c := anchor.Add(off)
 			r := geom.RectAt(c, base.W(), base.H())
-			if lg.bounds.ContainsRect(r) && !lg.overlapsPlaced(r, skip) && lg.guardOK(in, c) {
+			if lg.bounds.ContainsRect(r) && !lg.overlapsPlaced(r, sid) && lg.guardOK(in, c) {
 				res.SegmentDisplacement += c.Dist(in.Pos)
 				in.Pos = c
 				lg.fix(sid, LegalRect(in))
@@ -790,8 +778,7 @@ func (lg *legalizer) compact(res *Result) error {
 				X: centroid.X + (old.X-centroid.X)*0.9,
 				Y: centroid.Y + (old.Y-centroid.Y)*0.9,
 			}
-			skip := map[int]bool{sid: true}
-			spot, ok := lg.findSpot(in, target, skip)
+			spot, ok := lg.findSpot(in, target, sid)
 			if !ok || spot.Dist2(centroid) >= old.Dist2(centroid)-1e-9 {
 				continue
 			}
@@ -816,22 +803,15 @@ func (lg *legalizer) compact(res *Result) error {
 }
 
 // compactionSafe checks the integrity and resonance guards for a segment at
-// its current position.
+// its current position. The resonance guard applies to exactly the
+// segment's partners: segments of other resonators within deltaC of it.
 func (lg *legalizer) compactionSafe(sid int) bool {
 	in := lg.nl.Instances[sid]
 	if len(lg.clusters(in.Resonator)) != 1 {
 		return false
 	}
-	for _, other := range lg.nl.Instances {
-		if other.Kind != component.KindSegment || other.Resonator == in.Resonator {
-			continue
-		}
-		if !frequency.Resonant(other.FreqGHz, in.FreqGHz, lg.deltaC) {
-			continue
-		}
-		dx := math.Abs(other.Pos.X - in.Pos.X)
-		dy := math.Abs(other.Pos.Y - in.Pos.Y)
-		if math.Max(dx, dy) < lg.cfg.ResonantGuard {
+	for _, pid := range lg.partners[sid] {
+		if !guardedApart(lg.nl.Instances[pid].Pos, in.Pos, lg.cfg.ResonantGuard) {
 			return false
 		}
 	}

@@ -47,7 +47,7 @@ func RowScanCtx(ctx context.Context, nl *component.Netlist, region geom.Rect, de
 		pool := parallel.New(cfg.Workers)
 		n := len(nl.Instances)
 		partners = buildPartners(nl, deltaC,
-			parallel.Gate(pool, n*n, resolveCutoffs(cfg, pool).ScanCells))
+			parallel.Gate(pool, n*n, parallel.Resolve(cfg.Cutoffs, pool).ScanCells))
 		cfg.Span.SetWorkers(pool.WorkerBusy())
 		pool.Close()
 		setupTimer.End()

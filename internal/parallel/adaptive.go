@@ -45,6 +45,19 @@ func Gate(p *Pool, work, cutoff int) *Pool {
 	return p
 }
 
+// Resolve returns the cutoffs in effect for a stage configured with c and
+// running on p: *c when set, auto-calibrated otherwise. A serial run (nil
+// pool) skips calibration — with no pool there is nothing to gate.
+func Resolve(c *Cutoffs, p *Pool) Cutoffs {
+	if c != nil {
+		return *c
+	}
+	if p == nil {
+		return Cutoffs{}
+	}
+	return AutoCutoffs()
+}
+
 // defaultCutoffs is the fallback when calibration cannot measure anything
 // meaningful (timer too coarse). The values are conservative: small enough
 // that mid-size problems still fan out, large enough that toy problems stop

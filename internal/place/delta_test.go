@@ -1,9 +1,14 @@
 package place
 
 import (
+	"fmt"
+	"os"
+	"sync"
 	"testing"
 
+	"qplacer/internal/bmgen"
 	"qplacer/internal/parallel"
+	"qplacer/internal/topology"
 )
 
 // runPlacement places one topology and returns the final positions.
@@ -31,22 +36,56 @@ func requireBitIdentical(t *testing.T, label string, got, want []float64) {
 	}
 }
 
+// goldenSuite is the generated suite of the golden corpus; its random
+// device is the one corpus topology that is not built in.
+const goldenSuite = "../../testdata/golden/gen-random16.suite.json"
+
+// registerGoldenSuite registers the golden suite's device under its name,
+// once per test binary, and returns that name.
+var registerGoldenSuite = sync.OnceValues(func() (string, error) {
+	f, err := os.Open(goldenSuite)
+	if err != nil {
+		return "", err
+	}
+	defer f.Close()
+	s, err := bmgen.ReadSuite(f)
+	if err != nil {
+		return "", err
+	}
+	if _, err := s.Device(); err != nil {
+		return "", err
+	}
+	return s.Topology.Name, topology.Register(s.Topology.Name, func() *topology.Device {
+		d, _ := s.Device() // validated above; a fresh device per call, as Generator asks
+		return d
+	})
+})
+
 // TestDeltaEvalExact is the delta-gradient exactness contract: with
 // DeltaEval on — memoized evaluations plus Verlet pair lists — placements
-// are bit-identical to the full recompute, serially and in parallel.
+// are bit-identical to the full recompute, serially and in parallel, on
+// every topology of the golden corpus (grid, falcon, and the generated
+// suite's device) in both placement modes.
 func TestDeltaEvalExact(t *testing.T) {
-	topos := []string{"grid", "falcon", "eagle"}
-	if testing.Short() {
-		topos = topos[:2] // eagle is ~1s per placement; skip it under -short/-race
+	suite, err := registerGoldenSuite()
+	if err != nil {
+		t.Fatal(err)
+	}
+	topos := []string{"grid", "falcon", suite}
+	if !testing.Short() {
+		topos = append(topos, "eagle") // ~1s per placement; skipped under -short/-race
 	}
 	for _, topo := range topos {
-		want := runPlacement(t, topo, nil)
-		for _, workers := range []int{1, 3} {
-			got := runPlacement(t, topo, func(cfg *Config) {
-				cfg.DeltaEval = true
-				cfg.Workers = workers
-			})
-			requireBitIdentical(t, topo+"/delta", got, want)
+		for _, mode := range []Mode{ModeQplacer, ModeClassic} {
+			want := runPlacement(t, topo, func(cfg *Config) { cfg.Mode = mode })
+			for _, workers := range []int{1, 2, 3} {
+				got := runPlacement(t, topo, func(cfg *Config) {
+					cfg.Mode = mode
+					cfg.DeltaEval = true
+					cfg.Workers = workers
+				})
+				requireBitIdentical(t, fmt.Sprintf("%s/%v/delta/workers=%d", topo, mode, workers), got, want)
+			}
 		}
 	}
 }

@@ -599,11 +599,7 @@ func (e *engine) setupParallel() {
 	if e.pool == nil {
 		return
 	}
-	if e.cfg.Cutoffs != nil {
-		e.cut = *e.cfg.Cutoffs
-	} else {
-		e.cut = parallel.AutoCutoffs()
-	}
+	e.cut = parallel.Resolve(e.cfg.Cutoffs, e.pool)
 	n := len(e.nl.Instances)
 	cells := e.solver.NX * e.solver.NY
 	e.poolWL = parallel.Gate(e.pool, n, e.cut.WirelengthItems)

@@ -3,8 +3,8 @@ package topology
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
+
+	"qplacer/internal/registry"
 )
 
 // Generator constructs a fresh Device. Generators must return a validated
@@ -18,29 +18,17 @@ var ErrUnknown = errors.New("topology: unknown device")
 // ErrDuplicate is returned (wrapped) by Register when the name is taken.
 var ErrDuplicate = errors.New("topology: duplicate device name")
 
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Generator{}
-)
+var generators = registry.New[Generator](ErrDuplicate, ErrUnknown)
 
 // Register adds a device generator under the given name. The six Table I
 // topologies are registered this way at init; callers may add custom
 // topologies at runtime to open scenarios beyond the paper's devices.
 // Registering an empty name, a nil generator, or a taken name fails.
 func Register(name string, gen Generator) error {
-	if name == "" {
-		return fmt.Errorf("topology: register with empty name")
-	}
 	if gen == nil {
 		return fmt.Errorf("topology: register %q with nil generator", name)
 	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, ok := registry[name]; ok {
-		return fmt.Errorf("%w %q", ErrDuplicate, name)
-	}
-	registry[name] = gen
-	return nil
+	return generators.Register(name, gen)
 }
 
 // mustRegister registers a built-in generator and panics on conflict.
@@ -56,10 +44,8 @@ func mustRegister(name string, gen Generator) {
 // anywhere a topology name is accepted. The error wraps ErrUnknown when the
 // name is neither registered nor a valid family member.
 func ByName(name string) (*Device, error) {
-	regMu.RLock()
-	gen, ok := registry[name]
-	regMu.RUnlock()
-	if !ok {
+	gen, err := generators.Get(name)
+	if err != nil {
 		return Parse(name)
 	}
 	d := gen()
@@ -70,16 +56,7 @@ func ByName(name string) (*Device, error) {
 }
 
 // Names returns every registered device name, sorted.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+func Names() []string { return generators.Names() }
 
 // The six Table I names are exact aliases of parametric-family members (see
 // Aliases: grid = grid-25, aspen11 = octagon-1x5, aspenm = octagon-2x5,

@@ -148,8 +148,6 @@ type settings struct {
 	opts        Options
 	workers     int
 	parallelism int
-	adaptive    bool
-	deltaEval   bool
 	observer    Observer
 	validation  ValidationMode
 	tracing     bool
@@ -159,8 +157,6 @@ func defaultSettings() settings {
 	return settings{
 		workers:     runtime.GOMAXPROCS(0),
 		parallelism: runtime.GOMAXPROCS(0),
-		adaptive:    true,
-		deltaEval:   true,
 		tracing:     true,
 	}
 }
@@ -287,7 +283,8 @@ func WithWorkers(n int) Option {
 //
 // Each parallel stage additionally falls back to its serial kernel when the
 // stage's problem size is below an auto-calibrated cutoff — fan-out dispatch
-// costs more than it saves on small problems. See WithAdaptiveGranularity.
+// costs more than it saves on small problems. Gating only selects between
+// bit-identical implementations, so it never changes results either.
 func WithParallelism(n int) Option {
 	return func(s *settings) {
 		if n > 0 {
@@ -296,25 +293,4 @@ func WithParallelism(n int) Option {
 			s.parallelism = runtime.GOMAXPROCS(0)
 		}
 	}
-}
-
-// WithAdaptiveGranularity toggles the per-stage serial fallback (default
-// on): each parallelizable stage compares its problem size against a cutoff
-// calibrated once per process from the measured pool dispatch overhead, and
-// runs its serial kernel below it. Disabling forces every stage to fan out
-// whenever parallelism > 1 — useful for scheduler experiments, never for
-// results: gating only selects between bit-identical implementations, so
-// like parallelism it is not part of the plan-cache key.
-func WithAdaptiveGranularity(enabled bool) Option {
-	return func(s *settings) { s.adaptive = enabled }
-}
-
-// WithDeltaEval toggles incremental gradient evaluation across placement
-// iterations (default on): verbatim re-evaluations replay from a memo keyed
-// on the exact position bits, and the pair-repulsion families keep Verlet
-// active lists refreshed before any excluded pair could contribute. Both
-// mechanisms are exact by construction — placements are bit-identical with
-// the toggle on or off — so it too stays out of the plan-cache key.
-func WithDeltaEval(enabled bool) Option {
-	return func(s *settings) { s.deltaEval = enabled }
 }
