@@ -209,7 +209,9 @@ func (r Rect) Clamp(p Point) Point {
 // SpiralOffsets returns grid offsets (in units of pitch) ordered by
 // increasing Chebyshev ring distance from the origin: the origin first, then
 // ring 1 (8 cells), ring 2 (16 cells), … up to maxRing rings. This is the
-// search order used by the greedy spiral legalizer.
+// search order used by the greedy spiral legalizer. Each call allocates all
+// (2·maxRing+1)² points, so a caller probing repeatedly builds the table
+// once and reuses it.
 func SpiralOffsets(maxRing int) []Point {
 	if maxRing < 0 {
 		return nil

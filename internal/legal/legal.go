@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"qplacer/internal/component"
@@ -114,8 +115,8 @@ type legalizer struct {
 	deltaC float64
 	bounds geom.Rect
 
-	placed []geom.Rect // legal rects of already-fixed instances
-	byInst map[int]int // instance ID → index in placed
+	placed []geom.Rect // legal rects of fixed instances, shrunk by overlapEps/2
+	slot   []int       // instance ID → index in placed, -1 while unplaced
 	order  []int       // placed index → instance ID
 
 	// partners[i] lists the near-resonant instances of i (the collision
@@ -123,9 +124,18 @@ type legalizer struct {
 	// ones so legalization preserves the engine's spatial isolation.
 	partners [][]int
 
-	// Spatial hash over placed rects for O(1) neighbourhood queries.
+	// spiral is the findSpot probe order, built once per run.
+	spiral []geom.Point
+
+	// Spatial hash over placed rects for O(1) neighbourhood queries: a flat
+	// row-major grid of cell-sized buckets over the widest bounds findSpot
+	// searches. Coordinates clamp into the grid, so rects outside it land in
+	// edge buckets; clamping is monotone, so two overlapping rects always
+	// share a bucket.
 	cell    float64
-	buckets map[[2]int][]int // bucket coord → placed indices
+	gridLo  geom.Point
+	nx, ny  int
+	buckets [][]int // bucket y*nx+x → placed indices
 
 	pool *parallel.Pool   // bounds the independent scans; nil runs serial
 	cut  parallel.Cutoffs // adaptive-granularity thresholds for the scans
@@ -159,12 +169,38 @@ func guardedApart(a, b geom.Point, guard float64) bool {
 	return math.Max(math.Abs(a.X-b.X), math.Abs(a.Y-b.Y)) >= guard
 }
 
+// spotGrowth lists findSpot's escalation levels: each widens the search
+// bounds by that fraction of their width.
+var spotGrowth = [...]float64{0, 0.08, 0.20}
+
+// maxGridCells caps the bucket grid per axis; only a region wider than this
+// many millimetres coarsens the cell, which never changes a query's answer.
+const maxGridCells = 512
+
 func (lg *legalizer) setup() {
 	n := len(lg.nl.Instances)
 	lg.partners = buildPartners(lg.nl, lg.deltaC,
 		parallel.Gate(lg.pool, n*n, lg.cut.ScanCells))
-	lg.cell = 1.0
-	lg.buckets = make(map[[2]int][]int)
+	lg.spiral = geom.SpiralOffsets(lg.cfg.MaxRings)
+	lg.slot = make([]int, n)
+	for i := range lg.slot {
+		lg.slot[i] = -1
+	}
+	reach := lg.bounds.Inflate(lg.bounds.W() * spotGrowth[len(spotGrowth)-1])
+	lg.cell = math.Max(1.0, math.Max(reach.W(), reach.H())/maxGridCells)
+	lg.gridLo = reach.Lo
+	lg.nx = lg.gridCells(reach.W())
+	lg.ny = lg.gridCells(reach.H())
+	lg.buckets = make([][]int, lg.nx*lg.ny)
+}
+
+// gridCells returns the bucket count that covers extent, at least one.
+func (lg *legalizer) gridCells(extent float64) int {
+	n := math.Floor(extent / lg.cell)
+	if !(n >= 0) {
+		return 1
+	}
+	return int(math.Min(n, maxGridCells)) + 1
 }
 
 // buildPartners rebuilds the collision map as an adjacency list:
@@ -210,20 +246,32 @@ func buildPartners(nl *component.Netlist, deltaC float64, pool *parallel.Pool) [
 	return partners
 }
 
+// bucketCoord maps coordinate v to its bucket along an axis starting at lo
+// with n buckets, clamped into [0, n-1] (NaN clamps to 0).
+func (lg *legalizer) bucketCoord(v, lo float64, n int) int {
+	f := math.Floor((v - lo) / lg.cell)
+	if !(f > 0) {
+		return 0
+	}
+	if f >= float64(n-1) {
+		return n - 1
+	}
+	return int(f)
+}
+
 func (lg *legalizer) bucketRange(r geom.Rect) (x0, y0, x1, y1 int) {
-	x0 = int(math.Floor(r.Lo.X / lg.cell))
-	y0 = int(math.Floor(r.Lo.Y / lg.cell))
-	x1 = int(math.Floor(r.Hi.X / lg.cell))
-	y1 = int(math.Floor(r.Hi.Y / lg.cell))
+	x0 = lg.bucketCoord(r.Lo.X, lg.gridLo.X, lg.nx)
+	y0 = lg.bucketCoord(r.Lo.Y, lg.gridLo.Y, lg.ny)
+	x1 = lg.bucketCoord(r.Hi.X, lg.gridLo.X, lg.nx)
+	y1 = lg.bucketCoord(r.Hi.Y, lg.gridLo.Y, lg.ny)
 	return
 }
 
 func (lg *legalizer) indexAdd(placedIdx int, r geom.Rect) {
 	x0, y0, x1, y1 := lg.bucketRange(r)
 	for y := y0; y <= y1; y++ {
-		for x := x0; x <= x1; x++ {
-			key := [2]int{x, y}
-			lg.buckets[key] = append(lg.buckets[key], placedIdx)
+		for b := y*lg.nx + x0; b <= y*lg.nx+x1; b++ {
+			lg.buckets[b] = append(lg.buckets[b], placedIdx)
 		}
 	}
 }
@@ -231,13 +279,12 @@ func (lg *legalizer) indexAdd(placedIdx int, r geom.Rect) {
 func (lg *legalizer) indexRemove(placedIdx int, r geom.Rect) {
 	x0, y0, x1, y1 := lg.bucketRange(r)
 	for y := y0; y <= y1; y++ {
-		for x := x0; x <= x1; x++ {
-			key := [2]int{x, y}
-			list := lg.buckets[key]
+		for b := y*lg.nx + x0; b <= y*lg.nx+x1; b++ {
+			list := lg.buckets[b]
 			for k, v := range list {
 				if v == placedIdx {
 					list[k] = list[len(list)-1]
-					lg.buckets[key] = list[:len(list)-1]
+					lg.buckets[b] = list[:len(list)-1]
 					break
 				}
 			}
@@ -257,24 +304,11 @@ func Legalize(nl *component.Netlist, region geom.Rect, deltaC float64, cfg Confi
 // between instances, and the min-cost-flow refinement checks it before its
 // indivisible solve; the first ctx.Err() observed is returned.
 func LegalizeCtx(ctx context.Context, nl *component.Netlist, region geom.Rect, deltaC float64, cfg Config) (*Result, error) {
-	if cfg.Pitch <= 0 || cfg.MaxRings <= 0 {
-		return nil, fmt.Errorf("legal: invalid config %+v", cfg)
-	}
-	lg := &legalizer{
-		ctx:    ctx,
-		cfg:    cfg,
-		nl:     nl,
-		deltaC: deltaC,
-		// The global-placement region is sized at TargetDensity < 1, so it
-		// already carries the slack legalization needs; keeping the bounds
-		// tight is what delivers the paper's compact-substrate result. A
-		// small margin absorbs boundary quantization.
-		bounds: region.Inflate(region.W() * 0.02),
-		byInst: make(map[int]int),
-		pool:   parallel.New(cfg.Workers),
+	lg, err := newLegalizer(ctx, nl, region, deltaC, cfg)
+	if err != nil {
+		return nil, err
 	}
 	defer lg.pool.Close()
-	lg.cut = parallel.Resolve(cfg.Cutoffs, lg.pool)
 	setupTimer := cfg.Span.Child("setup").Start()
 	lg.setup()
 	setupTimer.End()
@@ -313,6 +347,33 @@ func LegalizeCtx(ctx context.Context, nl *component.Netlist, region geom.Rect, d
 	return res, nil
 }
 
+// newLegalizer validates the inputs and returns a legalizer that owns a
+// worker pool (the caller closes it) and still needs setup.
+func newLegalizer(ctx context.Context, nl *component.Netlist, region geom.Rect, deltaC float64, cfg Config) (*legalizer, error) {
+	if cfg.Pitch <= 0 || cfg.MaxRings <= 0 {
+		return nil, fmt.Errorf("legal: invalid config %+v", cfg)
+	}
+	for _, v := range []float64{region.Lo.X, region.Lo.Y, region.Hi.X, region.Hi.Y} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("legal: non-finite region %v", region)
+		}
+	}
+	lg := &legalizer{
+		ctx:    ctx,
+		cfg:    cfg,
+		nl:     nl,
+		deltaC: deltaC,
+		// The global-placement region is sized at TargetDensity < 1, so it
+		// already carries the slack legalization needs; keeping the bounds
+		// tight is what delivers the paper's compact-substrate result. A
+		// small margin absorbs boundary quantization.
+		bounds: region.Inflate(region.W() * 0.02),
+		pool:   parallel.New(cfg.Workers),
+	}
+	lg.cut = parallel.Resolve(cfg.Cutoffs, lg.pool)
+	return lg, nil
+}
+
 // overlapEps is the tolerance for overlap checks: rectangle widths are
 // reconstructed from centre positions, so independent computations of "the
 // same" footprint differ by ~1e-16 mm. Anything shallower than a tenth of a
@@ -325,17 +386,16 @@ func overlapsEps(a, b geom.Rect) bool {
 }
 
 // overlapsPlaced reports whether r overlaps any fixed legal rect, except
-// instance skip's own (-1 skips nothing). Queries go through the spatial
-// hash.
+// instance skip's own (-1 skips nothing), by exactly the overlapsEps test:
+// placed rects are stored pre-shrunk, so only r is shrunk here. Queries go
+// through the spatial hash.
 func (lg *legalizer) overlapsPlaced(r geom.Rect, skip int) bool {
+	r = r.Inflate(-overlapEps / 2)
 	x0, y0, x1, y1 := lg.bucketRange(r)
 	for y := y0; y <= y1; y++ {
-		for x := x0; x <= x1; x++ {
-			for _, idx := range lg.buckets[[2]int{x, y}] {
-				if lg.order[idx] == skip {
-					continue
-				}
-				if overlapsEps(r, lg.placed[idx]) {
+		for b := y*lg.nx + x0; b <= y*lg.nx+x1; b++ {
+			for _, idx := range lg.buckets[b] {
+				if lg.order[idx] != skip && r.Overlaps(lg.placed[idx]) {
 					return true
 				}
 			}
@@ -344,15 +404,17 @@ func (lg *legalizer) overlapsPlaced(r geom.Rect, skip int) bool {
 	return false
 }
 
+// fix records instance instID's legal rect r as placed.
 func (lg *legalizer) fix(instID int, r geom.Rect) {
-	if idx, ok := lg.byInst[instID]; ok {
+	r = r.Inflate(-overlapEps / 2)
+	if idx := lg.slot[instID]; idx >= 0 {
 		lg.indexRemove(idx, lg.placed[idx])
 		lg.placed[idx] = r
 		lg.indexAdd(idx, r)
 		return
 	}
 	idx := len(lg.placed)
-	lg.byInst[instID] = idx
+	lg.slot[instID] = idx
 	lg.placed = append(lg.placed, r)
 	lg.order = append(lg.order, instID)
 	lg.indexAdd(idx, r)
@@ -366,7 +428,7 @@ func (lg *legalizer) guardOK(in *component.Instance, c geom.Point) bool {
 	}
 	guard := guardFor(in.Kind)
 	for _, pid := range lg.partners[in.ID] {
-		if _, placed := lg.byInst[pid]; !placed {
+		if lg.slot[pid] < 0 {
 			continue
 		}
 		if !guardedApart(lg.nl.Instances[pid].Pos, c, guard) {
@@ -391,7 +453,7 @@ func (lg *legalizer) findSpot(in *component.Instance, want geom.Point, skip int)
 	// residual hotspots P_h measures.
 	fallback := geom.Point{}
 	haveFallback := false
-	for _, grow := range []float64{0, 0.08, 0.20} {
+	for _, grow := range spotGrowth {
 		bounds := lg.bounds
 		if grow > 0 {
 			bounds = bounds.Inflate(bounds.W() * grow)
@@ -419,7 +481,7 @@ func (lg *legalizer) findSpot(in *component.Instance, want geom.Point, skip int)
 func (lg *legalizer) findSpotIn(in *component.Instance, want geom.Point, skip int, bounds geom.Rect) (spot geom.Point, ok bool, fallback geom.Point, haveFallback bool) {
 	base := LegalRect(in)
 	w, h := base.W(), base.H()
-	for _, off := range geom.SpiralOffsets(lg.cfg.MaxRings) {
+	for _, off := range lg.spiral {
 		c := geom.Point{
 			X: want.X + off.X*lg.cfg.Pitch,
 			Y: want.Y + off.Y*lg.cfg.Pitch,
@@ -587,40 +649,55 @@ func (lg *legalizer) clusters(resIdx int) [][]int {
 // cluster means the resonator is integrated.
 func ResonatorClusters(nl *component.Netlist, resIdx int, gap float64) [][]int {
 	segs := nl.Resonators[resIdx].Segments
-	parent := make(map[int]int, len(segs))
-	var find func(int) int
-	find = func(x int) int {
-		if parent[x] != x {
-			parent[x] = find(parent[x])
+	n := len(segs)
+	// Union-find over positions in segs. size[root] counts the root's
+	// members until the groups are carved, then holds its index in out.
+	parent, size := make([]int, n), make([]int, n)
+	rects := make([]geom.Rect, n)
+	for i, s := range segs {
+		parent[i] = i
+		rects[i] = LegalRect(nl.Instances[s])
+	}
+	find := func(x int) int {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
 		}
-		return parent[x]
+		return x
 	}
-	for _, s := range segs {
-		parent[s] = s
-	}
-	for i := 0; i < len(segs); i++ {
-		ri := LegalRect(nl.Instances[segs[i]])
-		for j := i + 1; j < len(segs); j++ {
-			rj := LegalRect(nl.Instances[segs[j]])
-			if ri.Gap(rj) <= gap {
-				parent[find(segs[i])] = find(segs[j])
+	for i := range segs {
+		for j := i + 1; j < n; j++ {
+			if rects[i].Gap(rects[j]) <= gap {
+				parent[find(i)] = find(j)
 			}
 		}
 	}
-	groups := map[int][]int{}
-	for _, s := range segs {
-		groups[find(s)] = append(groups[find(s)], s)
+	for i := range segs {
+		size[find(i)]++
 	}
-	out := make([][]int, 0, len(groups))
-	for _, g := range groups {
-		sort.Ints(g)
-		out = append(out, g)
-	}
-	sort.SliceStable(out, func(a, b int) bool {
-		if len(out[a]) != len(out[b]) {
-			return len(out[a]) > len(out[b])
+	// Carve the groups out of one array. Each is capped at its own length,
+	// so a caller appending to one group never writes into the next.
+	members := make([]int, n)
+	out := make([][]int, 0, n)
+	for root, k := range size {
+		if k > 0 {
+			size[root] = len(out)
+			out = append(out, members[:0:k])
+			members = members[k:]
 		}
-		return out[a][0] < out[b][0]
+	}
+	for i, s := range segs {
+		g := size[find(i)]
+		out[g] = append(out[g], s)
+	}
+	for _, g := range out {
+		slices.Sort(g)
+	}
+	slices.SortFunc(out, func(a, b []int) int {
+		if len(a) != len(b) {
+			return len(b) - len(a)
+		}
+		return a[0] - b[0]
 	})
 	return out
 }

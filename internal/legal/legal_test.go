@@ -2,6 +2,7 @@ package legal
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"qplacer/internal/component"
@@ -12,7 +13,7 @@ import (
 	"qplacer/internal/topology"
 )
 
-func placedNetlist(t *testing.T, devName string, mode place.Mode) (*component.Netlist, geom.Rect) {
+func placedNetlist(t testing.TB, devName string, mode place.Mode) (*component.Netlist, geom.Rect) {
 	t.Helper()
 	dev, err := topology.ByName(devName)
 	if err != nil {
@@ -104,6 +105,23 @@ func TestLegalizeValidation(t *testing.T) {
 	bad.Pitch = 0
 	if _, err := Legalize(nl, region, physics.DetuneThresholdGHz, bad); err == nil {
 		t.Fatal("zero pitch must fail")
+	}
+	// The bucket grid is sized from the region, so a non-finite corner must
+	// be rejected like a bad config, before anything is sized or moved.
+	before := nl.Positions()
+	nan := math.NaN()
+	for _, r := range []geom.Rect{
+		{Lo: geom.Point{X: nan, Y: region.Lo.Y}, Hi: region.Hi},
+		{Lo: geom.Point{X: region.Lo.X, Y: math.Inf(-1)}, Hi: region.Hi},
+		{Lo: region.Lo, Hi: geom.Point{X: math.Inf(1), Y: region.Hi.Y}},
+		{Lo: region.Lo, Hi: geom.Point{X: region.Hi.X, Y: nan}},
+	} {
+		if _, err := Legalize(nl, r, physics.DetuneThresholdGHz, DefaultConfig()); err == nil {
+			t.Fatalf("region %v must fail", r)
+		}
+	}
+	if !reflect.DeepEqual(nl.Positions(), before) {
+		t.Fatal("a rejected region moved instances")
 	}
 }
 
