@@ -6,6 +6,7 @@ import (
 	"qplacer/internal/anneal"
 	"qplacer/internal/component"
 	"qplacer/internal/detail"
+	"qplacer/internal/frequency"
 	"qplacer/internal/geom"
 	"qplacer/internal/legal"
 	"qplacer/internal/obs"
@@ -108,11 +109,12 @@ func (annealPlacer) Place(ctx context.Context, st *StageState, observer Observer
 // legalBackend adapts one internal/legal entry point behind the Legalizer
 // interface: the integration-aware legalizer of §IV-C2 (greedy spiral +
 // min-cost-flow + Tetris + integration repair, "shelf") or its greedy
-// row-scan variant ("greedy"). cutoffs nil auto-calibrates the scans'
-// gating; the exactness tests pin it.
+// row-scan variant ("greedy"). Both guard the stage's collision map.
+// cutoffs nil auto-calibrates the shelf cost-matrix scan's gating; the
+// exactness tests pin it.
 type legalBackend struct {
 	name    string
-	run     func(context.Context, *component.Netlist, geom.Rect, float64, legal.Config) (*legal.Result, error)
+	run     func(context.Context, *component.Netlist, geom.Rect, *frequency.CollisionMap, legal.Config) (*legal.Result, error)
 	cutoffs *parallel.Cutoffs
 }
 
@@ -134,7 +136,7 @@ func (l legalBackend) Legalize(ctx context.Context, st *StageState, region geom.
 			Iteration: step, Objective: float64(total),
 		})
 	}
-	res, err := l.run(ctx, st.Netlist, region, st.Options.DeltaC, cfg)
+	res, err := l.run(ctx, st.Netlist, region, st.Collision, cfg)
 	if err != nil {
 		return nil, err
 	}

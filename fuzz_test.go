@@ -7,19 +7,25 @@ import (
 	"testing"
 )
 
-func isFinite(v float64) bool {
-	return !math.IsNaN(v) && !math.IsInf(v, 0)
+// validNumeric is the admission rule Normalized applies to lb and delta_c:
+// finite and ≥ 0, where 0 selects the default.
+func validNumeric(v float64) bool {
+	return !math.IsNaN(v) && !math.IsInf(v, 0) && v >= 0
 }
 
 // TestNormalizedRejectsNonFinite pins the deterministic contract the fuzz
 // target relies on: NaN/Inf numerics fail normalization with the typed
-// sentinel instead of slipping past the <= 0 guards into cache keys.
+// sentinel instead of slipping past the <= 0 guards into cache keys, and so
+// do negative ones, which no downstream stage reads consistently.
 func TestNormalizedRejectsNonFinite(t *testing.T) {
 	for _, o := range []Options{
 		{LB: math.NaN()},
 		{LB: math.Inf(1)},
 		{DeltaC: math.NaN()},
 		{DeltaC: math.Inf(-1)},
+		{LB: -0.3},
+		{DeltaC: -0.1},
+		{LB: 0.3, DeltaC: -1e-9},
 	} {
 		if _, err := o.Normalized(); !errors.Is(err, ErrInvalidOptions) {
 			t.Fatalf("Normalized(%+v) err = %v, want ErrInvalidOptions", o, err)
@@ -90,8 +96,8 @@ func FuzzValidateOptions(f *testing.F) {
 			// sentinels, matching the field that actually failed.
 			switch {
 			case errors.Is(err, ErrInvalidOptions):
-				if isFinite(lb) && isFinite(deltaC) {
-					t.Fatalf("finite options rejected as invalid: %v", err)
+				if validNumeric(lb) && validNumeric(deltaC) {
+					t.Fatalf("finite, non-negative options rejected as invalid: %v", err)
 				}
 			case errors.Is(err, ErrUnknownScheme):
 				if s := Scheme(scheme); s == SchemeQplacer || s == SchemeClassic || s == SchemeHuman {
@@ -118,6 +124,9 @@ func FuzzValidateOptions(f *testing.F) {
 		// second normalization is a fixed point (cache-key stability).
 		if norm.Topology == "" || norm.Seed == 0 {
 			t.Fatalf("defaults not filled: %+v", norm)
+		}
+		if !(norm.LB > 0) || !(norm.DeltaC > 0) || !validNumeric(lb) || !validNumeric(deltaC) {
+			t.Fatalf("lb %v / delta_c %v accepted as %v / %v", lb, deltaC, norm.LB, norm.DeltaC)
 		}
 		if _, err := PlacerByName(norm.Placer); err != nil {
 			t.Fatalf("normalized placer %q not resolvable: %v", norm.Placer, err)

@@ -281,7 +281,7 @@ func MCMF(ctx context.Context, nl *component.Netlist, cfg Config) (*Result, erro
 
 			// Cost rows are independent — the one parallel scan of this
 			// pass; the flow solve itself is sequential. n² entries of pure
-			// arithmetic gate like the legalizer's all-pairs scans.
+			// arithmetic gate like the shelf legalizer's cost matrix.
 			assignTimer := assignSpan.Start()
 			n := len(set)
 			radius := radiusFor(class.kind)

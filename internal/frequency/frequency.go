@@ -228,18 +228,33 @@ func Resonant(f1, f2, deltaC float64) bool {
 	return math.Abs(f1-f2) <= deltaC
 }
 
-// CollisionMap lists, per instance, the near-resonant partner instances the
-// frequency force must repel (Eq. 9), excluding pairs from the same
-// resonator (the Kronecker-delta factor of Eq. 10).
-type CollisionMap struct {
-	DeltaC float64
-	Pairs  [][2]int // i < j instance-ID pairs
-	ByInst [][]int  // partner list per instance ID
+// NearResonant is the collision-map pair rule (Eq. 9–10): a and b are the
+// same kind — qubit and resonator bands never overlap within Δc, so pairs
+// are always qubit–qubit or segment–segment — not two segments of one
+// resonator (the Kronecker-delta factor of Eq. 10), and Resonant within
+// deltaC.
+func NearResonant(a, b *component.Instance, deltaC float64) bool {
+	if a.Kind != b.Kind {
+		return false
+	}
+	if a.Kind == component.KindSegment && a.Resonator == b.Resonator {
+		return false
+	}
+	return Resonant(a.FreqGHz, b.FreqGHz, deltaC)
 }
 
-// BuildCollisionMap scans the netlist for near-resonant instance pairs.
-// Qubit and resonator bands never overlap within Δc, so pairs are always
-// qubit–qubit or segment–segment.
+// CollisionMap lists, per instance, the near-resonant partner instances the
+// frequency force must repel (Eq. 9), excluding pairs from the same
+// resonator (the Kronecker-delta factor of Eq. 10). It is the one place the
+// pipeline works out which pairs are near-resonant: placement, both
+// legalizers and the detailed placers all read it, and none mutates it.
+type CollisionMap struct {
+	DeltaC float64
+	Pairs  [][2]int // i < j instance-ID pairs, ascending
+	ByInst [][]int  // partner list per instance ID, ascending
+}
+
+// BuildCollisionMap scans the netlist for NearResonant instance pairs.
 func BuildCollisionMap(nl *component.Netlist, deltaC float64) *CollisionMap {
 	if deltaC <= 0 {
 		deltaC = physics.DetuneThresholdGHz
@@ -252,14 +267,7 @@ func BuildCollisionMap(nl *component.Netlist, deltaC float64) *CollisionMap {
 	for i := 0; i < n; i++ {
 		a := nl.Instances[i]
 		for j := i + 1; j < n; j++ {
-			b := nl.Instances[j]
-			if a.Kind != b.Kind {
-				continue // cross-band: never resonant
-			}
-			if a.Kind == component.KindSegment && a.Resonator == b.Resonator {
-				continue // same resonator: excluded by Eq. 10
-			}
-			if !Resonant(a.FreqGHz, b.FreqGHz, deltaC) {
+			if !NearResonant(a, nl.Instances[j], deltaC) {
 				continue
 			}
 			cm.Pairs = append(cm.Pairs, [2]int{i, j})

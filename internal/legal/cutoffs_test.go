@@ -7,9 +7,9 @@ import (
 	"testing"
 
 	"qplacer/internal/component"
+	"qplacer/internal/frequency"
 	"qplacer/internal/geom"
 	"qplacer/internal/parallel"
-	"qplacer/internal/physics"
 	"qplacer/internal/place"
 )
 
@@ -27,7 +27,7 @@ func TestCutoffsBitIdentical(t *testing.T) {
 	}{{"fanout", &parallel.Cutoffs{}}, {"auto", nil}, {"serial", serial}}
 	legalizers := []struct {
 		name string
-		run  func(context.Context, *component.Netlist, geom.Rect, float64, Config) (*Result, error)
+		run  func(context.Context, *component.Netlist, geom.Rect, *frequency.CollisionMap, Config) (*Result, error)
 	}{{"shelf", LegalizeCtx}, {"rowscan", RowScanCtx}}
 
 	devices := []string{"grid", "falcon"}
@@ -35,7 +35,7 @@ func TestCutoffsBitIdentical(t *testing.T) {
 		devices = devices[:1] // falcon's nine shelf runs dominate the package under -short/-race
 	}
 	for _, devName := range devices {
-		base, region := placedNetlist(t, devName, place.ModeQplacer)
+		base, region, cm := placedNetlist(t, devName, place.ModeQplacer)
 		for _, lz := range legalizers {
 			var want []float64
 			var wantRes *Result
@@ -46,7 +46,7 @@ func TestCutoffsBitIdentical(t *testing.T) {
 					cfg := DefaultConfig()
 					cfg.Workers = workers
 					cfg.Cutoffs = p.cut
-					res, err := lz.run(context.Background(), nl, region, physics.DetuneThresholdGHz, cfg)
+					res, err := lz.run(context.Background(), nl, region, cm, cfg)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}

@@ -7,16 +7,17 @@ import (
 	"testing"
 
 	"qplacer/internal/component"
+	"qplacer/internal/frequency"
 	"qplacer/internal/geom"
 	"qplacer/internal/physics"
 	"qplacer/internal/place"
 )
 
-// newTestLegalizer returns a set-up legalizer over nl and region; the
-// worker pool is closed when the test ends.
+// newTestLegalizer returns a set-up legalizer over nl, region and nl's
+// collision map; the worker pool is closed when the test ends.
 func newTestLegalizer(t testing.TB, nl *component.Netlist, region geom.Rect) *legalizer {
 	t.Helper()
-	lg, err := newLegalizer(context.Background(), nl, region, physics.DetuneThresholdGHz, DefaultConfig())
+	lg, err := newLegalizer(context.Background(), nl, region, frequency.BuildCollisionMap(nl, physics.DetuneThresholdGHz), DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestOverlapsPlacedMatchesBruteForce(t *testing.T) {
 // and bucket grid are built, a search allocates nothing, whether it succeeds
 // near its target or probes every escalation level and fails.
 func TestFindSpotDoesNotAllocate(t *testing.T) {
-	nl, region := placedNetlist(t, "grid", place.ModeQplacer)
+	nl, region, _ := placedNetlist(t, "grid", place.ModeQplacer)
 	lg := newTestLegalizer(t, nl, region)
 	if err := lg.legalizeQubits(lg.stats); err != nil {
 		t.Fatal(err)
@@ -132,10 +133,10 @@ func TestFindSpotDoesNotAllocate(t *testing.T) {
 // BenchmarkLegalizeEagle times the shelf legalizer on an Eagle global
 // placement, made once outside the timing, and reports its allocations.
 func BenchmarkLegalizeEagle(b *testing.B) {
-	base, region := placedNetlist(b, "eagle", place.ModeQplacer)
+	base, region, cm := placedNetlist(b, "eagle", place.ModeQplacer)
 	b.ReportAllocs()
 	for b.Loop() {
-		if _, err := Legalize(base.Clone(), region, physics.DetuneThresholdGHz, DefaultConfig()); err != nil {
+		if _, err := LegalizeCtx(context.Background(), base.Clone(), region, cm, DefaultConfig()); err != nil {
 			b.Fatal(err)
 		}
 	}

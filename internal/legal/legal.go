@@ -51,25 +51,25 @@ type Config struct {
 	// placement units. It must be fast and non-blocking.
 	Progress func(step, total int)
 
-	// Workers bounds the worker pool for the independent scans — the O(n²)
-	// near-resonant partner map both legalizers rebuild up front and the
-	// min-cost-flow cost matrix — with results identical to a serial run at
-	// every worker count. The packing passes themselves stay sequential:
-	// each greedy decision depends on everything placed before it. 0 or 1
+	// Workers bounds the worker pool for LegalizeCtx's one independent
+	// scan, the min-cost-flow cost matrix of the refine pass, with results
+	// identical to a serial run at every worker count. The packing passes
+	// stay sequential: each greedy decision depends on everything placed
+	// before it. RowScanCtx is sequential throughout and ignores it. 0 or 1
 	// runs serial.
 	Workers int
 
-	// Cutoffs overrides the adaptive-granularity thresholds below which the
-	// parallel scans run serial (fan-out dispatch costs more than it saves
-	// on small problems). nil auto-calibrates once per process
+	// Cutoffs overrides the adaptive-granularity threshold below which the
+	// cost-matrix scan runs serial (fan-out dispatch costs more than it
+	// saves on small problems). nil auto-calibrates once per process
 	// (parallel.AutoCutoffs); the zero value always fans out. Gating only
 	// selects between bit-identical implementations, so results never
 	// depend on the cutoffs.
 	Cutoffs *parallel.Cutoffs
 
 	// Span, when non-nil, receives the per-pass timing breakdown:
-	// LegalizeCtx records setup (the partner map) plus one child per
-	// Algorithm-1 pass, RowScanCtx records setup and the shelf scan.
+	// LegalizeCtx records setup (spiral table and bucket grid) plus one
+	// child per Algorithm-1 pass, RowScanCtx records the shelf scan.
 	Span *obs.Span
 }
 
@@ -112,17 +112,12 @@ type legalizer struct {
 	ctx    context.Context
 	cfg    Config
 	nl     *component.Netlist
-	deltaC float64
+	cm     *frequency.CollisionMap
 	bounds geom.Rect
 
 	placed []geom.Rect // legal rects of fixed instances, shrunk by overlapEps/2
 	slot   []int       // instance ID → index in placed, -1 while unplaced
 	order  []int       // placed index → instance ID
-
-	// partners[i] lists the near-resonant instances of i (the collision
-	// map rebuilt locally); findSpot keeps candidates clear of the placed
-	// ones so legalization preserves the engine's spatial isolation.
-	partners [][]int
 
 	// spiral is the findSpot probe order, built once per run.
 	spiral []geom.Point
@@ -178,11 +173,8 @@ var spotGrowth = [...]float64{0, 0.08, 0.20}
 const maxGridCells = 512
 
 func (lg *legalizer) setup() {
-	n := len(lg.nl.Instances)
-	lg.partners = buildPartners(lg.nl, lg.deltaC,
-		parallel.Gate(lg.pool, n*n, lg.cut.ScanCells))
 	lg.spiral = geom.SpiralOffsets(lg.cfg.MaxRings)
-	lg.slot = make([]int, n)
+	lg.slot = make([]int, len(lg.nl.Instances))
 	for i := range lg.slot {
 		lg.slot[i] = -1
 	}
@@ -201,49 +193,6 @@ func (lg *legalizer) gridCells(extent float64) int {
 		return 1
 	}
 	return int(math.Min(n, maxGridCells)) + 1
-}
-
-// buildPartners rebuilds the collision map as an adjacency list:
-// partners[i] holds the near-resonant same-kind instances of i (excluding
-// same-resonator segment pairs, which are one physical wire), ascending.
-// With a pool, each worker owns a contiguous range of rows and scans the
-// full instance list per row — independent rows, so the output is identical
-// to the serial half-matrix sweep (which also yields ascending lists).
-func buildPartners(nl *component.Netlist, deltaC float64, pool *parallel.Pool) [][]int {
-	n := len(nl.Instances)
-	partners := make([][]int, n)
-	paired := func(a, b *component.Instance) bool {
-		if a.Kind != b.Kind {
-			return false
-		}
-		if a.Kind == component.KindSegment && a.Resonator == b.Resonator {
-			return false
-		}
-		return frequency.Resonant(a.FreqGHz, b.FreqGHz, deltaC)
-	}
-	if pool != nil {
-		pool.For(n, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				a := nl.Instances[i]
-				for j := 0; j < n; j++ {
-					if j != i && paired(a, nl.Instances[j]) {
-						partners[i] = append(partners[i], j)
-					}
-				}
-			}
-		})
-		return partners
-	}
-	for i := 0; i < n; i++ {
-		a := nl.Instances[i]
-		for j := i + 1; j < n; j++ {
-			if paired(a, nl.Instances[j]) {
-				partners[i] = append(partners[i], j)
-				partners[j] = append(partners[j], i)
-			}
-		}
-	}
-	return partners
 }
 
 // bucketCoord maps coordinate v to its bucket along an axis starting at lo
@@ -292,19 +241,18 @@ func (lg *legalizer) indexRemove(placedIdx int, r geom.Rect) {
 	}
 }
 
-// Legalize snaps the globally placed netlist into an overlap-free layout.
-// region is the placement region (the layout may grow slightly past it if
-// space runs out); deltaC is the resonance threshold for swap checks.
-func Legalize(nl *component.Netlist, region geom.Rect, deltaC float64, cfg Config) (*Result, error) {
-	return LegalizeCtx(context.Background(), nl, region, deltaC, cfg)
-}
-
-// LegalizeCtx is Legalize with cancellation: the instance-loop passes
-// (greedy qubits, Tetris segments, integration, compaction) check ctx
-// between instances, and the min-cost-flow refinement checks it before its
-// indivisible solve; the first ctx.Err() observed is returned.
-func LegalizeCtx(ctx context.Context, nl *component.Netlist, region geom.Rect, deltaC float64, cfg Config) (*Result, error) {
-	lg, err := newLegalizer(ctx, nl, region, deltaC, cfg)
+// LegalizeCtx snaps the globally placed netlist into an overlap-free
+// layout. region is the placement region (the layout may grow slightly past
+// it if space runs out); cm is the netlist's collision map, whose pairs the
+// isolation guards keep apart and whose DeltaC is the τ threshold of the
+// swap checks. cm is only read, so concurrent runs may share it.
+//
+// The instance-loop passes (greedy qubits, Tetris segments, integration,
+// compaction) check ctx between instances, and the min-cost-flow refinement
+// checks it before its indivisible solve; the first ctx.Err() observed is
+// returned.
+func LegalizeCtx(ctx context.Context, nl *component.Netlist, region geom.Rect, cm *frequency.CollisionMap, cfg Config) (*Result, error) {
+	lg, err := newLegalizer(ctx, nl, region, cm, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -349,9 +297,12 @@ func LegalizeCtx(ctx context.Context, nl *component.Netlist, region geom.Rect, d
 
 // newLegalizer validates the inputs and returns a legalizer that owns a
 // worker pool (the caller closes it) and still needs setup.
-func newLegalizer(ctx context.Context, nl *component.Netlist, region geom.Rect, deltaC float64, cfg Config) (*legalizer, error) {
+func newLegalizer(ctx context.Context, nl *component.Netlist, region geom.Rect, cm *frequency.CollisionMap, cfg Config) (*legalizer, error) {
 	if cfg.Pitch <= 0 || cfg.MaxRings <= 0 {
 		return nil, fmt.Errorf("legal: invalid config %+v", cfg)
+	}
+	if err := checkCollisionMap(nl, cm); err != nil {
+		return nil, err
 	}
 	for _, v := range []float64{region.Lo.X, region.Lo.Y, region.Hi.X, region.Hi.Y} {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -359,10 +310,10 @@ func newLegalizer(ctx context.Context, nl *component.Netlist, region geom.Rect, 
 		}
 	}
 	lg := &legalizer{
-		ctx:    ctx,
-		cfg:    cfg,
-		nl:     nl,
-		deltaC: deltaC,
+		ctx: ctx,
+		cfg: cfg,
+		nl:  nl,
+		cm:  cm,
 		// The global-placement region is sized at TargetDensity < 1, so it
 		// already carries the slack legalization needs; keeping the bounds
 		// tight is what delivers the paper's compact-substrate result. A
@@ -372,6 +323,14 @@ func newLegalizer(ctx context.Context, nl *component.Netlist, region geom.Rect, 
 	}
 	lg.cut = parallel.Resolve(cfg.Cutoffs, lg.pool)
 	return lg, nil
+}
+
+// checkCollisionMap rejects a collision map that cannot describe nl.
+func checkCollisionMap(nl *component.Netlist, cm *frequency.CollisionMap) error {
+	if cm == nil || len(cm.ByInst) != len(nl.Instances) {
+		return fmt.Errorf("legal: collision map does not cover the %d-instance netlist", len(nl.Instances))
+	}
+	return nil
 }
 
 // overlapEps is the tolerance for overlap checks: rectangle widths are
@@ -427,7 +386,7 @@ func (lg *legalizer) guardOK(in *component.Instance, c geom.Point) bool {
 		return true
 	}
 	guard := guardFor(in.Kind)
-	for _, pid := range lg.partners[in.ID] {
+	for _, pid := range lg.cm.ByInst[in.ID] {
 		if lg.slot[pid] < 0 {
 			continue
 		}
@@ -555,10 +514,9 @@ func (lg *legalizer) refineQubits(res *Result, anchors []geom.Point) error {
 	for i, qi := range qubits {
 		sites[i] = lg.nl.Instances[qi].Pos
 	}
-	// Cost rows are independent of each other — the one parallel scan in
-	// this pass; the flow solve itself is sequential. The matrix is
-	// len(qubits)² entries of pure arithmetic, so it gates like the other
-	// all-pairs scans.
+	// Cost rows are independent of each other — the legalizer's one
+	// parallel scan; the flow solve itself is sequential. The matrix is
+	// len(qubits)² entries of pure arithmetic, gated by ScanCells.
 	costs := make([][]float64, len(qubits))
 	pool := parallel.Gate(lg.pool, len(qubits)*len(qubits), lg.cut.ScanCells)
 	pool.For(len(qubits), func(_, lo, hi int) {
@@ -594,7 +552,7 @@ func (lg *legalizer) legalizeSegments(res *Result) error {
 		order[i] = i
 		for _, sid := range r.Segments {
 			meanX[i] += lg.nl.Instances[sid].Pos.X
-			crowd[i] += len(lg.partners[sid])
+			crowd[i] += len(lg.cm.ByInst[sid])
 		}
 		meanX[i] /= float64(len(r.Segments))
 	}
@@ -791,7 +749,7 @@ func (lg *legalizer) pullIn(sid int, cluster []int, res *Result) bool {
 			}
 			// τ check (Algorithm 1, line 12): the foreign segment must stay
 			// detuned from this resonator's neighbourhood after the swap.
-			if frequency.Resonant(other.FreqGHz, in.FreqGHz, lg.deltaC) {
+			if frequency.Resonant(other.FreqGHz, in.FreqGHz, lg.cm.DeltaC) {
 				continue
 			}
 			// Donor integrity plus isolation: the swap must not fragment the
@@ -881,13 +839,14 @@ func (lg *legalizer) compact(res *Result) error {
 
 // compactionSafe checks the integrity and resonance guards for a segment at
 // its current position. The resonance guard applies to exactly the
-// segment's partners: segments of other resonators within deltaC of it.
+// segment's collision-map partners: segments of other resonators within Δc
+// of it.
 func (lg *legalizer) compactionSafe(sid int) bool {
 	in := lg.nl.Instances[sid]
 	if len(lg.clusters(in.Resonator)) != 1 {
 		return false
 	}
-	for _, pid := range lg.partners[sid] {
+	for _, pid := range lg.cm.ByInst[sid] {
 		if !guardedApart(lg.nl.Instances[pid].Pos, in.Pos, lg.cfg.ResonantGuard) {
 			return false
 		}

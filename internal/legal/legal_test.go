@@ -1,8 +1,10 @@
 package legal
 
 import (
+	"context"
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 
 	"qplacer/internal/component"
@@ -13,7 +15,9 @@ import (
 	"qplacer/internal/topology"
 )
 
-func placedNetlist(t testing.TB, devName string, mode place.Mode) (*component.Netlist, geom.Rect) {
+// placedNetlist returns a global placement of devName, its region, and the
+// netlist's collision map at the default Δc.
+func placedNetlist(t testing.TB, devName string, mode place.Mode) (*component.Netlist, geom.Rect, *frequency.CollisionMap) {
 	t.Helper()
 	dev, err := topology.ByName(devName)
 	if err != nil {
@@ -32,7 +36,7 @@ func placedNetlist(t testing.TB, devName string, mode place.Mode) (*component.Ne
 	if err != nil {
 		t.Fatal(err)
 	}
-	return nl, res.Region
+	return nl, res.Region, cm
 }
 
 func TestLegalRectPolicy(t *testing.T) {
@@ -48,8 +52,8 @@ func TestLegalRectPolicy(t *testing.T) {
 
 func TestLegalizeRemovesAllOverlaps(t *testing.T) {
 	for _, devName := range []string{"grid", "falcon"} {
-		nl, region := placedNetlist(t, devName, place.ModeQplacer)
-		res, err := Legalize(nl, region, physics.DetuneThresholdGHz, DefaultConfig())
+		nl, region, cm := placedNetlist(t, devName, place.ModeQplacer)
+		res, err := LegalizeCtx(context.Background(), nl, region, cm, DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,8 +68,8 @@ func TestLegalizeRemovesAllOverlaps(t *testing.T) {
 }
 
 func TestLegalizeIntegratesResonators(t *testing.T) {
-	nl, region := placedNetlist(t, "grid", place.ModeQplacer)
-	res, err := Legalize(nl, region, physics.DetuneThresholdGHz, DefaultConfig())
+	nl, region, cm := placedNetlist(t, "grid", place.ModeQplacer)
+	res, err := LegalizeCtx(context.Background(), nl, region, cm, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,8 +86,8 @@ func TestLegalizeIntegratesResonators(t *testing.T) {
 }
 
 func TestLegalizeKeepsQubitsApart(t *testing.T) {
-	nl, region := placedNetlist(t, "falcon", place.ModeClassic)
-	if _, err := Legalize(nl, region, physics.DetuneThresholdGHz, DefaultConfig()); err != nil {
+	nl, region, cm := placedNetlist(t, "falcon", place.ModeClassic)
+	if _, err := LegalizeCtx(context.Background(), nl, region, cm, DefaultConfig()); err != nil {
 		t.Fatal(err)
 	}
 	// Post-legalization, padded qubit cells are disjoint → core-to-core
@@ -100,11 +104,17 @@ func TestLegalizeKeepsQubitsApart(t *testing.T) {
 }
 
 func TestLegalizeValidation(t *testing.T) {
-	nl, region := placedNetlist(t, "grid", place.ModeQplacer)
+	nl, region, cm := placedNetlist(t, "grid", place.ModeQplacer)
 	bad := DefaultConfig()
 	bad.Pitch = 0
-	if _, err := Legalize(nl, region, physics.DetuneThresholdGHz, bad); err == nil {
+	if _, err := LegalizeCtx(context.Background(), nl, region, cm, bad); err == nil {
 		t.Fatal("zero pitch must fail")
+	}
+	short := &frequency.CollisionMap{DeltaC: cm.DeltaC, ByInst: cm.ByInst[1:]}
+	for _, m := range []*frequency.CollisionMap{nil, short} {
+		if _, err := LegalizeCtx(context.Background(), nl, region, m, DefaultConfig()); err == nil {
+			t.Fatalf("collision map %v must fail", m)
+		}
 	}
 	// The bucket grid is sized from the region, so a non-finite corner must
 	// be rejected like a bad config, before anything is sized or moved.
@@ -116,7 +126,7 @@ func TestLegalizeValidation(t *testing.T) {
 		{Lo: region.Lo, Hi: geom.Point{X: math.Inf(1), Y: region.Hi.Y}},
 		{Lo: region.Lo, Hi: geom.Point{X: region.Hi.X, Y: nan}},
 	} {
-		if _, err := Legalize(nl, r, physics.DetuneThresholdGHz, DefaultConfig()); err == nil {
+		if _, err := LegalizeCtx(context.Background(), nl, r, cm, DefaultConfig()); err == nil {
 			t.Fatalf("region %v must fail", r)
 		}
 	}
@@ -126,17 +136,54 @@ func TestLegalizeValidation(t *testing.T) {
 }
 
 func TestLegalizeIsDeterministic(t *testing.T) {
-	nlA, regionA := placedNetlist(t, "grid", place.ModeQplacer)
-	nlB, regionB := placedNetlist(t, "grid", place.ModeQplacer)
-	if _, err := Legalize(nlA, regionA, physics.DetuneThresholdGHz, DefaultConfig()); err != nil {
+	nlA, regionA, cmA := placedNetlist(t, "grid", place.ModeQplacer)
+	nlB, regionB, cmB := placedNetlist(t, "grid", place.ModeQplacer)
+	if _, err := LegalizeCtx(context.Background(), nlA, regionA, cmA, DefaultConfig()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Legalize(nlB, regionB, physics.DetuneThresholdGHz, DefaultConfig()); err != nil {
+	if _, err := LegalizeCtx(context.Background(), nlB, regionB, cmB, DefaultConfig()); err != nil {
 		t.Fatal(err)
 	}
 	for i := range nlA.Instances {
 		if nlA.Instances[i].Pos != nlB.Instances[i].Pos {
 			t.Fatalf("instance %d position differs between identical runs", i)
+		}
+	}
+}
+
+// TestSharedCollisionMapReadOnly runs both legalizers concurrently, two runs
+// each, on clones of one placement sharing one collision map, as concurrent
+// plans on one engine stage do. The map must come out deep-equal to a fresh
+// build, and runs of the same legalizer must agree on every position.
+func TestSharedCollisionMapReadOnly(t *testing.T) {
+	base, region, cm := placedNetlist(t, "grid", place.ModeQplacer)
+	want := frequency.BuildCollisionMap(base, physics.DetuneThresholdGHz)
+	runs := []func(context.Context, *component.Netlist, geom.Rect, *frequency.CollisionMap, Config) (*Result, error){
+		LegalizeCtx, LegalizeCtx, RowScanCtx, RowScanCtx,
+	}
+	nls := make([]*component.Netlist, len(runs))
+	errs := make([]error, len(runs))
+	var wg sync.WaitGroup
+	for i, run := range runs {
+		nls[i] = base.Clone()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = run(context.Background(), nls[i], region, cm, DefaultConfig())
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+	}
+	if !reflect.DeepEqual(cm, want) {
+		t.Fatal("legalization modified the shared collision map")
+	}
+	for i := 0; i < len(runs); i += 2 {
+		if !reflect.DeepEqual(nls[i].Positions(), nls[i+1].Positions()) {
+			t.Fatalf("runs %d and %d of one legalizer disagree", i, i+1)
 		}
 	}
 }

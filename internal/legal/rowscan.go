@@ -6,19 +6,14 @@ import (
 	"sort"
 
 	"qplacer/internal/component"
+	"qplacer/internal/frequency"
 	"qplacer/internal/geom"
-	"qplacer/internal/parallel"
 )
 
 // maxGuardTries bounds how far the row-scan slides an instance forward in
 // search of a frequency-guarded spot before giving up and placing it
 // unguarded (counted in GuardFallbacks, measured by P_h).
 const maxGuardTries = 400
-
-// RowScan is RowScanCtx without cancellation.
-func RowScan(nl *component.Netlist, region geom.Rect, deltaC float64, cfg Config) (*Result, error) {
-	return RowScanCtx(context.Background(), nl, region, deltaC, cfg)
-}
 
 // RowScanCtx legalizes with a greedy shelf/row-scan sweep — the classic
 // Tetris-family alternative to the integration-aware spiral+flow legalizer of
@@ -28,30 +23,21 @@ func RowScan(nl *component.Netlist, region geom.Rect, deltaC float64, cfg Config
 // upward when full. Chains are packed contiguously by construction, so
 // resonator integration comes for free as long as a chain fits on few
 // shelves. With FrequencyAware set, the cursor slides forward past spots that
-// would violate the isolation guard against already-placed near-resonant
-// instances; residual fallbacks are counted like LegalizeCtx's.
+// would violate the isolation guard against already-placed collision-map
+// partners (cm.ByInst); residual fallbacks are counted like LegalizeCtx's.
+// The sweep is sequential and ignores cfg.Workers and cfg.Cutoffs.
 //
 // The layout is overlap-free by construction (the cursor only advances and
 // shelves are disjoint bands), at the cost of larger displacement than
 // LegalizeCtx — the greedy trade-off.
-func RowScanCtx(ctx context.Context, nl *component.Netlist, region geom.Rect, deltaC float64, cfg Config) (*Result, error) {
+func RowScanCtx(ctx context.Context, nl *component.Netlist, region geom.Rect, cm *frequency.CollisionMap, cfg Config) (*Result, error) {
 	if cfg.Pitch <= 0 || cfg.ClusterGap <= 0 {
 		return nil, fmt.Errorf("legal: invalid config %+v", cfg)
 	}
-	res := &Result{}
-	var partners [][]int
-	if cfg.FrequencyAware {
-		// The partner map is the scan's one superlinear piece; the shelf
-		// packing itself is a sequential sweep by construction.
-		setupTimer := cfg.Span.Child("setup").Start()
-		pool := parallel.New(cfg.Workers)
-		n := len(nl.Instances)
-		partners = buildPartners(nl, deltaC,
-			parallel.Gate(pool, n*n, parallel.Resolve(cfg.Cutoffs, pool).ScanCells))
-		cfg.Span.SetWorkers(pool.WorkerBusy())
-		pool.Close()
-		setupTimer.End()
+	if err := checkCollisionMap(nl, cm); err != nil {
+		return nil, err
 	}
+	res := &Result{}
 	bounds := region.Inflate(region.W() * 0.02)
 
 	// Placement units: qubits alone, resonators as whole chains, ordered by
@@ -86,7 +72,7 @@ func RowScanCtx(ctx context.Context, nl *component.Netlist, region geom.Rect, de
 			return true
 		}
 		guard := guardFor(in.Kind)
-		for _, pid := range partners[in.ID] {
+		for _, pid := range cm.ByInst[in.ID] {
 			if placed[pid] && !guardedApart(nl.Instances[pid].Pos, c, guard) {
 				return false
 			}

@@ -5,14 +5,13 @@ import (
 	"errors"
 	"testing"
 
-	"qplacer/internal/physics"
 	"qplacer/internal/place"
 )
 
 func TestRowScanRemovesAllOverlaps(t *testing.T) {
 	for _, devName := range []string{"grid", "falcon"} {
-		nl, region := placedNetlist(t, devName, place.ModeQplacer)
-		res, err := RowScan(nl, region, physics.DetuneThresholdGHz, DefaultConfig())
+		nl, region, cm := placedNetlist(t, devName, place.ModeQplacer)
+		res, err := RowScanCtx(context.Background(), nl, region, cm, DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -27,10 +26,10 @@ func TestRowScanRemovesAllOverlaps(t *testing.T) {
 }
 
 func TestRowScanFrequencyObliviousAlsoLegal(t *testing.T) {
-	nl, region := placedNetlist(t, "grid", place.ModeClassic)
+	nl, region, cm := placedNetlist(t, "grid", place.ModeClassic)
 	cfg := DefaultConfig()
 	cfg.FrequencyAware = false
-	if _, err := RowScan(nl, region, physics.DetuneThresholdGHz, cfg); err != nil {
+	if _, err := RowScanCtx(context.Background(), nl, region, cm, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if ov := OverlapReport(nl); len(ov) != 0 {
@@ -39,7 +38,7 @@ func TestRowScanFrequencyObliviousAlsoLegal(t *testing.T) {
 }
 
 func TestRowScanProgressAndCancellation(t *testing.T) {
-	nl, region := placedNetlist(t, "grid", place.ModeQplacer)
+	nl, region, cm := placedNetlist(t, "grid", place.ModeQplacer)
 	cfg := DefaultConfig()
 	lastStep, total := 0, 0
 	cfg.Progress = func(step, tot int) {
@@ -48,7 +47,7 @@ func TestRowScanProgressAndCancellation(t *testing.T) {
 		}
 		lastStep, total = step, tot
 	}
-	if _, err := RowScan(nl, region, physics.DetuneThresholdGHz, cfg); err != nil {
+	if _, err := RowScanCtx(context.Background(), nl, region, cm, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if lastStep == 0 || lastStep != total {
@@ -58,16 +57,19 @@ func TestRowScanProgressAndCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	cfg.Progress = nil
-	if _, err := RowScanCtx(ctx, nl, region, physics.DetuneThresholdGHz, cfg); !errors.Is(err, context.Canceled) {
+	if _, err := RowScanCtx(ctx, nl, region, cm, cfg); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 
 func TestRowScanRejectsBadConfig(t *testing.T) {
-	nl, region := placedNetlist(t, "grid", place.ModeQplacer)
+	nl, region, cm := placedNetlist(t, "grid", place.ModeQplacer)
 	bad := DefaultConfig()
 	bad.Pitch = 0
-	if _, err := RowScan(nl, region, physics.DetuneThresholdGHz, bad); err == nil {
+	if _, err := RowScanCtx(context.Background(), nl, region, cm, bad); err == nil {
 		t.Fatal("zero pitch must be rejected")
+	}
+	if _, err := RowScanCtx(context.Background(), nl, region, nil, DefaultConfig()); err == nil {
+		t.Fatal("a nil collision map must be rejected")
 	}
 }

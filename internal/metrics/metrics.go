@@ -64,8 +64,9 @@ func Measure(nl *component.Netlist, deltaC float64) *Report {
 		rep.Utilization = rep.Apoly / rep.Amer
 	}
 
-	// Hotspots: near-resonant pairs (same-resonator pairs excluded, Eq. 10)
-	// whose padded polygons overlap.
+	// Hotspots: near-resonant pairs whose padded polygons overlap. The pairs
+	// are found in the scan itself rather than through a CollisionMap, which
+	// on large devices would allocate the whole pair list per call.
 	var num float64
 	n := len(nl.Instances)
 	impacted := map[int]bool{}
@@ -73,13 +74,7 @@ func Measure(nl *component.Netlist, deltaC float64) *Report {
 		a := nl.Instances[i]
 		for j := i + 1; j < n; j++ {
 			b := nl.Instances[j]
-			if a.Kind != b.Kind {
-				continue // cross-band pairs are never resonant
-			}
-			if a.Kind == component.KindSegment && a.Resonator == b.Resonator {
-				continue
-			}
-			if !frequency.Resonant(a.FreqGHz, b.FreqGHz, deltaC) {
+			if !frequency.NearResonant(a, b, deltaC) {
 				continue
 			}
 			length := rects[i].IntersectionLength(rects[j])
@@ -152,13 +147,7 @@ func MinResonantDistance(nl *component.Netlist, kind component.Kind, deltaC floa
 		}
 		for j := i + 1; j < n; j++ {
 			b := nl.Instances[j]
-			if b.Kind != kind {
-				continue
-			}
-			if a.Kind == component.KindSegment && a.Resonator == b.Resonator {
-				continue
-			}
-			if !frequency.Resonant(a.FreqGHz, b.FreqGHz, deltaC) {
+			if !frequency.NearResonant(a, b, deltaC) {
 				continue
 			}
 			if d := a.Pos.Dist(b.Pos); d < min {

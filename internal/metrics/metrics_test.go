@@ -1,13 +1,16 @@
 package metrics
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"qplacer/internal/component"
 	"qplacer/internal/frequency"
 	"qplacer/internal/geom"
+	"qplacer/internal/legal"
 	"qplacer/internal/physics"
+	"qplacer/internal/place"
 	"qplacer/internal/topology"
 )
 
@@ -105,5 +108,98 @@ func TestEnclosingRect(t *testing.T) {
 	enc, ok := EnclosingRect(nl)
 	if !ok || enc.Area() <= 0 {
 		t.Fatal("degenerate enclosing rect")
+	}
+}
+
+// legalized returns devName placed in mode and legalized by the shelf
+// legalizer with the matching frequency awareness.
+func legalized(t *testing.T, devName string, mode place.Mode) *component.Netlist {
+	t.Helper()
+	dev, err := topology.ByName(devName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := frequency.Assign(dev, physics.DetuneThresholdGHz)
+	nl, err := component.Build(dev, a.QubitFreq, a.ResFreq, component.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cm := frequency.BuildCollisionMap(nl, physics.DetuneThresholdGHz)
+	pcfg := place.DefaultConfig()
+	pcfg.Mode = mode
+	pcfg.MaxIters = 300
+	pres, err := place.Place(nl, cm, pcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lcfg := legal.DefaultConfig()
+	lcfg.FrequencyAware = mode == place.ModeQplacer
+	if _, err := legal.LegalizeCtx(context.Background(), nl, pres.Region, cm, lcfg); err != nil {
+		t.Fatal(err)
+	}
+	return nl
+}
+
+// TestMeasureAgreesWithCollisionMap holds Measure and MinResonantDistance,
+// which scan the netlist themselves, to the collision map: the violations
+// are exactly the map's pairs whose padded rects intersect, in pair order,
+// and the minimum resonant distance is the minimum over the map's pairs.
+func TestMeasureAgreesWithCollisionMap(t *testing.T) {
+	layouts := []struct {
+		name string
+		nl   func(t *testing.T) *component.Netlist
+	}{
+		{"spread", func(t *testing.T) *component.Netlist {
+			nl := netlist(t)
+			spread(nl)
+			return nl
+		}},
+		{"stacked", func(t *testing.T) *component.Netlist {
+			nl := netlist(t)
+			for i, in := range nl.Instances {
+				in.Pos = geom.Point{X: float64(i%7) * 0.3, Y: float64(i/7%7) * 0.3}
+			}
+			return nl
+		}},
+		{"grid/qplacer", func(t *testing.T) *component.Netlist { return legalized(t, "grid", place.ModeQplacer) }},
+		{"falcon/classic", func(t *testing.T) *component.Netlist { return legalized(t, "falcon", place.ModeClassic) }},
+	}
+	const deltaC = physics.DetuneThresholdGHz
+	for _, l := range layouts {
+		nl := l.nl(t)
+		cm := frequency.BuildCollisionMap(nl, deltaC)
+		var want [][2]int
+		for _, p := range cm.Pairs {
+			a, b := nl.Instances[p[0]], nl.Instances[p[1]]
+			if a.PaddedRect().IntersectionLength(b.PaddedRect()) > 0 {
+				want = append(want, p)
+			}
+		}
+		rep := Measure(nl, deltaC)
+		if len(rep.Violations) != len(want) {
+			t.Fatalf("%s: %d violations, want %d", l.name, len(rep.Violations), len(want))
+		}
+		for k, v := range rep.Violations {
+			if [2]int{v.A, v.B} != want[k] {
+				t.Fatalf("%s: violation %d is pair %d-%d, want %v", l.name, k, v.A, v.B, want[k])
+			}
+		}
+		t.Logf("%s: %d pairs, %d violations", l.name, cm.NumPairs(), len(want))
+		if l.name == "stacked" && len(want) == 0 {
+			t.Fatal("stacked layout has no violations: the check is vacuous")
+		}
+
+		for _, kind := range []component.Kind{component.KindQubit, component.KindSegment} {
+			min := math.Inf(1)
+			for _, p := range cm.Pairs {
+				a, b := nl.Instances[p[0]], nl.Instances[p[1]]
+				if a.Kind == kind {
+					min = math.Min(min, a.Pos.Dist(b.Pos))
+				}
+			}
+			if got := MinResonantDistance(nl, kind, deltaC); got != min {
+				t.Fatalf("%s: MinResonantDistance(kind %v) = %v, want %v", l.name, kind, got, min)
+			}
+		}
 	}
 }

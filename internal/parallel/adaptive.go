@@ -29,8 +29,9 @@ type Cutoffs struct {
 	// PointItems gates the embarrassingly parallel per-instance sweeps
 	// (field sampling, boundary springs, gradient combine).
 	PointItems int
-	// ScanCells gates the legalizer's candidate scans (items = cells
-	// examined, e.g. n² for the pairwise partner scan).
+	// ScanCells gates the min-cost-flow cost-matrix fills of the shelf
+	// legalizer's refine pass and the mcmf detailed placer (items = matrix
+	// cells, n²).
 	ScanCells int
 }
 

@@ -91,13 +91,14 @@ func (o Options) Normalized() (Options, error) {
 // canonical form used as cache key.
 func (o Options) normalized() (Options, error) {
 	// Non-finite numerics can slip past every downstream <= 0 guard (NaN
-	// compares false both ways) and poison cache keys, so they are rejected
-	// here with the typed sentinel.
-	if math.IsNaN(o.LB) || math.IsInf(o.LB, 0) {
-		return o, fmt.Errorf("%w: non-finite lb %v", ErrInvalidOptions, o.LB)
+	// compares false both ways) and poison cache keys, and a negative Δc
+	// would be read as the default by the placer but as "no pairs" by the
+	// metrics, so both are rejected here with the typed sentinel.
+	if math.IsNaN(o.LB) || math.IsInf(o.LB, 0) || o.LB < 0 {
+		return o, fmt.Errorf("%w: lb %v is not a finite value ≥ 0", ErrInvalidOptions, o.LB)
 	}
-	if math.IsNaN(o.DeltaC) || math.IsInf(o.DeltaC, 0) {
-		return o, fmt.Errorf("%w: non-finite delta_c %v", ErrInvalidOptions, o.DeltaC)
+	if math.IsNaN(o.DeltaC) || math.IsInf(o.DeltaC, 0) || o.DeltaC < 0 {
+		return o, fmt.Errorf("%w: delta_c %v is not a finite value ≥ 0", ErrInvalidOptions, o.DeltaC)
 	}
 	if o.Topology == "" {
 		o.Topology = "grid"
