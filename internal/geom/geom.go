@@ -1,6 +1,6 @@
 // Package geom provides the 2-D geometric primitives used throughout the
-// placer: points, axis-aligned rectangles, overlap queries, minimum
-// enclosing rectangles, and spiral site enumeration for legalization.
+// placer: points, axis-aligned rectangles, overlap queries, and minimum
+// enclosing rectangles.
 //
 // All coordinates are in millimetres unless stated otherwise.
 package geom
@@ -204,35 +204,4 @@ func (r Rect) Clamp(p Point) Point {
 		X: math.Min(math.Max(p.X, r.Lo.X), r.Hi.X),
 		Y: math.Min(math.Max(p.Y, r.Lo.Y), r.Hi.Y),
 	}
-}
-
-// SpiralOffsets returns grid offsets (in units of pitch) ordered by
-// increasing Chebyshev ring distance from the origin: the origin first, then
-// ring 1 (8 cells), ring 2 (16 cells), … up to maxRing rings. This is the
-// search order used by the greedy spiral legalizer. Each call allocates all
-// (2·maxRing+1)² points, so a caller probing repeatedly builds the table
-// once and reuses it.
-func SpiralOffsets(maxRing int) []Point {
-	if maxRing < 0 {
-		return nil
-	}
-	out := make([]Point, 0, (2*maxRing+1)*(2*maxRing+1))
-	out = append(out, Point{0, 0})
-	for ring := 1; ring <= maxRing; ring++ {
-		r := float64(ring)
-		// Walk the ring clockwise from the top-left corner.
-		for x := -ring; x <= ring; x++ {
-			out = append(out, Point{float64(x), r})
-		}
-		for y := ring - 1; y >= -ring; y-- {
-			out = append(out, Point{r, float64(y)})
-		}
-		for x := ring - 1; x >= -ring; x-- {
-			out = append(out, Point{float64(x), -r})
-		}
-		for y := -ring + 1; y <= ring-1; y++ {
-			out = append(out, Point{-r, float64(y)})
-		}
-	}
-	return out
 }

@@ -173,34 +173,6 @@ func TestContains(t *testing.T) {
 	}
 }
 
-func TestSpiralOffsets(t *testing.T) {
-	if got := SpiralOffsets(-1); got != nil {
-		t.Fatalf("negative rings should give nil, got %v", got)
-	}
-	offs := SpiralOffsets(2)
-	want := (2*2 + 1) * (2*2 + 1)
-	if len(offs) != want {
-		t.Fatalf("len = %d, want %d", len(offs), want)
-	}
-	if offs[0] != (Point{0, 0}) {
-		t.Fatalf("first offset should be origin, got %v", offs[0])
-	}
-	// Rings must be non-decreasing in Chebyshev distance and unique.
-	seen := map[Point]bool{}
-	prevRing := 0.0
-	for _, o := range offs {
-		if seen[o] {
-			t.Fatalf("duplicate offset %v", o)
-		}
-		seen[o] = true
-		ring := math.Max(math.Abs(o.X), math.Abs(o.Y))
-		if ring+1e-9 < prevRing {
-			t.Fatalf("ring order violated at %v (ring %v after %v)", o, ring, prevRing)
-		}
-		prevRing = ring
-	}
-}
-
 // Property: Union always contains both inputs; Intersect (when ok) is
 // contained in both inputs.
 func TestQuickUnionIntersectProperties(t *testing.T) {

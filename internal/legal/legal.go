@@ -68,8 +68,9 @@ type Config struct {
 	Cutoffs *parallel.Cutoffs
 
 	// Span, when non-nil, receives the per-pass timing breakdown:
-	// LegalizeCtx records setup (spiral table and bucket grid) plus one
-	// child per Algorithm-1 pass, RowScanCtx records the shelf scan.
+	// LegalizeCtx records setup (the bucket grid) plus one child per
+	// Algorithm-1 pass, noting the pass's spot-search work counts;
+	// RowScanCtx records the shelf scan.
 	Span *obs.Span
 }
 
@@ -119,8 +120,13 @@ type legalizer struct {
 	slot   []int       // instance ID → index in placed, -1 while unplaced
 	order  []int       // placed index → instance ID
 
-	// spiral is the findSpot probe order, built once per run.
-	spiral []geom.Point
+	// Witnesses the next query tests first: the placed index that answered
+	// the last overlapping query, and the instance and partner of the last
+	// failed guard check (-1 for none). Placed rects and placements are never
+	// removed, only re-fixed, so a witness always names a placed instance,
+	// and it is re-tested against current state before it answers.
+	blocker                 int
+	guardInst, guardPartner int
 
 	// Spatial hash over placed rects for O(1) neighbourhood queries: a flat
 	// row-major grid of cell-sized buckets over the widest bounds findSpot
@@ -135,7 +141,40 @@ type legalizer struct {
 	pool *parallel.Pool   // bounds the independent scans; nil runs serial
 	cut  parallel.Cutoffs // adaptive-granularity thresholds for the scans
 
-	stats *Result // live statistics sink
+	stats *Result    // live statistics sink
+	work  workCounts // search work so far, noted on each pass span
+
+	// levelHook, when non-nil, sees every findSpot escalation level's
+	// outcome; tests compare the search against a reference with it.
+	levelHook func(in *component.Instance, want geom.Point, skip, level int, bounds geom.Rect, out spotOutcome)
+}
+
+// workCounts tallies what the spot search did. The counts are exact per
+// seed, so they pin the search's cost where wall time is too noisy.
+type workCounts struct {
+	probes      int // spiral offsets evaluated
+	skipped     int // offsets skipped inside runs blocked by one rect
+	runs        int // blocked-run skips taken
+	scans       int // overlap queries that scanned buckets
+	blockerHits int // overlap queries answered by the last blocker
+	guardHits   int // failed guard checks answered by the last violator
+}
+
+func (w workCounts) since(before workCounts) workCounts {
+	return workCounts{
+		probes:      w.probes - before.probes,
+		skipped:     w.skipped - before.skipped,
+		runs:        w.runs - before.runs,
+		scans:       w.scans - before.scans,
+		blockerHits: w.blockerHits - before.blockerHits,
+		guardHits:   w.guardHits - before.guardHits,
+	}
+}
+
+func (w workCounts) String() string {
+	return fmt.Sprintf("spot search: %d probes evaluated, %d skipped in %d blocked runs; "+
+		"overlap queries: %d by bucket scan, %d by last-blocker witness; %d guard failures by last-violator witness",
+		w.probes, w.skipped, w.runs, w.scans, w.blockerHits, w.guardHits)
 }
 
 // qubitGuard and segGuard are the isolation distances findSpot tries to
@@ -173,7 +212,7 @@ var spotGrowth = [...]float64{0, 0.08, 0.20}
 const maxGridCells = 512
 
 func (lg *legalizer) setup() {
-	lg.spiral = geom.SpiralOffsets(lg.cfg.MaxRings)
+	lg.blocker, lg.guardInst, lg.guardPartner = -1, -1, -1
 	lg.slot = make([]int, len(lg.nl.Instances))
 	for i := range lg.slot {
 		lg.slot[i] = -1
@@ -257,6 +296,13 @@ func LegalizeCtx(ctx context.Context, nl *component.Netlist, region geom.Rect, c
 		return nil, err
 	}
 	defer lg.pool.Close()
+	return lg.run()
+}
+
+// run sets lg up and runs Algorithm 1's passes, noting each pass's search
+// work on its span.
+func (lg *legalizer) run() (*Result, error) {
+	cfg, nl := lg.cfg, lg.nl
 	setupTimer := cfg.Span.Child("setup").Start()
 	lg.setup()
 	setupTimer.End()
@@ -281,11 +327,16 @@ func LegalizeCtx(ctx context.Context, nl *component.Netlist, region geom.Rect, c
 		{"compact", func() error { return lg.compact(res) }},
 	}
 	for i, pass := range passes {
-		passTimer := cfg.Span.Child(pass.name).Start()
+		span := cfg.Span.Child(pass.name)
+		before := lg.work
+		passTimer := span.Start()
 		err := pass.run()
 		passTimer.End()
 		if err != nil {
 			return nil, err
+		}
+		if work := lg.work.since(before); span != nil && work != (workCounts{}) {
+			span.Note(work.String())
 		}
 		if cfg.Progress != nil {
 			cfg.Progress(i+1, len(passes))
@@ -346,15 +397,24 @@ func overlapsEps(a, b geom.Rect) bool {
 
 // overlapsPlaced reports whether r overlaps any fixed legal rect, except
 // instance skip's own (-1 skips nothing), by exactly the overlapsEps test:
-// placed rects are stored pre-shrunk, so only r is shrunk here. Queries go
-// through the spatial hash.
+// placed rects are stored pre-shrunk, so only r is shrunk here. The rect
+// that answered the last overlapping query is tested first, since spiral
+// neighbours are usually blocked by the same rect; otherwise the query goes
+// through the spatial hash. Either way the answer is whether some rect
+// overlaps, and lg.blocker names one that does.
 func (lg *legalizer) overlapsPlaced(r geom.Rect, skip int) bool {
 	r = r.Inflate(-overlapEps / 2)
+	if b := lg.blocker; b >= 0 && lg.order[b] != skip && r.Overlaps(lg.placed[b]) {
+		lg.work.blockerHits++
+		return true
+	}
+	lg.work.scans++
 	x0, y0, x1, y1 := lg.bucketRange(r)
 	for y := y0; y <= y1; y++ {
 		for b := y*lg.nx + x0; b <= y*lg.nx+x1; b++ {
 			for _, idx := range lg.buckets[b] {
 				if lg.order[idx] != skip && r.Overlaps(lg.placed[idx]) {
+					lg.blocker = idx
 					return true
 				}
 			}
@@ -380,21 +440,36 @@ func (lg *legalizer) fix(instID int, r geom.Rect) {
 }
 
 // guardOK reports whether centre c keeps the isolation distance from the
-// already-placed near-resonant partners of instance in.
+// already-placed near-resonant partners of instance in. The partner that
+// failed the instance's last check is tested first, at its current
+// position: a failing check otherwise scans far into the partner list.
 func (lg *legalizer) guardOK(in *component.Instance, c geom.Point) bool {
 	if !lg.cfg.FrequencyAware {
 		return true
 	}
 	guard := guardFor(in.Kind)
+	if in.ID == lg.guardInst && !guardedApart(lg.nl.Instances[lg.guardPartner].Pos, c, guard) {
+		lg.work.guardHits++
+		return false
+	}
 	for _, pid := range lg.cm.ByInst[in.ID] {
 		if lg.slot[pid] < 0 {
 			continue
 		}
 		if !guardedApart(lg.nl.Instances[pid].Pos, c, guard) {
+			lg.guardInst, lg.guardPartner = in.ID, pid
 			return false
 		}
 	}
 	return true
+}
+
+// spotOutcome is what one escalation level of findSpot found: the first
+// guarded spot (ok; spot is the target otherwise) and the first free but
+// unguarded one (haveFallback).
+type spotOutcome struct {
+	spot, fallback   geom.Point
+	ok, haveFallback bool
 }
 
 // findSpot spiral-searches for the nearest position (grid pitch) where the
@@ -412,17 +487,20 @@ func (lg *legalizer) findSpot(in *component.Instance, want geom.Point, skip int)
 	// residual hotspots P_h measures.
 	fallback := geom.Point{}
 	haveFallback := false
-	for _, grow := range spotGrowth {
+	for level, grow := range spotGrowth {
 		bounds := lg.bounds
 		if grow > 0 {
 			bounds = bounds.Inflate(bounds.W() * grow)
 		}
-		spot, ok, fb, haveFB := lg.findSpotIn(in, want, skip, bounds)
-		if ok {
-			return spot, true
+		out := lg.findSpotIn(in, want, skip, bounds)
+		if lg.levelHook != nil {
+			lg.levelHook(in, want, skip, level, bounds, out)
 		}
-		if haveFB && !haveFallback {
-			fallback, haveFallback = fb, true
+		if out.ok {
+			return out.spot, true
+		}
+		if out.haveFallback && !haveFallback {
+			fallback, haveFallback = out.fallback, true
 		}
 	}
 	if haveFallback {
@@ -437,30 +515,163 @@ func (lg *legalizer) findSpot(in *component.Instance, want geom.Point, skip int)
 	return want, false
 }
 
-func (lg *legalizer) findSpotIn(in *component.Instance, want geom.Point, skip int, bounds geom.Rect) (spot geom.Point, ok bool, fallback geom.Point, haveFallback bool) {
+// spiralSearch is one escalation level of findSpot: it probes the offsets
+// (x, y) in pitch units around want ring by ring, by increasing Chebyshev
+// distance, each ring clockwise from its top-left corner (top row left to
+// right, right column down, bottom row right to left, left column up), out
+// to MaxRings. The first probe whose rect lies in bounds, overlaps no placed
+// rect and keeps the guards wins.
+//
+// Three cuts skip probes whose outcome is already known, so the result is
+// the full walk's: the walk visits only the offset box outside which no
+// probe rect fits in bounds; a probe blocked by placed rect B jumps to the
+// last offset along its side that B still blocks; and the witnesses in
+// overlapsPlaced and guardOK answer from the last blocker and violator.
+type spiralSearch struct {
+	lg     *legalizer
+	in     *component.Instance
+	want   geom.Point
+	skip   int
+	bounds geom.Rect
+	w, h   float64 // the instance's legal rect
+	out    spotOutcome
+}
+
+// findSpotIn runs one escalation level of findSpot within bounds.
+func (lg *legalizer) findSpotIn(in *component.Instance, want geom.Point, skip int, bounds geom.Rect) spotOutcome {
 	base := LegalRect(in)
-	w, h := base.W(), base.H()
-	for _, off := range lg.spiral {
-		c := geom.Point{
-			X: want.X + off.X*lg.cfg.Pitch,
-			Y: want.Y + off.Y*lg.cfg.Pitch,
-		}
-		r := geom.RectAt(c, w, h)
-		if !bounds.ContainsRect(r) {
-			continue
-		}
-		if lg.overlapsPlaced(r, skip) {
-			continue
-		}
-		if lg.guardOK(in, c) {
-			return c, true, fallback, haveFallback
-		}
-		if !haveFallback {
-			fallback = c
-			haveFallback = true
+	s := spiralSearch{lg: lg, in: in, want: want, skip: skip, bounds: bounds, w: base.W(), h: base.H()}
+	s.out.spot = want
+	x0, x1 := lg.fitRange(want.X, s.w, bounds.Lo.X, bounds.Hi.X)
+	y0, y1 := lg.fitRange(want.Y, s.h, bounds.Lo.Y, bounds.Hi.Y)
+	if x0 > x1 || y0 > y1 {
+		return s.out
+	}
+	// The box's rings run from its Chebyshev distance to the origin out to
+	// its farthest corner; fitRange keeps both within MaxRings.
+	for k := max(0, x0, -x1, y0, -y1); k <= max(-x0, x1, -y0, y1); k++ {
+		if s.ring(k, x0, x1, y0, y1) {
+			break
 		}
 	}
-	return want, false, fallback, haveFallback
+	return s.out
+}
+
+// coord is a probe centre's coordinate along one axis at offset v.
+func (lg *legalizer) coord(want float64, v int) float64 {
+	return want + float64(v)*lg.cfg.Pitch
+}
+
+// fitRange returns the offsets lo..hi within ±MaxRings at which a probe of
+// the given size centred at coord(want, v) lies inside [bLo, bHi], by the
+// four comparisons ContainsRect makes along this axis. Rounding is
+// monotone, so each comparison flips at most once as v grows, and the
+// offsets that pass all four form one interval: bisection finds it
+// exactly, at any magnitude. A non-finite want gives an empty range.
+func (lg *legalizer) fitRange(want, size, bLo, bHi float64) (lo, hi int) {
+	k := lg.cfg.MaxRings
+	n := 2*k + 1
+	lo = sort.Search(n, func(i int) bool {
+		c := lg.coord(want, i-k)
+		return c-size/2 >= bLo && c+size/2 >= bLo
+	}) - k
+	hi = sort.Search(n, func(i int) bool {
+		c := lg.coord(want, i-k)
+		return !(c-size/2 <= bHi && c+size/2 <= bHi)
+	}) - k - 1
+	return lo, hi
+}
+
+// ring probes ring k's offsets inside the box [x0,x1]×[y0,y1] in spiral
+// order and reports whether a guarded spot was found.
+func (s *spiralSearch) ring(k, x0, x1, y0, y1 int) bool {
+	if k == 0 {
+		return s.side(true, 0, 0, 0, 1)
+	}
+	if y0 <= k && k <= y1 && s.side(true, k, max(-k, x0), min(k, x1), 1) {
+		return true
+	}
+	if x0 <= k && k <= x1 && s.side(false, k, min(k-1, y1), max(-k, y0), -1) {
+		return true
+	}
+	if y0 <= -k && -k <= y1 && s.side(true, -k, min(k-1, x1), max(-k, x0), -1) {
+		return true
+	}
+	return x0 <= -k && -k <= x1 && s.side(false, -k, max(-k+1, y0), min(k-1, y1), 1)
+}
+
+// side probes the offsets from, from+dir, … to along one side of a ring: a
+// row at y = fixed when horizontal, else a column at x = fixed. It reports
+// whether a guarded spot was found.
+func (s *spiralSearch) side(horizontal bool, fixed, from, to, dir int) bool {
+	for v := from; (to-v)*dir >= 0; v += dir {
+		c := s.center(horizontal, fixed, v)
+		r := geom.RectAt(c, s.w, s.h)
+		s.lg.work.probes++
+		if !s.bounds.ContainsRect(r) {
+			continue
+		}
+		if s.lg.overlapsPlaced(r, s.skip) {
+			v = s.blockedRunEnd(horizontal, fixed, v, to, dir)
+			continue
+		}
+		if s.lg.guardOK(s.in, c) {
+			s.out.spot, s.out.ok = c, true
+			return true
+		}
+		if !s.out.haveFallback {
+			s.out.fallback, s.out.haveFallback = c, true
+		}
+	}
+	return false
+}
+
+// center is the probe centre at offset v along a side.
+func (s *spiralSearch) center(horizontal bool, fixed, v int) geom.Point {
+	x, y := v, fixed
+	if !horizontal {
+		x, y = fixed, v
+	}
+	return geom.Point{X: s.lg.coord(s.want.X, x), Y: s.lg.coord(s.want.Y, y)}
+}
+
+// blockedRunEnd is called when the probe at offset v along a side was
+// blocked by placed rect B = lg.placed[lg.blocker]. It returns the last
+// offset from v toward to whose probe B still blocks, or v itself.
+//
+// Along a side only one axis of the probe rect moves, and both of its edges
+// are monotone in the offset, so the probes B overlaps are contiguous: if B
+// blocks v and the returned offset, it blocks every probe between them. A
+// blocked probe does nothing (no fallback, no guard check), so skipping the
+// run changes no outcome. The end is estimated in closed form and then
+// verified with the exact overlap test the probe would run; an estimate
+// that rounding put past the run fails verification and skips nothing.
+func (s *spiralSearch) blockedRunEnd(horizontal bool, fixed, v, to, dir int) int {
+	b := s.lg.placed[s.lg.blocker]
+	want, size, bLo, bHi := s.want.X, s.w, b.Lo.X, b.Hi.X
+	if !horizontal {
+		want, size, bLo, bHi = s.want.Y, s.h, b.Lo.Y, b.Hi.Y
+	}
+	// The shrunk probe spans coord ± (size-overlapEps)/2 along the axis; B
+	// blocks until the probe's trailing edge passes B's far edge.
+	var end float64
+	if dir > 0 {
+		end = math.Ceil((bHi+(size-overlapEps)/2-want)/s.lg.cfg.Pitch) - 1
+		end = math.Min(end, float64(to))
+	} else {
+		end = math.Floor((bLo-(size-overlapEps)/2-want)/s.lg.cfg.Pitch) + 1
+		end = math.Max(end, float64(to))
+	}
+	if !((end-float64(v))*float64(dir) > 0) { // also catches NaN
+		return v
+	}
+	e := int(end)
+	if !geom.RectAt(s.center(horizontal, fixed, e), s.w, s.h).Inflate(-overlapEps / 2).Overlaps(b) {
+		return v
+	}
+	s.lg.work.runs++
+	s.lg.work.skipped += (e - v) * dir
+	return e
 }
 
 // legalizeQubits runs the greedy spiral pass over qubits (densest first:
@@ -744,7 +955,12 @@ func (lg *legalizer) pullIn(sid int, cluster []int, res *Result) bool {
 			if other.Kind != component.KindSegment || other.Resonator == in.Resonator {
 				continue
 			}
-			if other.Pos.Dist(anchor) > 2*step {
+			// Chebyshev prefilter before the Euclidean test. Hypot(dx, dy)
+			// is max·√(1+(min/max)²), never below max. For special values
+			// it agrees with Max: +Inf if either axis is infinite, else NaN
+			// if either is NaN. So this skips only what Dist rejects.
+			d := other.Pos.Sub(anchor)
+			if math.Max(math.Abs(d.X), math.Abs(d.Y)) > 2*step || other.Pos.Dist(anchor) > 2*step {
 				continue
 			}
 			// τ check (Algorithm 1, line 12): the foreign segment must stay
@@ -852,19 +1068,4 @@ func (lg *legalizer) compactionSafe(sid int) bool {
 		}
 	}
 	return true
-}
-
-// OverlapReport lists residual overlapping legal-rect pairs (diagnostics).
-func OverlapReport(nl *component.Netlist) [][2]int {
-	var out [][2]int
-	n := len(nl.Instances)
-	for i := 0; i < n; i++ {
-		ri := LegalRect(nl.Instances[i])
-		for j := i + 1; j < n; j++ {
-			if overlapsEps(ri, LegalRect(nl.Instances[j])) {
-				out = append(out, [2]int{i, j})
-			}
-		}
-	}
-	return out
 }

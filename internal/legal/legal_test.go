@@ -57,7 +57,7 @@ func TestLegalizeRemovesAllOverlaps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ov := OverlapReport(nl); len(ov) != 0 {
+		if ov := overlapReport(nl); len(ov) != 0 {
 			t.Fatalf("%s: %d residual overlaps after legalization (first %v)",
 				devName, len(ov), ov[0])
 		}

@@ -15,7 +15,7 @@ func TestRowScanRemovesAllOverlaps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ov := OverlapReport(nl); len(ov) != 0 {
+		if ov := overlapReport(nl); len(ov) != 0 {
 			t.Fatalf("%s: %d residual overlaps after row-scan (first %v)",
 				devName, len(ov), ov[0])
 		}
@@ -32,7 +32,7 @@ func TestRowScanFrequencyObliviousAlsoLegal(t *testing.T) {
 	if _, err := RowScanCtx(context.Background(), nl, region, cm, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if ov := OverlapReport(nl); len(ov) != 0 {
+	if ov := overlapReport(nl); len(ov) != 0 {
 		t.Fatalf("%d residual overlaps without guards", len(ov))
 	}
 }
