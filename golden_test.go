@@ -112,10 +112,37 @@ func goldenDetailedCombos() []Options {
 	return out
 }
 
+// goldenClassicCombos pins the crosstalk-oblivious Classic baseline of §V-B
+// for both placers on both fast topologies (shelf legalizer): the placers'
+// and legalizer's frequency-oblivious paths have no other fixture.
+func goldenClassicCombos() []Options {
+	var out []Options
+	for _, topo := range []string{"grid", "falcon"} {
+		for _, placer := range []string{"nesterov", "anneal"} {
+			out = append(out, Options{
+				Topology:  topo,
+				Scheme:    SchemeClassic,
+				Placer:    placer,
+				Legalizer: "shelf",
+				MaxIters:  goldenIters,
+			})
+		}
+	}
+	return out
+}
+
+// goldenAllCombos is every fixture in the corpus.
+func goldenAllCombos() []Options {
+	return append(append(goldenCombos(), goldenDetailedCombos()...), goldenClassicCombos()...)
+}
+
 func goldenName(o Options) string {
 	name := fmt.Sprintf("%s_%s_%s", o.Topology, o.Placer, o.Legalizer)
 	if o.DetailedPlacer != "" && o.DetailedPlacer != DefaultDetailedPlacerName {
 		name += "_" + o.DetailedPlacer
+	}
+	if o.Scheme == SchemeClassic {
+		name += "_classic"
 	}
 	return name
 }
@@ -281,7 +308,7 @@ func compareFixture(t *testing.T, want, got goldenFixture) {
 }
 
 func TestGoldenCorpus(t *testing.T) {
-	for _, o := range append(goldenCombos(), goldenDetailedCombos()...) {
+	for _, o := range goldenAllCombos() {
 		o := o
 		t.Run(goldenName(o), func(t *testing.T) {
 			t.Parallel()
@@ -308,7 +335,7 @@ func TestGoldenCorpus(t *testing.T) {
 }
 
 // TestGoldenCorpusParallel re-runs every corpus combination — including the
-// detailed-placement entries — with the parallel hot path enabled (a worker
+// detailed-placement and Classic entries — with the parallel hot path enabled (a worker
 // count chosen to exercise uneven partitions) and holds it to the same
 // serial-generated fixtures: parallelism must be invisible in the output,
 // byte for byte.
@@ -316,7 +343,7 @@ func TestGoldenCorpusParallel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("parallel corpus re-run skipped in -short mode")
 	}
-	for _, o := range append(goldenCombos(), goldenDetailedCombos()...) {
+	for _, o := range goldenAllCombos() {
 		o := o
 		t.Run(goldenName(o), func(t *testing.T) {
 			t.Parallel()
@@ -428,7 +455,8 @@ var registerReferenceBackends = sync.OnceValue(func() error {
 // byte-invisible in every corpus combination, serially and in parallel. The
 // fixtures were generated on the default paths (serial), so each variant
 // re-proves the exactness contract end to end. The annealer has neither
-// path, so its combinations vary only the legalizer.
+// path, so its combinations vary only the legalizer; the Classic entries
+// ride along for the gradient placer only.
 func TestGoldenCorpusToggles(t *testing.T) {
 	if testing.Short() {
 		t.Skip("toggle corpus re-run skipped in -short mode")
@@ -447,7 +475,13 @@ func TestGoldenCorpusToggles(t *testing.T) {
 		{"fanout-parallel", 3, "-fanout", "-fanout"},
 		{"all-off-parallel", 2, "-full-eval-fanout", "-fanout"},
 	}
-	for _, o := range goldenCombos() {
+	combos := goldenCombos()
+	for _, o := range goldenClassicCombos() {
+		if o.Placer == DefaultPlacerName {
+			combos = append(combos, o)
+		}
+	}
+	for _, o := range combos {
 		path := filepath.Join("testdata", "golden", goldenName(o)+".json")
 		want := loadFixture(t, path)
 		for _, v := range variants {
