@@ -85,16 +85,17 @@ func (annealPlacer) Place(ctx context.Context, st *StageState, observer Observer
 	if st.Options.MaxIters > 0 {
 		cfg.Sweeps = st.Options.MaxIters
 	}
-	if st.Options.Scheme == SchemeClassic {
-		cfg.FreqWeight = 0 // the crosstalk-oblivious baseline, like ModeClassic
-	}
 	cfg.Progress = func(sweep int, cost float64) {
 		observer.OnProgress(Progress{
 			Stage: StagePlace, Backend: "anneal",
 			Iteration: sweep, Objective: cost,
 		})
 	}
-	res, err := anneal.Place(ctx, st.Netlist, st.Collision, cfg)
+	cm := st.Collision
+	if st.Options.Scheme == SchemeClassic {
+		cm = nil // the crosstalk-oblivious baseline, like ModeClassic
+	}
+	res, err := anneal.Place(ctx, st.Netlist, cm, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -28,8 +28,13 @@ import (
 	"qplacer/internal/place"
 )
 
-// Config holds the annealer's hyperparameters. The zero value is not valid;
-// use DefaultConfig.
+// overlapWeight scales the pairwise charge-rect overlap penalty.
+const overlapWeight = 8.0
+
+// Config holds the annealer's per-run settings. The region and the
+// frequency term's cutoff radii are internal/place's TargetDensity,
+// FreqCutoffMM and FreqCutoffSegMM. The zero value is not valid; use
+// DefaultConfig.
 type Config struct {
 	// Seed drives the single RNG (initial layout jitter, move proposals, and
 	// acceptance coins), making runs bit-reproducible.
@@ -39,17 +44,6 @@ type Config struct {
 	// instance (so a single sweep may propose several moves for one instance
 	// and none for another).
 	Sweeps int
-	// TargetDensity sizes the placement region exactly like the
-	// electrostatic engine: side = √(Σ charge areas / D̂).
-	TargetDensity float64
-	// OverlapWeight scales the pairwise charge-rect overlap penalty.
-	OverlapWeight float64
-	// FreqWeight scales the frequency-isolation penalty (0 disables, as the
-	// Classic baseline requires); FreqCutoffMM / FreqCutoffSegMM are the
-	// interaction radii for qubit and segment collision pairs.
-	FreqWeight      float64
-	FreqCutoffMM    float64
-	FreqCutoffSegMM float64
 
 	// Progress, when non-nil, is called once per completed sweep with the
 	// 1-based sweep count and the current total cost. It must be fast and
@@ -64,13 +58,8 @@ type Config struct {
 // DefaultConfig returns the annealer's production settings.
 func DefaultConfig() Config {
 	return Config{
-		Seed:            1,
-		Sweeps:          300,
-		TargetDensity:   0.8,
-		OverlapWeight:   8.0,
-		FreqWeight:      1.0,
-		FreqCutoffMM:    3.0,
-		FreqCutoffSegMM: 0.7,
+		Seed:   1,
+		Sweeps: 300,
 	}
 }
 
@@ -86,7 +75,6 @@ type Result struct {
 
 // annealer carries per-run state.
 type annealer struct {
-	cfg    Config
 	nl     *component.Netlist
 	region geom.Rect
 	rng    *rand.Rand
@@ -105,22 +93,19 @@ type annealer struct {
 }
 
 // Place runs the annealer on the netlist, mutating instance positions. The
-// collision map may be nil (or FreqWeight 0) for frequency-oblivious runs.
+// collision map is nil for frequency-oblivious runs (the Classic baseline).
 func Place(ctx context.Context, nl *component.Netlist, cm *frequency.CollisionMap, cfg Config) (*Result, error) {
 	start := time.Now()
 	if cfg.Sweeps <= 0 {
 		return nil, fmt.Errorf("anneal: Sweeps must be positive")
-	}
-	if cfg.TargetDensity <= 0 || cfg.TargetDensity > 1.2 {
-		return nil, fmt.Errorf("anneal: target density %v out of range", cfg.TargetDensity)
 	}
 	n := len(nl.Instances)
 	if n == 0 {
 		return nil, fmt.Errorf("anneal: empty netlist")
 	}
 
-	a := &annealer{cfg: cfg, nl: nl, rng: rand.New(rand.NewSource(cfg.Seed))}
-	side := math.Sqrt(place.TotalChargeArea(nl) / cfg.TargetDensity)
+	a := &annealer{nl: nl, rng: rand.New(rand.NewSource(cfg.Seed))}
+	side := math.Sqrt(place.TotalChargeArea(nl) / place.TargetDensity)
 	a.region = geom.NewRect(0, 0, side, side)
 	setupTimer := cfg.Span.Child("setup").Start()
 	a.setup(cm)
@@ -167,7 +152,7 @@ func Place(ctx context.Context, nl *component.Netlist, cm *frequency.CollisionMa
 		Cost:      a.totalCost,
 		Accepted:  a.accepted,
 		Runtime:   elapsed,
-		AvgIterMS: float64(elapsed.Milliseconds()) / float64(sweeps),
+		AvgIterMS: float64(elapsed) / float64(time.Millisecond) / float64(sweeps),
 	}, nil
 }
 
@@ -199,12 +184,12 @@ func (a *annealer) setup(cm *frequency.CollisionMap) {
 	}
 
 	a.freqPairs = make([][]int, n)
-	if cm != nil && a.cfg.FreqWeight > 0 {
+	if cm != nil {
 		for pi, p := range cm.Pairs {
 			a.pairOther = append(a.pairOther, int32(p[0]), int32(p[1]))
-			cut := a.cfg.FreqCutoffSegMM
+			cut := place.FreqCutoffSegMM
 			if a.nl.Instances[p[0]].Kind == component.KindQubit {
-				cut = a.cfg.FreqCutoffMM
+				cut = place.FreqCutoffMM
 			}
 			a.pairCut = append(a.pairCut, cut)
 			a.freqPairs[p[0]] = append(a.freqPairs[p[0]], pi)
@@ -322,7 +307,7 @@ func (a *annealer) instCost(i int, x, y float64) float64 {
 				if oy <= 0 {
 					continue
 				}
-				cost += a.cfg.OverlapWeight * ox * oy
+				cost += overlapWeight * ox * oy
 			}
 		}
 	}
@@ -335,7 +320,7 @@ func (a *annealer) instCost(i int, x, y float64) float64 {
 		d := math.Hypot(x-a.xy[2*o], y-a.xy[2*o+1])
 		if d < cut {
 			gap := cut - d
-			cost += a.cfg.FreqWeight * gap * gap / cut
+			cost += gap * gap / cut
 		}
 	}
 	return cost

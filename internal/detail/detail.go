@@ -40,13 +40,6 @@ type Config struct {
 	// Seed drives the swap pass's candidate sampling (default 1). The
 	// reassignment pass is deterministic without randomness.
 	Seed int64
-	// Rounds caps the reassignment rounds / swap sweeps (default
-	// DefaultRounds / DefaultSweeps); both passes stop early once a round
-	// yields no improvement.
-	Rounds int
-	// MaxSet caps the independent set extracted per footprint class per
-	// reassignment round, bounding the flow problem (default DefaultMaxSet).
-	MaxSet int
 	// Progress, when set, is called at the start of every round/sweep with
 	// the layout's current HPWL.
 	Progress func(step int, hpwl float64)
@@ -59,27 +52,15 @@ type Result struct {
 	HPWLAfter  float64
 }
 
-// Defaults for Config's zero values.
+// defaultRounds and defaultSweeps cap the reassignment rounds and swap
+// sweeps; both passes stop early once a round yields no improvement.
+// defaultMaxSet caps the independent set extracted per footprint class per
+// reassignment round, bounding the flow problem.
 const (
-	DefaultRounds = 3
-	DefaultSweeps = 4
-	DefaultMaxSet = 64
+	defaultRounds = 3
+	defaultSweeps = 4
+	defaultMaxSet = 64
 )
-
-// Interaction radii of the frequency-margin cost term, mirroring the
-// legalizer's isolation guards: near-resonant partners closer than the
-// radius contribute linearly growing cost.
-const (
-	qubitRadius = 2.5
-	segRadius   = 0.65
-)
-
-func radiusFor(kind component.Kind) float64 {
-	if kind == component.KindQubit {
-		return qubitRadius
-	}
-	return segRadius
-}
 
 // footprintClass groups instances whose rectangles are interchangeable:
 // same kind, core size, and padding. Permuting positions within a class
@@ -161,8 +142,9 @@ func wlAt(nl *component.Netlist, inc [][]int, id int, p geom.Point) float64 {
 }
 
 // penaltyAt is the frequency-margin cost of id at p: each near-resonant
-// partner inside the class's interaction radius contributes radius − d, so
-// the reassignment prefers sites that keep resonant pairs apart.
+// partner inside the class's interaction radius (the legalizer's isolation
+// guard, frequency.GuardMM) contributes radius − d, so the reassignment
+// prefers sites that keep resonant pairs apart.
 func penaltyAt(cm *frequency.CollisionMap, nl *component.Netlist, id int, p geom.Point, radius float64) float64 {
 	if cm == nil {
 		return 0
@@ -174,20 +156,6 @@ func penaltyAt(cm *frequency.CollisionMap, nl *component.Netlist, id int, p geom
 		}
 	}
 	return sum
-}
-
-func (c Config) rounds(fallback int) int {
-	if c.Rounds > 0 {
-		return c.Rounds
-	}
-	return fallback
-}
-
-func (c Config) maxSet() int {
-	if c.MaxSet > 0 {
-		return c.MaxSet
-	}
-	return DefaultMaxSet
 }
 
 // independentSet extracts up to max instances of one class, no two of which
@@ -256,7 +224,7 @@ func MCMF(ctx context.Context, nl *component.Netlist, cfg Config) (*Result, erro
 	assignSpan := cfg.Span.Child("assign")
 	applySpan := cfg.Span.Child("apply")
 
-	for round := 1; round <= cfg.rounds(DefaultRounds); round++ {
+	for round := 1; round <= defaultRounds; round++ {
 		if cfg.Progress != nil {
 			cfg.Progress(round, cur)
 		}
@@ -269,7 +237,7 @@ func MCMF(ctx context.Context, nl *component.Netlist, cfg Config) (*Result, erro
 				continue
 			}
 			candTimer := candSpan.Start()
-			set := independentSet(nl, cfg.Collision, inc, class.ids, round, cfg.maxSet())
+			set := independentSet(nl, cfg.Collision, inc, class.ids, round, defaultMaxSet)
 			sites := make([]geom.Point, len(set))
 			for i, id := range set {
 				sites[i] = nl.Instances[id].Pos
@@ -284,7 +252,7 @@ func MCMF(ctx context.Context, nl *component.Netlist, cfg Config) (*Result, erro
 			// arithmetic gate like the shelf legalizer's cost matrix.
 			assignTimer := assignSpan.Start()
 			n := len(set)
-			radius := radiusFor(class.kind)
+			radius := frequency.GuardMM(class.kind)
 			costs := make([][]float64, n)
 			fill := parallel.Gate(pool, n*n, cut.ScanCells)
 			fill.For(n, func(_, lo, hi int) {
@@ -370,7 +338,7 @@ func Swap(ctx context.Context, nl *component.Netlist, cfg Config) (*Result, erro
 	assignSpan := cfg.Span.Child("assign")
 	applySpan := cfg.Span.Child("apply")
 
-	for sweep := 1; sweep <= cfg.rounds(DefaultSweeps); sweep++ {
+	for sweep := 1; sweep <= defaultSweeps; sweep++ {
 		if cfg.Progress != nil {
 			cfg.Progress(sweep, cur)
 		}
@@ -383,7 +351,7 @@ func Swap(ctx context.Context, nl *component.Netlist, cfg Config) (*Result, erro
 			if len(ids) < 2 {
 				continue
 			}
-			radius := radiusFor(class.kind)
+			radius := frequency.GuardMM(class.kind)
 			attempts := 4 * len(ids)
 			for k := 0; k < attempts; k++ {
 				if k%64 == 63 {

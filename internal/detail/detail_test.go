@@ -71,9 +71,9 @@ func TestIndependentSetIsIndependent(t *testing.T) {
 	inc := incidentNets(nl)
 	for _, class := range footprintClasses(nl) {
 		for round := 1; round <= 3; round++ {
-			set := independentSet(nl, cm, inc, class.ids, round, DefaultMaxSet)
-			if len(set) > DefaultMaxSet {
-				t.Fatalf("set of %d exceeds cap %d", len(set), DefaultMaxSet)
+			set := independentSet(nl, cm, inc, class.ids, round, defaultMaxSet)
+			if len(set) > defaultMaxSet {
+				t.Fatalf("set of %d exceeds cap %d", len(set), defaultMaxSet)
 			}
 			in := map[int]bool{}
 			for _, id := range set {

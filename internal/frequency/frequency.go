@@ -243,6 +243,17 @@ func NearResonant(a, b *component.Instance, deltaC float64) bool {
 	return Resonant(a.FreqGHz, b.FreqGHz, deltaC)
 }
 
+// GuardMM is the isolation distance (mm, Chebyshev between centres) that
+// legalization tries to keep between near-resonant partners of an instance
+// of the given kind, and the interaction radius of detailed placement's
+// frequency-margin cost: 2.5 mm for qubits, 0.65 mm for resonator segments.
+func GuardMM(kind component.Kind) float64 {
+	if kind == component.KindQubit {
+		return 2.5
+	}
+	return 0.65
+}
+
 // CollisionMap lists, per instance, the near-resonant partner instances the
 // frequency force must repel (Eq. 9), excluding pairs from the same
 // resonator (the Kronecker-delta factor of Eq. 10). It is the one place the

@@ -205,7 +205,7 @@ func TestBlockedRunEndIsExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	exact, short := 0, 0
 	for trial := 0; trial < 20000; trial++ {
-		lg.cfg.Pitch = 0.05 + 0.25*rng.Float64()
+		lg.pitch = 0.05 + 0.25*rng.Float64()
 		s := spiralSearch{
 			lg:   lg,
 			want: geom.Point{X: 100 * (rng.Float64() - 0.5), Y: 100 * (rng.Float64() - 0.5)},
@@ -339,7 +339,7 @@ func TestResonatorClustersOrder(t *testing.T) {
 			Pos: geom.Point{X: at[id]},
 		})
 	}
-	got := ResonatorClusters(nl, 0, DefaultConfig().ClusterGap)
+	got := ResonatorClusters(nl, 0)
 	want := [][]int{{3, 4, 6}, {1, 9}, {7, 8}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("clusters = %v, want %v", got, want)

@@ -23,23 +23,24 @@ import (
 	"qplacer/internal/parallel"
 )
 
-// Config tunes the legalizer.
+// The legalizer's fixed search and repair settings.
+const (
+	// pitch is the spiral/Tetris search grid pitch (mm).
+	pitch = 0.1
+	// maxRings bounds the spiral search radius in pitch units.
+	maxRings = 120
+	// clusterGap is the maximum edge-to-edge gap (mm) at which two segments
+	// of one resonator still count as contiguous (integration criterion).
+	clusterGap = 0.35
+	// maxIntegrationPasses bounds the pull-in repair loop.
+	maxIntegrationPasses = 6
+	// compactionPasses bounds the inward-compaction sweeps that shrink the
+	// enclosing rectangle after integration.
+	compactionPasses = 3
+)
+
+// Config holds the legalizer's per-run settings.
 type Config struct {
-	// Pitch is the spiral/Tetris search grid pitch (mm).
-	Pitch float64
-	// MaxRings bounds the spiral search radius in pitch units.
-	MaxRings int
-	// ClusterGap is the maximum edge-to-edge gap at which two segments of
-	// one resonator still count as contiguous (integration criterion).
-	ClusterGap float64
-	// MaxIntegrationPasses bounds the pull-in repair loop.
-	MaxIntegrationPasses int
-	// CompactionPasses bounds the inward-compaction sweeps that shrink the
-	// enclosing rectangle after integration (0 disables).
-	CompactionPasses int
-	// ResonantGuard is the minimum distance compaction keeps between
-	// near-resonant segments of different resonators.
-	ResonantGuard float64
 	// FrequencyAware enables the isolation guards. Qplacer's legalizer is
 	// frequency-aware (the integration legalizer of §IV-C2); the Classic
 	// baseline uses the same machinery with the guards off, like the
@@ -77,13 +78,7 @@ type Config struct {
 // DefaultConfig returns production settings.
 func DefaultConfig() Config {
 	return Config{
-		Pitch:                0.1,
-		MaxRings:             120,
-		ClusterGap:           0.35,
-		MaxIntegrationPasses: 6,
-		CompactionPasses:     3,
-		ResonantGuard:        0.65,
-		FrequencyAware:       true,
+		FrequencyAware: true,
 	}
 }
 
@@ -115,6 +110,7 @@ type legalizer struct {
 	nl     *component.Netlist
 	cm     *frequency.CollisionMap
 	bounds geom.Rect
+	pitch  float64 // the search grid pitch: the pitch constant, varied only by tests
 
 	placed []geom.Rect // legal rects of fixed instances, shrunk by overlapEps/2
 	slot   []int       // instance ID → index in placed, -1 while unplaced
@@ -175,23 +171,6 @@ func (w workCounts) String() string {
 	return fmt.Sprintf("spot search: %d probes evaluated, %d skipped in %d blocked runs; "+
 		"overlap queries: %d by bucket scan, %d by last-blocker witness; %d guard failures by last-violator witness",
 		w.probes, w.skipped, w.runs, w.scans, w.blockerHits, w.guardHits)
-}
-
-// qubitGuard and segGuard are the isolation distances findSpot tries to
-// preserve between near-resonant instances during legalization. When no
-// guarded spot exists the search falls back to unguarded placement — the
-// residual hotspots are exactly what P_h measures.
-const (
-	qubitGuard = 2.5
-	segGuard   = 0.65
-)
-
-// guardFor returns the isolation distance for an instance kind.
-func guardFor(k component.Kind) float64 {
-	if k == component.KindQubit {
-		return qubitGuard
-	}
-	return segGuard
 }
 
 // guardedApart reports whether centres a and b keep the guard distance.
@@ -349,9 +328,6 @@ func (lg *legalizer) run() (*Result, error) {
 // newLegalizer validates the inputs and returns a legalizer that owns a
 // worker pool (the caller closes it) and still needs setup.
 func newLegalizer(ctx context.Context, nl *component.Netlist, region geom.Rect, cm *frequency.CollisionMap, cfg Config) (*legalizer, error) {
-	if cfg.Pitch <= 0 || cfg.MaxRings <= 0 {
-		return nil, fmt.Errorf("legal: invalid config %+v", cfg)
-	}
 	if err := checkCollisionMap(nl, cm); err != nil {
 		return nil, err
 	}
@@ -370,6 +346,7 @@ func newLegalizer(ctx context.Context, nl *component.Netlist, region geom.Rect, 
 		// tight is what delivers the paper's compact-substrate result. A
 		// small margin absorbs boundary quantization.
 		bounds: region.Inflate(region.W() * 0.02),
+		pitch:  pitch,
 		pool:   parallel.New(cfg.Workers),
 	}
 	lg.cut = parallel.Resolve(cfg.Cutoffs, lg.pool)
@@ -447,7 +424,7 @@ func (lg *legalizer) guardOK(in *component.Instance, c geom.Point) bool {
 	if !lg.cfg.FrequencyAware {
 		return true
 	}
-	guard := guardFor(in.Kind)
+	guard := frequency.GuardMM(in.Kind)
 	if in.ID == lg.guardInst && !guardedApart(lg.nl.Instances[lg.guardPartner].Pos, c, guard) {
 		lg.work.guardHits++
 		return false
@@ -519,7 +496,7 @@ func (lg *legalizer) findSpot(in *component.Instance, want geom.Point, skip int)
 // (x, y) in pitch units around want ring by ring, by increasing Chebyshev
 // distance, each ring clockwise from its top-left corner (top row left to
 // right, right column down, bottom row right to left, left column up), out
-// to MaxRings. The first probe whose rect lies in bounds, overlaps no placed
+// to maxRings. The first probe whose rect lies in bounds, overlaps no placed
 // rect and keeps the guards wins.
 //
 // Three cuts skip probes whose outcome is already known, so the result is
@@ -548,7 +525,7 @@ func (lg *legalizer) findSpotIn(in *component.Instance, want geom.Point, skip in
 		return s.out
 	}
 	// The box's rings run from its Chebyshev distance to the origin out to
-	// its farthest corner; fitRange keeps both within MaxRings.
+	// its farthest corner; fitRange keeps both within maxRings.
 	for k := max(0, x0, -x1, y0, -y1); k <= max(-x0, x1, -y0, y1); k++ {
 		if s.ring(k, x0, x1, y0, y1) {
 			break
@@ -559,17 +536,17 @@ func (lg *legalizer) findSpotIn(in *component.Instance, want geom.Point, skip in
 
 // coord is a probe centre's coordinate along one axis at offset v.
 func (lg *legalizer) coord(want float64, v int) float64 {
-	return want + float64(v)*lg.cfg.Pitch
+	return want + float64(v)*lg.pitch
 }
 
-// fitRange returns the offsets lo..hi within ±MaxRings at which a probe of
+// fitRange returns the offsets lo..hi within ±maxRings at which a probe of
 // the given size centred at coord(want, v) lies inside [bLo, bHi], by the
 // four comparisons ContainsRect makes along this axis. Rounding is
 // monotone, so each comparison flips at most once as v grows, and the
 // offsets that pass all four form one interval: bisection finds it
 // exactly, at any magnitude. A non-finite want gives an empty range.
 func (lg *legalizer) fitRange(want, size, bLo, bHi float64) (lo, hi int) {
-	k := lg.cfg.MaxRings
+	k := maxRings
 	n := 2*k + 1
 	lo = sort.Search(n, func(i int) bool {
 		c := lg.coord(want, i-k)
@@ -656,10 +633,10 @@ func (s *spiralSearch) blockedRunEnd(horizontal bool, fixed, v, to, dir int) int
 	// blocks until the probe's trailing edge passes B's far edge.
 	var end float64
 	if dir > 0 {
-		end = math.Ceil((bHi+(size-overlapEps)/2-want)/s.lg.cfg.Pitch) - 1
+		end = math.Ceil((bHi+(size-overlapEps)/2-want)/s.lg.pitch) - 1
 		end = math.Min(end, float64(to))
 	} else {
-		end = math.Floor((bLo-(size-overlapEps)/2-want)/s.lg.cfg.Pitch) + 1
+		end = math.Floor((bLo-(size-overlapEps)/2-want)/s.lg.pitch) + 1
 		end = math.Max(end, float64(to))
 	}
 	if !((end-float64(v))*float64(dir) > 0) { // also catches NaN
@@ -807,16 +784,10 @@ func (lg *legalizer) legalizeSegments(res *Result) error {
 	return nil
 }
 
-// clusters partitions a resonator's segments into contiguity clusters
-// (edge-to-edge gap ≤ ClusterGap), largest first.
-func (lg *legalizer) clusters(resIdx int) [][]int {
-	return ResonatorClusters(lg.nl, resIdx, lg.cfg.ClusterGap)
-}
-
 // ResonatorClusters partitions a resonator's segments into contiguity
-// clusters (edge-to-edge legal-rect gap ≤ gap), largest cluster first. One
-// cluster means the resonator is integrated.
-func ResonatorClusters(nl *component.Netlist, resIdx int, gap float64) [][]int {
+// clusters (edge-to-edge legal-rect gap ≤ clusterGap), largest cluster
+// first. One cluster means the resonator is integrated.
+func ResonatorClusters(nl *component.Netlist, resIdx int) [][]int {
 	segs := nl.Resonators[resIdx].Segments
 	n := len(segs)
 	// Union-find over positions in segs. size[root] counts the root's
@@ -836,7 +807,7 @@ func ResonatorClusters(nl *component.Netlist, resIdx int, gap float64) [][]int {
 	}
 	for i := range segs {
 		for j := i + 1; j < n; j++ {
-			if rects[i].Gap(rects[j]) <= gap {
+			if rects[i].Gap(rects[j]) <= clusterGap {
 				parent[find(i)] = find(j)
 			}
 		}
@@ -878,13 +849,13 @@ func ResonatorClusters(nl *component.Netlist, resIdx int, gap float64) [][]int {
 // swap keeps both resonators' frequencies non-resonant (the τ check) and
 // does not fragment the donor.
 func (lg *legalizer) integrate(res *Result) error {
-	for pass := 0; pass < lg.cfg.MaxIntegrationPasses; pass++ {
+	for pass := 0; pass < maxIntegrationPasses; pass++ {
 		res.BrokenResonators = res.BrokenResonators[:0]
 		for rIdx := range lg.nl.Resonators {
 			if err := lg.ctx.Err(); err != nil {
 				return err
 			}
-			cl := lg.clusters(rIdx)
+			cl := ResonatorClusters(lg.nl, rIdx)
 			if len(cl) <= 1 {
 				continue
 			}
@@ -896,7 +867,7 @@ func (lg *legalizer) integrate(res *Result) error {
 					}
 				}
 			}
-			if len(lg.clusters(rIdx)) > 1 {
+			if len(ResonatorClusters(lg.nl, rIdx)) > 1 {
 				res.BrokenResonators = append(res.BrokenResonators, rIdx)
 			}
 		}
@@ -948,7 +919,7 @@ func (lg *legalizer) pullIn(sid int, cluster []int, res *Result) bool {
 	// only when it strictly reduces this resonator's cluster count — landing
 	// near an anchor is not enough, the gap must actually close — while the
 	// donor stays in one piece.
-	before := len(lg.clusters(in.Resonator))
+	before := len(ResonatorClusters(lg.nl, in.Resonator))
 	for _, cs := range anchors {
 		anchor := lg.nl.Instances[cs].Pos
 		for _, other := range lg.nl.Instances {
@@ -975,8 +946,8 @@ func (lg *legalizer) pullIn(sid int, cluster []int, res *Result) bool {
 			in.Pos, other.Pos = oldB, oldA
 			lg.fix(sid, LegalRect(in))
 			lg.fix(other.ID, LegalRect(other))
-			if len(lg.clusters(other.Resonator)) == 1 &&
-				len(lg.clusters(in.Resonator)) <= before &&
+			if len(ResonatorClusters(lg.nl, other.Resonator)) == 1 &&
+				len(ResonatorClusters(lg.nl, in.Resonator)) <= before &&
 				lg.guardOK(in, in.Pos) && lg.guardOK(other, other.Pos) {
 				res.SegmentDisplacement += oldA.Dist(oldB) * 2
 				return true
@@ -993,12 +964,10 @@ func (lg *legalizer) pullIn(sid int, cluster []int, res *Result) bool {
 // compact pulls outlying segments toward the layout centroid to shrink the
 // enclosing rectangle, accepting a move only when it (a) lands strictly
 // closer to the centroid, (b) keeps the segment's resonator in one cluster,
-// and (c) stays at least ResonantGuard away from near-resonant segments of
-// other resonators, so compaction never reintroduces hotspots.
+// and (c) keeps the segment isolation guard (frequency.GuardMM) from
+// near-resonant segments of other resonators, so compaction never
+// reintroduces hotspots.
 func (lg *legalizer) compact(res *Result) error {
-	if lg.cfg.CompactionPasses <= 0 {
-		return nil
-	}
 	var cx, cy float64
 	for _, in := range lg.nl.Instances {
 		cx += in.Pos.X
@@ -1013,7 +982,7 @@ func (lg *legalizer) compact(res *Result) error {
 			segs = append(segs, in.ID)
 		}
 	}
-	for pass := 0; pass < lg.cfg.CompactionPasses; pass++ {
+	for pass := 0; pass < compactionPasses; pass++ {
 		sort.SliceStable(segs, func(a, b int) bool {
 			return lg.nl.Instances[segs[a]].Pos.Dist2(centroid) >
 				lg.nl.Instances[segs[b]].Pos.Dist2(centroid)
@@ -1059,11 +1028,11 @@ func (lg *legalizer) compact(res *Result) error {
 // of it.
 func (lg *legalizer) compactionSafe(sid int) bool {
 	in := lg.nl.Instances[sid]
-	if len(lg.clusters(in.Resonator)) != 1 {
+	if len(ResonatorClusters(lg.nl, in.Resonator)) != 1 {
 		return false
 	}
 	for _, pid := range lg.cm.ByInst[sid] {
-		if !guardedApart(lg.nl.Instances[pid].Pos, in.Pos, lg.cfg.ResonantGuard) {
+		if !guardedApart(lg.nl.Instances[pid].Pos, in.Pos, frequency.GuardMM(in.Kind)) {
 			return false
 		}
 	}

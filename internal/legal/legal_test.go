@@ -105,11 +105,6 @@ func TestLegalizeKeepsQubitsApart(t *testing.T) {
 
 func TestLegalizeValidation(t *testing.T) {
 	nl, region, cm := placedNetlist(t, "grid", place.ModeQplacer)
-	bad := DefaultConfig()
-	bad.Pitch = 0
-	if _, err := LegalizeCtx(context.Background(), nl, region, cm, bad); err == nil {
-		t.Fatal("zero pitch must fail")
-	}
 	short := &frequency.CollisionMap{DeltaC: cm.DeltaC, ByInst: cm.ByInst[1:]}
 	for _, m := range []*frequency.CollisionMap{nil, short} {
 		if _, err := LegalizeCtx(context.Background(), nl, region, m, DefaultConfig()); err == nil {

@@ -108,7 +108,7 @@ type refRect struct {
 }
 
 func newRefSearch(lg *legalizer) *refSearch {
-	return &refSearch{spiral: spiralOffsets(lg.cfg.MaxRings)}
+	return &refSearch{spiral: spiralOffsets(maxRings)}
 }
 
 func (ref *refSearch) findSpotIn(lg *legalizer, in *component.Instance, want geom.Point, skip int, bounds geom.Rect) spotOutcome {
@@ -119,8 +119,8 @@ func (ref *refSearch) findSpotIn(lg *legalizer, in *component.Instance, want geo
 	for _, off := range ref.spiral {
 		ref.visited++
 		c := geom.Point{
-			X: want.X + off.X*lg.cfg.Pitch,
-			Y: want.Y + off.Y*lg.cfg.Pitch,
+			X: want.X + off.X*lg.pitch,
+			Y: want.Y + off.Y*lg.pitch,
 		}
 		r := geom.RectAt(c, w, h)
 		if !bounds.ContainsRect(r) {
@@ -189,7 +189,7 @@ func refGuardOK(lg *legalizer, in *component.Instance, c geom.Point) bool {
 		return true
 	}
 	for _, pid := range lg.cm.ByInst[in.ID] {
-		if lg.slot[pid] >= 0 && !guardedApart(lg.nl.Instances[pid].Pos, c, guardFor(in.Kind)) {
+		if lg.slot[pid] >= 0 && !guardedApart(lg.nl.Instances[pid].Pos, c, frequency.GuardMM(in.Kind)) {
 			return false
 		}
 	}
@@ -317,7 +317,7 @@ func (d *differential) adversarial() {
 		r := LegalRect(in)
 		hw, hh := r.W()/2, r.H()/2
 		b := lg.bounds
-		p := lg.cfg.Pitch
+		p := lg.pitch
 		wants := []geom.Point{
 			in.Pos,
 			{X: 1e4, Y: 1e4}, {X: -1e6, Y: b.Lo.Y}, {X: 1e300, Y: -1e300},
@@ -330,7 +330,7 @@ func (d *differential) adversarial() {
 			// Just past the level-0 bounds, so only escalation finds room.
 			{X: b.Hi.X + hw, Y: b.Center().Y}, {X: b.Center().X, Y: b.Lo.Y - 4*hh},
 			// Reachable only by the outermost rings.
-			{X: b.Lo.X - float64(lg.cfg.MaxRings)*p, Y: b.Center().Y},
+			{X: b.Lo.X - float64(maxRings)*p, Y: b.Center().Y},
 		}
 		for _, want := range wants {
 			for _, skip := range []int{-1, id} {

@@ -2,7 +2,6 @@ package legal
 
 import (
 	"context"
-	"fmt"
 	"sort"
 
 	"qplacer/internal/component"
@@ -31,9 +30,6 @@ const maxGuardTries = 400
 // shelves are disjoint bands), at the cost of larger displacement than
 // LegalizeCtx — the greedy trade-off.
 func RowScanCtx(ctx context.Context, nl *component.Netlist, region geom.Rect, cm *frequency.CollisionMap, cfg Config) (*Result, error) {
-	if cfg.Pitch <= 0 || cfg.ClusterGap <= 0 {
-		return nil, fmt.Errorf("legal: invalid config %+v", cfg)
-	}
 	if err := checkCollisionMap(nl, cm); err != nil {
 		return nil, err
 	}
@@ -71,7 +67,7 @@ func RowScanCtx(ctx context.Context, nl *component.Netlist, region geom.Rect, cm
 		if !cfg.FrequencyAware {
 			return true
 		}
-		guard := guardFor(in.Kind)
+		guard := frequency.GuardMM(in.Kind)
 		for _, pid := range cm.ByInst[in.ID] {
 			if placed[pid] && !guardedApart(nl.Instances[pid].Pos, c, guard) {
 				return false
@@ -104,7 +100,7 @@ func RowScanCtx(ctx context.Context, nl *component.Netlist, region geom.Rect, cm
 			if !guardClear(in, geom.Point{X: cursorX + w/2, Y: baseY + h/2}) {
 				ok := false
 				for try := 0; try < maxGuardTries; try++ {
-					cursorX += cfg.Pitch
+					cursorX += pitch
 					if cursorX+w > bounds.Hi.X {
 						newShelf()
 					}
@@ -137,7 +133,7 @@ func RowScanCtx(ctx context.Context, nl *component.Netlist, region geom.Rect, cm
 	scanTimer.End()
 
 	for rIdx := range nl.Resonators {
-		if len(ResonatorClusters(nl, rIdx, cfg.ClusterGap)) > 1 {
+		if len(ResonatorClusters(nl, rIdx)) > 1 {
 			res.BrokenResonators = append(res.BrokenResonators, rIdx)
 		}
 	}

@@ -23,12 +23,12 @@ func TestPlaceCtxCancelMidRun(t *testing.T) {
 	nl, cm := buildProblem(t, topology.Grid25())
 	ctx, cancel := context.WithCancel(context.Background())
 	cfg := fastConfig(ModeQplacer)
-	// Cancel from the trace hook a few iterations in: the loop must stop at
-	// the very next iteration boundary.
+	// Cancel from the progress hook a few iterations in: the loop must stop
+	// at the very next iteration boundary.
 	lastIter := -1
-	cfg.Trace = func(ev TraceEvent) {
-		lastIter = ev.Iter
-		if ev.Iter == 3 {
+	cfg.Progress = func(iter int, _ float64) {
+		lastIter = iter
+		if iter == 3 {
 			cancel()
 		}
 	}

@@ -17,7 +17,6 @@ func runPlacement(t *testing.T, topo string, mutate func(*Config)) []float64 {
 	nl, cm := placeProblem(t, topo)
 	cfg := DefaultConfig()
 	cfg.MaxIters = 30
-	cfg.MinIters = 30
 	if mutate != nil {
 		mutate(&cfg)
 	}

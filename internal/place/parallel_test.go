@@ -38,7 +38,6 @@ func TestParallelBitIdentical(t *testing.T) {
 			nl, cm := placeProblem(t, topo)
 			cfg := DefaultConfig()
 			cfg.MaxIters = 30
-			cfg.MinIters = 30
 			cfg.Workers = workers
 			if _, err := Place(nl, cm, cfg); err != nil {
 				t.Fatal(err)

@@ -54,35 +54,42 @@ func (m Mode) String() string {
 	return fmt.Sprintf("mode(%d)", int(m))
 }
 
-// Config holds engine hyperparameters. The zero value is not valid; use
-// DefaultConfig. Classic and Qplacer runs share every knob except Mode,
-// matching the paper's fair-comparison setup.
-type Config struct {
-	Mode Mode
-
+// The evaluation's fixed hyperparameters. TargetDensity and the frequency
+// cutoff radii are exported because the annealer (internal/anneal) sizes its
+// region and frequency term with the same values.
+const (
 	// TargetDensity D̂ sizes the placement region:
 	// side = √(Σ charge areas / D̂).
-	TargetDensity float64
-	// MaxIters bounds the Nesterov loop; StopOverflow ends it early once
-	// the density overflow drops below this fraction (after MinIters).
-	MaxIters     int
-	MinIters     int
-	StopOverflow float64
-
-	// LambdaGrowth multiplies the density weight each iteration;
-	// FreqLambdaGrowth does the same for the frequency weight.
-	LambdaGrowth     float64
-	FreqLambdaGrowth float64
-	// FreqWeight scales the initial frequency penalty relative to the
-	// wirelength gradient (0 disables, as in ModeClassic).
-	FreqWeight float64
+	TargetDensity = 0.8
 	// FreqCutoffMM is the interaction radius of the repulsive force between
 	// qubit pairs: pairs farther apart feel nothing (keeps the potential
 	// local, §IV-C1). Segment pairs use FreqCutoffSegMM — wire blocks are
 	// small (padded ~0.5 mm), need proportionally less separation, and a
 	// large radius over their sheer pair count would jam the optimizer.
-	FreqCutoffMM    float64
-	FreqCutoffSegMM float64
+	FreqCutoffMM    = 3.0
+	FreqCutoffSegMM = 0.7
+)
+
+const (
+	// stopOverflow ends the Nesterov loop early once the density overflow
+	// drops below this fraction, but never before minIters iterations.
+	minIters     = 250
+	stopOverflow = 0.08
+	// lambdaGrowth multiplies the density force ratio each iteration;
+	// freqLambdaGrowth does the same for the frequency ratios.
+	lambdaGrowth     = 1.08
+	freqLambdaGrowth = 1.08
+)
+
+// Config holds the per-run settings; the hyperparameters are the constants
+// above. The zero value is not valid; use DefaultConfig. Classic and Qplacer
+// runs share every setting except Mode, matching the paper's fair-comparison
+// setup.
+type Config struct {
+	Mode Mode
+
+	// MaxIters bounds the Nesterov loop.
+	MaxIters int
 
 	// Seed drives the deterministic initial-placement jitter.
 	Seed int64
@@ -114,14 +121,10 @@ type Config struct {
 	// it — and at every worker count either way.
 	DeltaEval bool
 
-	// Trace, when non-nil, receives per-iteration diagnostics. Enabling it
-	// costs an extra gradient evaluation per iteration.
-	Trace func(TraceEvent)
-
 	// Progress, when non-nil, is called once per completed iteration with
 	// the 1-based iteration count and the current density overflow. It rides
-	// on values the loop computes anyway, so unlike Trace it adds no work;
-	// it must be fast and non-blocking.
+	// on values the loop computes anyway, so it adds no work; it must be
+	// fast and non-blocking.
 	Progress func(iter int, overflow float64)
 
 	// Span, when non-nil, receives the run's timing breakdown: the gradient
@@ -132,31 +135,12 @@ type Config struct {
 	Span *obs.Span
 }
 
-// TraceEvent is one iteration's diagnostics for Config.Trace.
-type TraceEvent struct {
-	Iter               int
-	Overflow           float64
-	Lambda, LambdaF    float64
-	StepSize           float64
-	WLGradL1, DGradL1  float64
-	FGradL1            float64
-	HPWLSmooth, Energy float64
-}
-
-// DefaultConfig returns the hyperparameters used throughout the evaluation.
+// DefaultConfig returns the settings used throughout the evaluation.
 func DefaultConfig() Config {
 	return Config{
-		Mode:             ModeQplacer,
-		TargetDensity:    0.8,
-		MaxIters:         600,
-		MinIters:         250,
-		StopOverflow:     0.08,
-		LambdaGrowth:     1.08,
-		FreqLambdaGrowth: 1.08,
-		FreqWeight:       1.0,
-		FreqCutoffMM:     3.0,
-		FreqCutoffSegMM:  0.7,
-		Seed:             1,
+		Mode:     ModeQplacer,
+		MaxIters: 600,
+		Seed:     1,
 	}
 }
 
@@ -304,9 +288,6 @@ func Place(nl *component.Netlist, cm *frequency.CollisionMap, cfg Config) (*Resu
 // the positions of the last completed iteration.
 func PlaceCtx(ctx context.Context, nl *component.Netlist, cm *frequency.CollisionMap, cfg Config) (*Result, error) {
 	start := time.Now()
-	if cfg.TargetDensity <= 0 || cfg.TargetDensity > 1.2 {
-		return nil, fmt.Errorf("place: target density %v out of range", cfg.TargetDensity)
-	}
 	if cfg.MaxIters <= 0 {
 		return nil, fmt.Errorf("place: MaxIters must be positive")
 	}
@@ -357,9 +338,9 @@ func PlaceCtx(ctx context.Context, nl *component.Netlist, cm *frequency.Collisio
 		// ratio·ḡ. Feasible pairs separate decisively; infeasible pairs
 		// (e.g. same-level tree siblings tied to one parent) lose boundedly
 		// instead of jamming the whole system with runaway pressure.
-		if cfg.Mode == ModeQplacer && cfg.FreqWeight > 0 {
-			e.lambdaFQ = cfg.FreqWeight * ratioFQ * gBar * e.cfg.FreqCutoffMM / springPeak
-			e.lambdaFS = cfg.FreqWeight * ratioFS * gBar * e.cfg.FreqCutoffSegMM / springPeak
+		if cfg.Mode == ModeQplacer {
+			e.lambdaFQ = ratioFQ * gBar * FreqCutoffMM / springPeak
+			e.lambdaFS = ratioFS * gBar * FreqCutoffSegMM / springPeak
 		}
 		e.lambdaC = ratioC * gBar * e.chainR0 / springPeak
 		e.wall = math.Max(e.lambda, 1)
@@ -379,34 +360,22 @@ func PlaceCtx(ctx context.Context, nl *component.Netlist, cm *frequency.Collisio
 		}
 		opt.Step()
 		iters++
-		if cfg.Trace != nil {
-			wl, dE, _, _, _ := e.evalComponents(opt.X())
-			cfg.Trace(TraceEvent{
-				Iter:     it,
-				Overflow: e.overflow,
-				Lambda:   e.lambda, LambdaF: math.Max(e.lambdaFQ, e.lambdaFS),
-				StepSize: opt.StepSize(),
-				WLGradL1: l1(e.gradWL), DGradL1: l1(e.gradD),
-				FGradL1:    l1(e.gradFQ) + l1(e.gradFS),
-				HPWLSmooth: wl, Energy: dE,
-			})
-		}
 		// Escalate the force ratios while the density constraint is
 		// violated; renormalize weights against the current gradients. The
 		// optimizer's cached gradient belongs to the old weights, so it is
 		// invalidated after every update.
-		if e.overflow > cfg.StopOverflow {
+		if e.overflow > stopOverflow {
 			if ratioD < ratioCap {
-				ratioD *= cfg.LambdaGrowth
+				ratioD *= lambdaGrowth
 			}
 		}
 		// Frequency pressure keeps ramping even after density converges:
 		// spatial isolation is the second phase of the anneal.
 		if ratioFQ < ratioFQCap {
-			ratioFQ *= cfg.FreqLambdaGrowth
+			ratioFQ *= freqLambdaGrowth
 		}
 		if ratioFS < ratioFSCap {
-			ratioFS *= cfg.FreqLambdaGrowth
+			ratioFS *= freqLambdaGrowth
 		}
 		e.evalComponents(opt.X())
 		renorm()
@@ -421,8 +390,8 @@ func PlaceCtx(ctx context.Context, nl *component.Netlist, cm *frequency.Collisio
 		} else {
 			sinceImprove++
 		}
-		if it >= cfg.MinIters &&
-			(e.overflow < cfg.StopOverflow || sinceImprove > 150) {
+		if it >= minIters &&
+			(e.overflow < stopOverflow || sinceImprove > 150) {
 			break
 		}
 	}
@@ -441,7 +410,7 @@ func PlaceCtx(ctx context.Context, nl *component.Netlist, cm *frequency.Collisio
 		HPWL:       HPWL(nl),
 		Overflow:   e.overflow,
 		Runtime:    elapsed,
-		AvgIterMS:  float64(elapsed.Milliseconds()) / float64(iters),
+		AvgIterMS:  float64(elapsed) / float64(time.Millisecond) / float64(iters),
 	}, nil
 }
 
@@ -491,7 +460,7 @@ func (e *engine) setupTrace() {
 }
 
 func (e *engine) setupRegion() {
-	area := TotalChargeArea(e.nl) / e.cfg.TargetDensity
+	area := TotalChargeArea(e.nl) / TargetDensity
 	side := math.Sqrt(area)
 	e.region = geom.NewRect(0, 0, side, side)
 
@@ -634,8 +603,8 @@ func (e *engine) setupDelta() {
 	n := len(e.nl.Instances)
 	e.memo = &evalMemo{}
 	withInc := e.pool != nil
-	e.vlQ = newVerlet(n, e.qubitPairs, e.cfg.FreqCutoffMM, withInc)
-	e.vlS = newVerlet(n, e.segPairs, e.cfg.FreqCutoffSegMM, withInc)
+	e.vlQ = newVerlet(n, e.qubitPairs, FreqCutoffMM, withInc)
+	e.vlS = newVerlet(n, e.segPairs, FreqCutoffSegMM, withInc)
 	e.vlC = newVerlet(n, e.chainPairs, e.chainR0, withInc)
 }
 
@@ -1090,8 +1059,8 @@ func (e *engine) frequencyGrad(xy []float64) (fq, fs float64) {
 		}
 		return 0, 0
 	}
-	fq = e.pairForce(xy, e.qubitPairs, e.incQ, e.vlQ, e.gradFQ, e.cfg.FreqCutoffMM)
-	fs = e.pairForce(xy, e.segPairs, e.incS, e.vlS, e.gradFS, e.cfg.FreqCutoffSegMM)
+	fq = e.pairForce(xy, e.qubitPairs, e.incQ, e.vlQ, e.gradFQ, FreqCutoffMM)
+	fs = e.pairForce(xy, e.segPairs, e.incS, e.vlS, e.gradFS, FreqCutoffSegMM)
 	return fq, fs
 }
 

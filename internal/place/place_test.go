@@ -3,6 +3,7 @@ package place
 import (
 	"math"
 	"testing"
+	"time"
 
 	"qplacer/internal/component"
 	"qplacer/internal/frequency"
@@ -28,7 +29,6 @@ func fastConfig(mode Mode) Config {
 	// Long enough for the frequency-pressure ramp (caps near iteration
 	// ~90 at the default growth rate) to act after density spreads.
 	cfg.MaxIters = 300
-	cfg.MinIters = 200
 	return cfg
 }
 
@@ -126,11 +126,6 @@ func TestPlaceIsDeterministic(t *testing.T) {
 func TestPlaceValidation(t *testing.T) {
 	nl, cm := buildProblem(t, topology.Grid25())
 	bad := DefaultConfig()
-	bad.TargetDensity = 0
-	if _, err := Place(nl, cm, bad); err == nil {
-		t.Error("zero target density must fail")
-	}
-	bad = DefaultConfig()
 	bad.MaxIters = 0
 	if _, err := Place(nl, cm, bad); err == nil {
 		t.Error("zero MaxIters must fail")
@@ -172,7 +167,6 @@ func TestRegionScalesWithDevice(t *testing.T) {
 	large, cmL := buildProblem(t, topology.AspenM())
 	cfg := fastConfig(ModeQplacer)
 	cfg.MaxIters = 40
-	cfg.MinIters = 10
 	rS, err := Place(small, cmS, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -247,5 +241,22 @@ func TestTotalChargeArea(t *testing.T) {
 	}
 	if got <= 0 {
 		t.Fatal("charge area must be positive")
+	}
+}
+
+// TestAvgIterMSKeepsFractions pins the per-iteration time to the
+// full-precision runtime: truncating to whole milliseconds before dividing
+// would report 0 for every sub-millisecond iteration.
+func TestAvgIterMSKeepsFractions(t *testing.T) {
+	nl, cm := buildProblem(t, topology.Grid25())
+	cfg := DefaultConfig()
+	cfg.MaxIters = 3
+	res, err := Place(nl, cm, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := float64(res.Runtime) / float64(time.Millisecond) / float64(res.Iterations)
+	if res.AvgIterMS != want {
+		t.Fatalf("AvgIterMS = %v, want %v (Runtime %v over %d iterations)", res.AvgIterMS, want, res.Runtime, res.Iterations)
 	}
 }
