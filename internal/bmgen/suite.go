@@ -7,7 +7,6 @@ import (
 	"math"
 	"reflect"
 
-	"qplacer/internal/circuit"
 	"qplacer/internal/component"
 	"qplacer/internal/frequency"
 	"qplacer/internal/geom"
@@ -132,19 +131,6 @@ func (s *Suite) Device() (*topology.Device, error) {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidSuite, err)
 	}
 	return dev, nil
-}
-
-// Circuits converts the suite's workloads to circuit values.
-func (s *Suite) Circuits() []*circuit.Circuit {
-	out := make([]*circuit.Circuit, 0, len(s.Workloads))
-	for _, w := range s.Workloads {
-		c := &circuit.Circuit{Name: w.Name, NumQubits: w.NumQubits}
-		for _, g := range w.Gates {
-			c.Gates = append(c.Gates, circuit.Gate{Name: g.Name, Qubits: append([]int(nil), g.Qubits...)})
-		}
-		out = append(out, c)
-	}
-	return out
 }
 
 // Validate checks suite well-formedness from first principles: the topology

@@ -420,16 +420,6 @@ func (g *Grid2D) apply(a []float64, rowT, colT transform1D) {
 // DCT2D applies the 2-D DCT-II (forward analysis) in place.
 func (g *Grid2D) DCT2D(a []float64) { g.apply(a, dct2T, dct2T) }
 
-// IDCT2D applies the exact inverse of DCT2D in place
-// (row/column DCT-III scaled by 4/(nx·ny)).
-func (g *Grid2D) IDCT2D(a []float64) {
-	g.apply(a, dct3T, dct3T)
-	scale := 4 / float64(g.NX*g.NY)
-	for i := range a {
-		a[i] *= scale
-	}
-}
-
 // SynthCosCos synthesizes Σ a_uv cos·cos without normalization
 // (row/column DCT-III); used for the potential ψ.
 func (g *Grid2D) SynthCosCos(a []float64) { g.apply(a, dct3T, dct3T) }

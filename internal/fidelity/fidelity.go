@@ -174,16 +174,3 @@ func resonatorProximity(nl *component.Netlist, ra, rb *component.Resonator, maxG
 	}
 	return minGap, adjLen
 }
-
-// EstimateMean runs the estimator over many mappings and returns the mean
-// fidelity (the per-bar statistic of Fig. 11).
-func EstimateMean(nl *component.Netlist, ms []*mapper.Mapping, p Params) float64 {
-	if len(ms) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, m := range ms {
-		sum += Estimate(nl, m, p).F
-	}
-	return sum / float64(len(ms))
-}

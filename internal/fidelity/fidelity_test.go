@@ -71,22 +71,6 @@ func TestStackedResonantQubitsCrushFidelity(t *testing.T) {
 	}
 }
 
-func TestEstimateMean(t *testing.T) {
-	nl, _ := setup(t)
-	dev := nl.Device
-	maps, err := mapper.Sample(circuit.BV(4), dev, 5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mean := EstimateMean(nl, maps, DefaultParams())
-	if mean <= 0 || mean > 1 {
-		t.Fatalf("mean fidelity = %v", mean)
-	}
-	if EstimateMean(nl, nil, DefaultParams()) != 0 {
-		t.Fatal("empty mapping list must give 0")
-	}
-}
-
 func TestFidelityMonotoneInGateErrors(t *testing.T) {
 	nl, m := setup(t)
 	p1 := DefaultParams()

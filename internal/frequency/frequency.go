@@ -288,6 +288,3 @@ func BuildCollisionMap(nl *component.Netlist, deltaC float64) *CollisionMap {
 	}
 	return cm
 }
-
-// NumPairs returns the number of near-resonant pairs.
-func (cm *CollisionMap) NumPairs() int { return len(cm.Pairs) }

@@ -185,7 +185,7 @@ func TestCollisionMapNonEmptyOnRealDevices(t *testing.T) {
 	for _, dev := range topology.All() {
 		nl, _ := buildNetlist(t, dev)
 		cm := BuildCollisionMap(nl, physics.DetuneThresholdGHz)
-		if cm.NumPairs() == 0 {
+		if len(cm.Pairs) == 0 {
 			t.Errorf("%s: empty collision map — frequency crowding missing", dev.Name)
 		}
 	}

@@ -87,16 +87,6 @@ func (r Rect) Inflate(m float64) Rect {
 	}
 }
 
-// Translate returns r shifted by d.
-func (r Rect) Translate(d Point) Rect {
-	return Rect{r.Lo.Add(d), r.Hi.Add(d)}
-}
-
-// MoveCenter returns r recentred at c.
-func (r Rect) MoveCenter(c Point) Rect {
-	return RectAt(c, r.W(), r.H())
-}
-
 // Contains reports whether p lies inside r (inclusive of boundary).
 func (r Rect) Contains(p Point) bool {
 	return p.X >= r.Lo.X && p.X <= r.Hi.X && p.Y >= r.Lo.Y && p.Y <= r.Hi.Y
@@ -122,15 +112,6 @@ func (r Rect) Intersect(s Rect) (Rect, bool) {
 		return Rect{}, false
 	}
 	return Rect{lo, hi}, true
-}
-
-// OverlapArea returns the overlap area of r and s (0 when disjoint).
-func (r Rect) OverlapArea(s Rect) float64 {
-	ov, ok := r.Intersect(s)
-	if !ok {
-		return 0
-	}
-	return ov.Area()
 }
 
 // IntersectionLength returns the larger side of the overlap rectangle of r
@@ -187,15 +168,6 @@ func EnclosingRect(rects []Rect) (Rect, bool) {
 		out = out.Union(r)
 	}
 	return out, true
-}
-
-// TotalArea returns the sum of the rectangle areas.
-func TotalArea(rects []Rect) float64 {
-	var a float64
-	for _, r := range rects {
-		a += r.Area()
-	}
-	return a
 }
 
 // Clamp returns p clamped into r.

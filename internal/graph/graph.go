@@ -134,28 +134,6 @@ func (g *Graph) BFSFrom(src int) []int {
 	return order
 }
 
-// Distances returns BFS hop distances from src; unreachable vertices get -1.
-func (g *Graph) Distances(src int) []int {
-	g.check(src)
-	dist := make([]int, g.n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[src] = 0
-	queue := []int{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range g.adj[u] {
-			if dist[v] < 0 {
-				dist[v] = dist[u] + 1
-				queue = append(queue, v)
-			}
-		}
-	}
-	return dist
-}
-
 // ShortestPath returns one shortest path from src to dst (inclusive), or nil
 // when dst is unreachable.
 func (g *Graph) ShortestPath(src, dst int) []int {
@@ -207,54 +185,6 @@ func (g *Graph) Connected() bool {
 	return len(g.BFSFrom(0)) == g.n
 }
 
-// Components returns the connected components, each sorted ascending; the
-// component list is sorted by smallest member.
-func (g *Graph) Components() [][]int {
-	seen := make([]bool, g.n)
-	var comps [][]int
-	for v := 0; v < g.n; v++ {
-		if seen[v] {
-			continue
-		}
-		comp := g.BFSFrom(v)
-		for _, u := range comp {
-			seen[u] = true
-		}
-		sort.Ints(comp)
-		comps = append(comps, comp)
-	}
-	return comps
-}
-
-// Bipartite reports whether the graph is bipartite, returning a valid
-// 2-colouring when it is.
-func (g *Graph) Bipartite() (bool, []int) {
-	color := make([]int, g.n)
-	for i := range color {
-		color[i] = -1
-	}
-	for s := 0; s < g.n; s++ {
-		if color[s] >= 0 {
-			continue
-		}
-		color[s] = 0
-		queue := []int{s}
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, v := range g.adj[u] {
-				if color[v] < 0 {
-					color[v] = 1 - color[u]
-					queue = append(queue, v)
-				} else if color[v] == color[u] {
-					return false, nil
-				}
-			}
-		}
-	}
-	return true, color
-}
-
 // Power returns the graph whose edges connect vertices at hop distance
 // 1..k in g ("distance-k" graph). Power(1) is a copy of g.
 func (g *Graph) Power(k int) *Graph {
@@ -286,40 +216,6 @@ func (g *Graph) Power(k int) *Graph {
 		}
 	}
 	return out
-}
-
-// GreedyColoring colours vertices in the given order with the smallest
-// non-conflicting colour. If order is nil, natural order is used.
-func (g *Graph) GreedyColoring(order []int) []int {
-	if order == nil {
-		order = make([]int, g.n)
-		for i := range order {
-			order[i] = i
-		}
-	}
-	color := make([]int, g.n)
-	for i := range color {
-		color[i] = -1
-	}
-	used := make([]bool, g.n+1)
-	for _, u := range order {
-		for _, v := range g.adj[u] {
-			if c := color[v]; c >= 0 {
-				used[c] = true
-			}
-		}
-		c := 0
-		for used[c] {
-			c++
-		}
-		color[u] = c
-		for _, v := range g.adj[u] {
-			if cc := color[v]; cc >= 0 {
-				used[cc] = false
-			}
-		}
-	}
-	return color
 }
 
 // DSATURColoring colours the graph with the DSATUR heuristic (highest
@@ -356,32 +252,6 @@ func (g *Graph) DSATURColoring() []int {
 		}
 	}
 	return color
-}
-
-// NumColors returns 1 + max colour in the colouring (0 for empty input).
-func NumColors(color []int) int {
-	m := 0
-	for _, c := range color {
-		if c+1 > m {
-			m = c + 1
-		}
-	}
-	return m
-}
-
-// ValidColoring reports whether no edge joins same-coloured vertices.
-func (g *Graph) ValidColoring(color []int) bool {
-	if len(color) != g.n {
-		return false
-	}
-	for u := 0; u < g.n; u++ {
-		for _, v := range g.adj[u] {
-			if color[u] == color[v] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // RandomConnectedSubset returns a uniformly seeded random connected induced

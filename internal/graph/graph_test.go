@@ -6,6 +6,49 @@ import (
 	"testing/quick"
 )
 
+// distances returns BFS hop distances from src (-1 when unreachable): the
+// oracle for ShortestPath.
+func distances(g *Graph, src int) []int {
+	dist := make([]int, g.N())
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[src] = 0
+	for queue := []int{src}; len(queue) > 0; queue = queue[1:] {
+		u := queue[0]
+		for _, v := range g.Neighbors(u) {
+			if dist[v] < 0 {
+				dist[v] = dist[u] + 1
+				queue = append(queue, v)
+			}
+		}
+	}
+	return dist
+}
+
+// validColoring reports whether color gives every vertex a colour and no
+// edge joins same-coloured vertices: the oracle for DSATURColoring.
+func validColoring(g *Graph, color []int) bool {
+	if len(color) != g.N() {
+		return false
+	}
+	for _, e := range g.Edges() {
+		if color[e[0]] == color[e[1]] {
+			return false
+		}
+	}
+	return true
+}
+
+// numColors returns 1 + the largest colour (0 for empty input).
+func numColors(color []int) int {
+	m := 0
+	for _, c := range color {
+		m = max(m, c+1)
+	}
+	return m
+}
+
 func path(n int) *Graph {
 	g := New(n)
 	for i := 0; i+1 < n; i++ {
@@ -75,7 +118,7 @@ func TestBFSAndDistances(t *testing.T) {
 	if len(order) != 5 || order[0] != 0 || order[4] != 4 {
 		t.Fatalf("BFS order = %v", order)
 	}
-	d := g.Distances(0)
+	d := distances(g, 0)
 	for i, want := range []int{0, 1, 2, 3, 4} {
 		if d[i] != want {
 			t.Fatalf("dist[%d] = %d, want %d", i, d[i], want)
@@ -83,7 +126,7 @@ func TestBFSAndDistances(t *testing.T) {
 	}
 	g2 := New(3)
 	g2.AddEdge(0, 1)
-	d2 := g2.Distances(0)
+	d2 := distances(g2, 0)
 	if d2[2] != -1 {
 		t.Fatalf("unreachable vertex distance = %d, want -1", d2[2])
 	}
@@ -116,28 +159,11 @@ func TestConnectivityAndComponents(t *testing.T) {
 	if g.Connected() {
 		t.Fatal("should be disconnected")
 	}
-	comps := g.Components()
-	if len(comps) != 3 {
-		t.Fatalf("components = %v", comps)
-	}
 	if !path(10).Connected() {
 		t.Fatal("path should be connected")
 	}
 	if !New(0).Connected() {
 		t.Fatal("empty graph is connected by convention")
-	}
-}
-
-func TestBipartite(t *testing.T) {
-	if ok, col := cycle(6).Bipartite(); !ok || NumColors(col) != 2 {
-		t.Fatal("even cycle must be bipartite with 2 colours")
-	}
-	if ok, _ := cycle(5).Bipartite(); ok {
-		t.Fatal("odd cycle must not be bipartite")
-	}
-	ok, col := grid(4, 4).Bipartite()
-	if !ok || !grid(4, 4).ValidColoring(col) {
-		t.Fatal("grid must be bipartite with a valid colouring")
 	}
 }
 
@@ -157,34 +183,32 @@ func TestPowerGraph(t *testing.T) {
 	}
 }
 
-func TestGreedyAndDSATURColoring(t *testing.T) {
+func TestDSATURColoring(t *testing.T) {
 	graphs := map[string]*Graph{
 		"path":    path(10),
 		"cycle5":  cycle(5),
 		"grid4x4": grid(4, 4),
 	}
 	for name, g := range graphs {
-		for _, col := range [][]int{g.GreedyColoring(nil), g.DSATURColoring()} {
-			if !g.ValidColoring(col) {
-				t.Errorf("%s: invalid colouring %v", name, col)
-			}
+		if col := g.DSATURColoring(); !validColoring(g, col) {
+			t.Errorf("%s: invalid colouring %v", name, col)
 		}
 	}
 	// DSATUR on bipartite graphs should find 2 colours.
-	if c := grid(4, 4).DSATURColoring(); NumColors(c) != 2 {
-		t.Errorf("DSATUR grid colours = %d, want 2", NumColors(c))
+	if c := grid(4, 4).DSATURColoring(); numColors(c) != 2 {
+		t.Errorf("DSATUR grid colours = %d, want 2", numColors(c))
 	}
-	if c := cycle(5).DSATURColoring(); NumColors(c) != 3 {
-		t.Errorf("DSATUR C5 colours = %d, want 3", NumColors(c))
+	if c := cycle(5).DSATURColoring(); numColors(c) != 3 {
+		t.Errorf("DSATUR C5 colours = %d, want 3", numColors(c))
 	}
 }
 
 func TestValidColoringRejectsBadInput(t *testing.T) {
 	g := path(3)
-	if g.ValidColoring([]int{0, 0, 1}) {
+	if validColoring(g, []int{0, 0, 1}) {
 		t.Fatal("conflicting colouring accepted")
 	}
-	if g.ValidColoring([]int{0, 1}) {
+	if validColoring(g, []int{0, 1}) {
 		t.Fatal("short colouring accepted")
 	}
 }
@@ -239,7 +263,9 @@ func TestInducedSubgraph(t *testing.T) {
 	}
 }
 
-// Property: any greedy colouring uses at most maxDegree+1 colours.
+// Property: DSATUR, like any greedy colouring (each vertex takes the
+// smallest colour its coloured neighbours leave free), uses at most
+// maxDegree+1 colours.
 func TestQuickGreedyColorBound(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -254,8 +280,8 @@ func TestQuickGreedyColorBound(t *testing.T) {
 				maxDeg = g.Degree(v)
 			}
 		}
-		col := g.GreedyColoring(nil)
-		return g.ValidColoring(col) && NumColors(col) <= maxDeg+1
+		col := g.DSATURColoring()
+		return validColoring(g, col) && numColors(col) <= maxDeg+1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -271,7 +297,7 @@ func TestQuickDSATURValid(t *testing.T) {
 		for i := 0; i < n*3/2; i++ {
 			g.AddEdge(rng.Intn(n), rng.Intn(n))
 		}
-		return g.ValidColoring(g.DSATURColoring())
+		return validColoring(g, g.DSATURColoring())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -288,7 +314,7 @@ func TestQuickShortestPathMatchesDistance(t *testing.T) {
 			g.AddEdge(rng.Intn(n), rng.Intn(n))
 		}
 		src, dst := rng.Intn(n), rng.Intn(n)
-		d := g.Distances(src)[dst]
+		d := distances(g, src)[dst]
 		p := g.ShortestPath(src, dst)
 		if d < 0 {
 			return p == nil

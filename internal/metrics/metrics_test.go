@@ -184,7 +184,7 @@ func TestMeasureAgreesWithCollisionMap(t *testing.T) {
 				t.Fatalf("%s: violation %d is pair %d-%d, want %v", l.name, k, v.A, v.B, want[k])
 			}
 		}
-		t.Logf("%s: %d pairs, %d violations", l.name, cm.NumPairs(), len(want))
+		t.Logf("%s: %d pairs, %d violations", l.name, len(cm.Pairs), len(want))
 		if l.name == "stacked" && len(want) == 0 {
 			t.Fatal("stacked layout has no violations: the check is vacuous")
 		}

@@ -20,7 +20,6 @@ package obs
 
 import (
 	"context"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -210,15 +209,6 @@ func (s *Span) Snapshot() *Node {
 		n.Children = append(n.Children, c.Snapshot())
 	}
 	return n
-}
-
-// SortedChildren returns the node's children sorted by descending wall
-// time — the order a human wants in a breakdown report.
-func (n *Node) SortedChildren() []*Node {
-	out := make([]*Node, len(n.Children))
-	copy(out, n.Children)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Wall > out[j].Wall })
-	return out
 }
 
 type spanCtxKey struct{}

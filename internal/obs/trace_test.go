@@ -130,19 +130,6 @@ func TestContextRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSortedChildren(t *testing.T) {
-	n := &Node{Children: []*Node{
-		{Name: "a", Wall: 1}, {Name: "b", Wall: 3}, {Name: "c", Wall: 2},
-	}}
-	got := n.SortedChildren()
-	if got[0].Name != "b" || got[1].Name != "c" || got[2].Name != "a" {
-		t.Fatalf("sorted order = %v %v %v", got[0].Name, got[1].Name, got[2].Name)
-	}
-	if n.Children[0].Name != "a" {
-		t.Fatal("SortedChildren mutated the node")
-	}
-}
-
 func TestCPUTimeOnCoarseSpan(t *testing.T) {
 	s := NewSpan("plan") // roots sample CPU
 	tm := s.Start()

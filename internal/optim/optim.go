@@ -2,8 +2,7 @@
 // Barzilai–Borwein step prediction and Lipschitz backtracking, the optimizer
 // used by the ePlace family of analytical placers that Qplacer builds on.
 // The placer drives the iteration loop itself (penalty weights change
-// between steps), so the core API is a single Step; a convenience Minimize
-// loop is provided for tests and simple callers.
+// between steps), so the API is a single Step.
 package optim
 
 import "math"
@@ -162,15 +161,3 @@ func (o *Nesterov) Reset() {
 // otherwise the Barzilai–Borwein curvature estimate mixes gradients from
 // two different objectives and collapses the step size.
 func (o *Nesterov) InvalidateGradient() { o.haveGrad = false }
-
-// Minimize runs at most maxIter steps, stopping early when the gradient
-// norm falls below tol. It returns the final solution (a live reference to
-// the optimizer's state) and the number of steps taken.
-func (o *Nesterov) Minimize(maxIter int, tol float64) ([]float64, int) {
-	for k := 0; k < maxIter; k++ {
-		if o.Step() < tol {
-			return o.x, k + 1
-		}
-	}
-	return o.x, maxIter
-}

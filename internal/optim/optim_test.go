@@ -6,6 +6,17 @@ import (
 	"testing"
 )
 
+// minimize steps o at most maxIter times, stopping early once the gradient
+// norm falls below tol, and returns the solution and the steps taken.
+func minimize(o *Nesterov, maxIter int, tol float64) ([]float64, int) {
+	for k := 0; k < maxIter; k++ {
+		if o.Step() < tol {
+			return o.X(), k + 1
+		}
+	}
+	return o.X(), maxIter
+}
+
 func TestQuadraticBowl(t *testing.T) {
 	// f(x) = ½ Σ c_i (x_i − t_i)², minimum at t.
 	target := []float64{3, -2, 0.5, 10}
@@ -20,7 +31,7 @@ func TestQuadraticBowl(t *testing.T) {
 		return f
 	}
 	o := NewNesterov(make([]float64, 4), grad, 0.1)
-	x, iters := o.Minimize(500, 1e-10)
+	x, iters := minimize(o, 500, 1e-10)
 	for i := range x {
 		if math.Abs(x[i]-target[i]) > 1e-6 {
 			t.Fatalf("x[%d] = %g, want %g (after %d iters)", i, x[i], target[i], iters)
@@ -52,7 +63,7 @@ func TestIllConditionedQuadratic(t *testing.T) {
 		x0[i] = 1
 	}
 	o := NewNesterov(x0, grad, 1e-4)
-	x, iters := o.Minimize(3000, 1e-8)
+	x, iters := minimize(o, 3000, 1e-8)
 	var norm float64
 	for _, v := range x {
 		norm += v * v
@@ -79,7 +90,7 @@ func TestRosenbrockProgress(t *testing.T) {
 		g := make([]float64, 2)
 		initial = grad([]float64{-1.2, 1}, g)
 	}
-	o.Minimize(5000, 1e-12)
+	minimize(o, 5000, 1e-12)
 	g := make([]float64, 2)
 	final := grad(o.X(), g)
 	if final > initial/100 {
@@ -167,7 +178,7 @@ func TestRandomConvexProblems(t *testing.T) {
 			return f
 		}
 		o := NewNesterov(make([]float64, n), grad, 0.05)
-		x, _ := o.Minimize(2000, 1e-9)
+		x, _ := minimize(o, 2000, 1e-9)
 		for i := range x {
 			if math.Abs(x[i]-tgt[i]) > 1e-4 {
 				t.Fatalf("trial %d: x[%d] = %g, want %g", trial, i, x[i], tgt[i])

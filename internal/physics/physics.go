@@ -81,14 +81,6 @@ func ResonatorLengthMM(fGHz float64) float64 {
 	return WaveSpeed / (2 * fGHz * 1e9)
 }
 
-// ResonatorFreqGHz is the inverse of ResonatorLengthMM.
-func ResonatorFreqGHz(lengthMM float64) float64 {
-	if lengthMM <= 0 {
-		panic("physics: non-positive length")
-	}
-	return WaveSpeed / (2 * lengthMM) / 1e9
-}
-
 // ParasiticCapQubitFF models the stray capacitance between two transmon
 // pockets separated edge-to-edge by d mm. The exponential form and its
 // constants are calibrated against the finite-difference extractor in
@@ -173,35 +165,6 @@ func InteractionStrengthMHz(gMHz, detuningMHz float64) float64 {
 	}
 	d := detuningMHz
 	return g * g / math.Sqrt(g*g+d*d)
-}
-
-// DispersiveShiftMHz returns χ = g²/Δ for a qubit–resonator pair (Eq. 8).
-func DispersiveShiftMHz(gMHz, detuningMHz float64) float64 {
-	return EffectiveCouplingMHz(gMHz, detuningMHz)
-}
-
-// RIPRateMHz implements the scaling of Eq. 2 for the resonator-induced
-// phase gate: θ̇ ∝ n̄ · χ/Δcd with n̄ = (Ω·Vd / 2Δcd)². driveMHz is |Ω·Vd|,
-// chiMHz the dispersive shift, and detuneDriveMHz the drive–resonator
-// detuning Δcd. The result is the phase accumulation rate in MHz
-// (rad/µs÷2π); the CZ gate completes when θ̇·t = π/4.
-func RIPRateMHz(driveMHz, chiMHz, detuneDriveMHz float64) float64 {
-	d := math.Abs(detuneDriveMHz)
-	if d == 0 {
-		return math.Inf(1)
-	}
-	nbar := (driveMHz / (2 * d)) * (driveMHz / (2 * d))
-	return nbar * chiMHz / d
-}
-
-// RIPGateTimeNs returns the CZ gate duration t = (π/4)/θ̇ in ns for a given
-// RIP rate in MHz (θ̇ interpreted as ordinary frequency).
-func RIPGateTimeNs(rateMHz float64) float64 {
-	if rateMHz <= 0 {
-		return math.Inf(1)
-	}
-	// θ = 2π·f·t ⇒ t = (π/4)/(2π·f) = 1/(8f); f in MHz ⇒ t in µs/…
-	return 1e3 / (8 * rateMHz)
 }
 
 // TM110GHz returns the first spurious box-mode frequency of an a×b mm

@@ -20,16 +20,12 @@ func TestResonatorLengthMatchesPaperRange(t *testing.T) {
 	if !near(l7, 9.29, 0.01) {
 		t.Errorf("L(7 GHz) = %v, want ≈9.29", l7)
 	}
-	// Inverse consistency.
-	if f := ResonatorFreqGHz(l6); !near(f, 6.0, 1e-9) {
-		t.Errorf("roundtrip freq = %v", f)
-	}
 }
 
 func TestResonatorLengthPanicsOnBadInput(t *testing.T) {
 	for _, fn := range []func(){
 		func() { ResonatorLengthMM(0) },
-		func() { ResonatorFreqGHz(-1) },
+		func() { ResonatorLengthMM(-1) },
 	} {
 		func() {
 			defer func() {
@@ -118,26 +114,6 @@ func TestInteractionStrengthLimits(t *testing.T) {
 	}
 	if g := InteractionStrengthMHz(0, 50); g != 0 {
 		t.Errorf("zero g must give 0, got %v", g)
-	}
-}
-
-func TestRIPRateAndGateTime(t *testing.T) {
-	// Stronger drive, larger χ, smaller detuning → faster gate.
-	slow := RIPRateMHz(50, 2, 200)
-	fast := RIPRateMHz(100, 2, 200)
-	if fast <= slow {
-		t.Error("RIP rate must grow with drive amplitude")
-	}
-	tSlow := RIPGateTimeNs(slow)
-	tFast := RIPGateTimeNs(fast)
-	if tFast >= tSlow {
-		t.Error("gate time must shrink with rate")
-	}
-	if !math.IsInf(RIPGateTimeNs(0), 1) {
-		t.Error("zero rate → infinite gate time")
-	}
-	if !math.IsInf(RIPRateMHz(10, 1, 0), 1) {
-		t.Error("zero drive detuning → divergent rate")
 	}
 }
 

@@ -82,17 +82,3 @@ func PlaceHuman(nl *component.Netlist) *HumanResult {
 	region, _ := geom.EnclosingRect(rects)
 	return &HumanResult{Region: region, PitchX: pitch}
 }
-
-// HumanPitch returns the §V-B pitch for a netlist without building the
-// layout (used by area studies).
-func HumanPitch(nl *component.Netlist) float64 {
-	var meanL float64
-	for _, r := range nl.Resonators {
-		meanL += r.LengthMM
-	}
-	if len(nl.Resonators) > 0 {
-		meanL /= float64(len(nl.Resonators))
-	}
-	paddedQubit := nl.Config.QubitSize + 2*nl.Config.QubitPad
-	return paddedQubit + meanL*nl.Config.ResonatorPad/paddedQubit
-}

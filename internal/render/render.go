@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 
 	"qplacer/internal/component"
@@ -180,14 +179,4 @@ func Table(w io.Writer, header []string, rows [][]string) error {
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// SortedKeys returns map keys in sorted order (table emission helper).
-func SortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

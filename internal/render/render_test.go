@@ -79,10 +79,3 @@ func TestTable(t *testing.T) {
 		t.Fatalf("table = %q", b.String())
 	}
 }
-
-func TestSortedKeys(t *testing.T) {
-	got := SortedKeys(map[string]int{"c": 1, "a": 2, "b": 3})
-	if got[0] != "a" || got[2] != "c" {
-		t.Fatalf("keys = %v", got)
-	}
-}

@@ -113,7 +113,7 @@ func TestHummingbirdHeavyHexInvariants(t *testing.T) {
 			t.Errorf("qubit %d degree %d > 3", q, deg)
 		}
 	}
-	if ok, _ := d.Graph.Bipartite(); !ok {
+	if !bipartite(d.Graph) {
 		t.Error("heavy-hex lattice must be bipartite")
 	}
 	if !d.Graph.Connected() {
