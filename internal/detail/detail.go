@@ -52,14 +52,14 @@ type Result struct {
 	HPWLAfter  float64
 }
 
-// defaultRounds and defaultSweeps cap the reassignment rounds and swap
-// sweeps; both passes stop early once a round yields no improvement.
-// defaultMaxSet caps the independent set extracted per footprint class per
-// reassignment round, bounding the flow problem.
+// maxRounds and maxSweeps cap the reassignment rounds and swap sweeps; both
+// passes stop early once a round yields no improvement. maxSetSize caps the
+// independent set extracted per footprint class per reassignment round,
+// bounding the flow problem.
 const (
-	defaultRounds = 3
-	defaultSweeps = 4
-	defaultMaxSet = 64
+	maxRounds  = 3
+	maxSweeps  = 4
+	maxSetSize = 64
 )
 
 // footprintClass groups instances whose rectangles are interchangeable:
@@ -224,7 +224,7 @@ func MCMF(ctx context.Context, nl *component.Netlist, cfg Config) (*Result, erro
 	assignSpan := cfg.Span.Child("assign")
 	applySpan := cfg.Span.Child("apply")
 
-	for round := 1; round <= defaultRounds; round++ {
+	for round := 1; round <= maxRounds; round++ {
 		if cfg.Progress != nil {
 			cfg.Progress(round, cur)
 		}
@@ -237,7 +237,7 @@ func MCMF(ctx context.Context, nl *component.Netlist, cfg Config) (*Result, erro
 				continue
 			}
 			candTimer := candSpan.Start()
-			set := independentSet(nl, cfg.Collision, inc, class.ids, round, defaultMaxSet)
+			set := independentSet(nl, cfg.Collision, inc, class.ids, round, maxSetSize)
 			sites := make([]geom.Point, len(set))
 			for i, id := range set {
 				sites[i] = nl.Instances[id].Pos
@@ -338,7 +338,7 @@ func Swap(ctx context.Context, nl *component.Netlist, cfg Config) (*Result, erro
 	assignSpan := cfg.Span.Child("assign")
 	applySpan := cfg.Span.Child("apply")
 
-	for sweep := 1; sweep <= defaultSweeps; sweep++ {
+	for sweep := 1; sweep <= maxSweeps; sweep++ {
 		if cfg.Progress != nil {
 			cfg.Progress(sweep, cur)
 		}

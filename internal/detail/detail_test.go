@@ -71,9 +71,9 @@ func TestIndependentSetIsIndependent(t *testing.T) {
 	inc := incidentNets(nl)
 	for _, class := range footprintClasses(nl) {
 		for round := 1; round <= 3; round++ {
-			set := independentSet(nl, cm, inc, class.ids, round, defaultMaxSet)
-			if len(set) > defaultMaxSet {
-				t.Fatalf("set of %d exceeds cap %d", len(set), defaultMaxSet)
+			set := independentSet(nl, cm, inc, class.ids, round, maxSetSize)
+			if len(set) > maxSetSize {
+				t.Fatalf("set of %d exceeds cap %d", len(set), maxSetSize)
 			}
 			in := map[int]bool{}
 			for _, id := range set {
