@@ -110,13 +110,11 @@ func (annealPlacer) Place(ctx context.Context, st *StageState, observer Observer
 // legalBackend adapts one internal/legal entry point behind the Legalizer
 // interface: the integration-aware legalizer of §IV-C2 (greedy spiral +
 // min-cost-flow + Tetris + integration repair, "shelf") or its greedy
-// row-scan variant ("greedy"). Both guard the stage's collision map.
-// cutoffs nil auto-calibrates the shelf cost-matrix scan's gating; the
-// exactness tests pin it.
+// row-scan variant ("greedy"). Both guard the stage's collision map. Both
+// are sequential, so they ignore StageState.Parallelism.
 type legalBackend struct {
-	name    string
-	run     func(context.Context, *component.Netlist, geom.Rect, *frequency.CollisionMap, legal.Config) (*legal.Result, error)
-	cutoffs *parallel.Cutoffs
+	name string
+	run  func(context.Context, *component.Netlist, geom.Rect, *frequency.CollisionMap, legal.Config) (*legal.Result, error)
 }
 
 func (l legalBackend) Name() string { return l.name }
@@ -127,8 +125,6 @@ func (l legalBackend) Legalize(ctx context.Context, st *StageState, region geom.
 	// The Classic baseline gets the classical (frequency-oblivious)
 	// legalizer, exactly as it would from its own engine.
 	cfg.FrequencyAware = st.Options.Scheme == SchemeQplacer
-	cfg.Workers = st.Parallelism
-	cfg.Cutoffs = l.cutoffs
 	// Completed passes are the iteration, the total the objective, so
 	// observers can show a fraction.
 	cfg.Progress = func(step, total int) {
@@ -162,11 +158,9 @@ func (noneDetailed) Refine(_ context.Context, st *StageState, _ geom.Rect, _ Obs
 }
 
 // detailBackend adapts one internal/detail pass behind the DetailedPlacer
-// interface: the independent-set + min-cost-flow reassignment ("mcmf"),
-// deterministic and bit-identical at every worker count, or the seeded
-// frequency-aware local-swap hill climb ("swap"), which is inherently
-// sequential and ignores StageState.Parallelism — legal, since parallelism
-// never changes results.
+// interface: the deterministic independent-set + min-cost-flow reassignment
+// ("mcmf") or the seeded frequency-aware local-swap hill climb ("swap").
+// Both are sequential and ignore StageState.Parallelism.
 type detailBackend struct {
 	name string
 	run  func(context.Context, *component.Netlist, detail.Config) (*detail.Result, error)
@@ -177,7 +171,6 @@ func (d detailBackend) Name() string { return d.name }
 func (d detailBackend) Refine(ctx context.Context, st *StageState, _ geom.Rect, observer Observer) (*DetailOutcome, error) {
 	res, err := d.run(ctx, st.Netlist, detail.Config{
 		Span:      obs.SpanFrom(ctx),
-		Workers:   st.Parallelism,
 		Collision: st.Collision,
 		Seed:      st.Options.Seed,
 		Progress: func(step int, hpwl float64) {

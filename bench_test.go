@@ -1,5 +1,5 @@
 // Benchmarks regenerating each table and figure of the paper's evaluation
-// (DESIGN.md §3 maps every entry to its experiment). These use reduced
+// (each name carries its figure or table number). These use reduced
 // mapping counts so `go test -bench=.` stays tractable; cmd/experiments
 // runs the full-scale versions.
 package qplacer

@@ -1,6 +1,6 @@
 // Command experiments regenerates every table and figure of the paper's
-// evaluation (see DESIGN.md §3 for the index). Results are printed and
-// written as TSV under -out (default results/).
+// evaluation (-fig and -table select one by its number). Results are
+// printed and written as TSV under -out (default results/).
 //
 // Usage:
 //

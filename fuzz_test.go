@@ -146,3 +146,24 @@ func FuzzValidateOptions(f *testing.F) {
 		}
 	})
 }
+
+// FuzzTopologyName feeds arbitrary names to ResolveTopology, the lookup
+// behind Options.Topology and the server's topology field: it must never
+// panic, every device it builds has 1 to 4096 qubits (the parametric
+// families' bound), and every rejection wraps ErrUnknownTopology. The seed
+// corpus under testdata/fuzz/FuzzTopologyName includes r×c names whose
+// product overflows int.
+func FuzzTopologyName(f *testing.F) {
+	f.Fuzz(func(t *testing.T, name string) {
+		info, err := ResolveTopology(name)
+		if err != nil {
+			if !errors.Is(err, ErrUnknownTopology) {
+				t.Fatalf("ResolveTopology(%q) error %v is not ErrUnknownTopology", name, err)
+			}
+			return
+		}
+		if info.Qubits < 1 || info.Qubits > 4096 {
+			t.Fatalf("ResolveTopology(%q) built %d qubits, want 1..4096", name, info.Qubits)
+		}
+	})
+}

@@ -13,7 +13,6 @@ import (
 	"sync"
 	"testing"
 
-	"qplacer/internal/legal"
 	"qplacer/internal/parallel"
 )
 
@@ -359,9 +358,9 @@ func TestGoldenCorpusParallel(t *testing.T) {
 }
 
 // TestGoldenCorpusDetailedParallel sweeps the detailed-placement corpus
-// entries across several worker counts (uneven partitions included): the
-// mcmf cost-matrix fill is owner-computes and the swap climb is sequential,
-// so every count must reproduce the serial fixture exactly.
+// entries across several worker counts (uneven partitions included): only
+// global placement runs a pool, and the detailed passes are sequential, so
+// every count must reproduce the serial fixture exactly.
 func TestGoldenCorpusDetailedParallel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("parallel corpus re-run skipped in -short mode")
@@ -433,30 +432,28 @@ func TestGoldenCorpusDetailedNone(t *testing.T) {
 }
 
 // registerReferenceBackends registers, once per test binary, copies of the
-// built-in gradient placer and legalizers that run their reference paths:
-// full gradient recompute instead of delta evaluation ("-full-eval"), and
-// zero cutoffs, so every parallel stage fans out instead of gating at the
-// calibrated sizes ("-fanout"). They register only when the first caller
-// runs, after the conformance suites have enumerated the registries.
+// built-in gradient placer that run its reference paths: full gradient
+// recompute instead of delta evaluation ("-full-eval"), and zero cutoffs, so
+// every parallel stage fans out instead of gating at the calibrated sizes
+// ("-fanout"). They register only when the first caller runs, after the
+// conformance suites have enumerated the registries.
 var registerReferenceBackends = sync.OnceValue(func() error {
 	fanout := &parallel.Cutoffs{}
 	return errors.Join(
 		RegisterPlacer(nesterovPlacer{name: "nesterov-full-eval", fullEval: true}),
 		RegisterPlacer(nesterovPlacer{name: "nesterov-fanout", cutoffs: fanout}),
 		RegisterPlacer(nesterovPlacer{name: "nesterov-full-eval-fanout", fullEval: true, cutoffs: fanout}),
-		RegisterLegalizer(legalBackend{name: "shelf-fanout", run: legal.LegalizeCtx, cutoffs: fanout}),
-		RegisterLegalizer(legalBackend{name: "greedy-fanout", run: legal.RowScanCtx, cutoffs: fanout}),
 	)
 })
 
-// TestGoldenCorpusToggles holds the reference paths of placement and
-// legalization to the golden fixtures: full recompute instead of delta
-// evaluation, and forced fan-out instead of calibrated gating, must be
-// byte-invisible in every corpus combination, serially and in parallel. The
-// fixtures were generated on the default paths (serial), so each variant
-// re-proves the exactness contract end to end. The annealer has neither
-// path, so its combinations vary only the legalizer; the Classic entries
-// ride along for the gradient placer only.
+// TestGoldenCorpusToggles holds the gradient placer's reference paths to the
+// golden fixtures: full recompute instead of delta evaluation, and forced
+// fan-out instead of calibrated gating, must be byte-invisible in every
+// corpus combination, serially and in parallel. The fixtures were generated
+// on the default paths (serial), so each variant re-proves the exactness
+// contract end to end. The annealer has neither path, so its combinations
+// vary only the parallelism; the Classic entries ride along for the gradient
+// placer only.
 func TestGoldenCorpusToggles(t *testing.T) {
 	if testing.Short() {
 		t.Skip("toggle corpus re-run skipped in -short mode")
@@ -466,14 +463,14 @@ func TestGoldenCorpusToggles(t *testing.T) {
 		t.Fatal(err)
 	}
 	variants := []struct {
-		name                string
-		parallelism         int
-		placerSfx, legalSfx string
+		name        string
+		parallelism int
+		placerSfx   string
 	}{
-		{"delta-off-serial", 1, "-full-eval", ""},
-		{"delta-off-parallel", 3, "-full-eval", ""},
-		{"fanout-parallel", 3, "-fanout", "-fanout"},
-		{"all-off-parallel", 2, "-full-eval-fanout", "-fanout"},
+		{"delta-off-serial", 1, "-full-eval"},
+		{"delta-off-parallel", 3, "-full-eval"},
+		{"fanout-parallel", 3, "-fanout"},
+		{"all-off-parallel", 2, "-full-eval-fanout"},
 	}
 	combos := goldenCombos()
 	for _, o := range goldenClassicCombos() {
@@ -490,9 +487,8 @@ func TestGoldenCorpusToggles(t *testing.T) {
 				if ref.Placer == DefaultPlacerName {
 					ref.Placer += v.placerSfx
 				}
-				ref.Legalizer += v.legalSfx
 				got := buildFixture(t, ref, WithParallelism(v.parallelism))
-				got.Options.Placer, got.Options.Legalizer = o.Placer, o.Legalizer
+				got.Options.Placer = o.Placer
 				compareFixture(t, want, got)
 				if t.Failed() {
 					t.Logf("%s drifted from %s: the exactness contract is broken", v.name, path)

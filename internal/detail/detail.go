@@ -17,7 +17,6 @@ import (
 	"qplacer/internal/geom"
 	"qplacer/internal/mcmf"
 	"qplacer/internal/obs"
-	"qplacer/internal/parallel"
 	"qplacer/internal/place"
 )
 
@@ -26,14 +25,6 @@ type Config struct {
 	// Span receives the detail/{candidates,assign,apply} timing breakdown;
 	// nil disables tracing.
 	Span *obs.Span
-	// Workers bounds the cost-matrix fill of the reassignment pass (<= 1
-	// runs serial). Like every pipeline stage, results are bit-identical at
-	// any worker count: rows are filled owner-computes and the flow solve is
-	// sequential.
-	Workers int
-	// Cutoffs overrides the adaptive-granularity thresholds; nil
-	// auto-calibrates when a pool exists, and the zero value always fans out.
-	Cutoffs *parallel.Cutoffs
 	// Collision is the near-resonant pair map driving the frequency-margin
 	// term of the move cost; nil disables the term.
 	Collision *frequency.CollisionMap
@@ -205,13 +196,8 @@ func independentSet(nl *component.Netlist, cm *frequency.CollisionMap, inc [][]i
 // instance × site pair as Δwirelength plus the frequency-margin term, and
 // solves the assignment with min-cost max-flow. A round whose exact HPWL
 // recompute comes out longer is rolled back wholesale, so the pass never
-// increases HPWL. Deterministic: no randomness, and the parallel cost fill
-// is owner-computes.
+// increases HPWL. Deterministic: no randomness.
 func MCMF(ctx context.Context, nl *component.Netlist, cfg Config) (*Result, error) {
-	pool := parallel.New(cfg.Workers)
-	defer pool.Close()
-	cut := parallel.Resolve(cfg.Cutoffs, pool)
-
 	before := place.HPWL(nl)
 	res := &Result{HPWLBefore: before, HPWLAfter: before}
 	cur := before
@@ -247,25 +233,18 @@ func MCMF(ctx context.Context, nl *component.Netlist, cfg Config) (*Result, erro
 				continue
 			}
 
-			// Cost rows are independent — the one parallel scan of this
-			// pass; the flow solve itself is sequential. n² entries of pure
-			// arithmetic gate like the shelf legalizer's cost matrix.
 			assignTimer := assignSpan.Start()
 			n := len(set)
 			radius := frequency.GuardMM(class.kind)
 			costs := make([][]float64, n)
-			fill := parallel.Gate(pool, n*n, cut.ScanCells)
-			fill.For(n, func(_, lo, hi int) {
-				for i := lo; i < hi; i++ {
-					id := set[i]
-					row := make([]float64, n)
-					for j := range row {
-						row[j] = wlAt(nl, inc, id, sites[j]) +
-							penaltyAt(cfg.Collision, nl, id, sites[j], radius)
-					}
-					costs[i] = row
+			for i, id := range set {
+				row := make([]float64, n)
+				for j := range row {
+					row[j] = wlAt(nl, inc, id, sites[j]) +
+						penaltyAt(cfg.Collision, nl, id, sites[j], radius)
 				}
-			})
+				costs[i] = row
+			}
 			assignment, _ := mcmf.Assign(costs)
 			assignTimer.End()
 
@@ -316,8 +295,7 @@ func MCMF(ctx context.Context, nl *component.Netlist, cfg Config) (*Result, erro
 // Swap is the frequency-aware local-swap hill climb: seeded candidate pairs
 // within one footprint class are exchanged when the move strictly improves
 // wirelength + frequency margin without lengthening the wirelength alone.
-// Deterministic per seed; ignores Config.Workers (the climb is inherently
-// sequential, which is legal — parallelism never changes results).
+// Deterministic per seed.
 func Swap(ctx context.Context, nl *component.Netlist, cfg Config) (*Result, error) {
 	seed := cfg.Seed
 	if seed == 0 {

@@ -15,14 +15,13 @@ import (
 )
 
 // newTestLegalizer returns a set-up legalizer over nl, region and nl's
-// collision map; the worker pool is closed when the test ends.
+// collision map.
 func newTestLegalizer(t testing.TB, nl *component.Netlist, region geom.Rect) *legalizer {
 	t.Helper()
 	lg, err := newLegalizer(context.Background(), nl, region, frequency.BuildCollisionMap(nl, physics.DetuneThresholdGHz), DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(lg.pool.Close)
 	lg.setup()
 	lg.stats = &Result{}
 	return lg
@@ -156,7 +155,6 @@ func TestGuardOKMatchesBruteForce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(lg.pool.Close)
 	lg.setup()
 	rng := rand.New(rand.NewSource(2))
 	point := func() geom.Point { return geom.Point{X: 30 * rng.Float64(), Y: 30 * rng.Float64()} }
@@ -316,9 +314,7 @@ func BenchmarkLegalizeEagle(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		_, err = lg.run()
-		lg.pool.Close()
-		if err != nil {
+		if _, err := lg.run(); err != nil {
 			b.Fatal(err)
 		}
 		probes += lg.work.probes

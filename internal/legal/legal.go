@@ -20,7 +20,6 @@ import (
 	"qplacer/internal/geom"
 	"qplacer/internal/mcmf"
 	"qplacer/internal/obs"
-	"qplacer/internal/parallel"
 )
 
 // The legalizer's fixed search and repair settings.
@@ -51,22 +50,6 @@ type Config struct {
 	// reports completed passes (step out of total), RowScanCtx completed
 	// placement units. It must be fast and non-blocking.
 	Progress func(step, total int)
-
-	// Workers bounds the worker pool for LegalizeCtx's one independent
-	// scan, the min-cost-flow cost matrix of the refine pass, with results
-	// identical to a serial run at every worker count. The packing passes
-	// stay sequential: each greedy decision depends on everything placed
-	// before it. RowScanCtx is sequential throughout and ignores it. 0 or 1
-	// runs serial.
-	Workers int
-
-	// Cutoffs overrides the adaptive-granularity threshold below which the
-	// cost-matrix scan runs serial (fan-out dispatch costs more than it
-	// saves on small problems). nil auto-calibrates once per process
-	// (parallel.AutoCutoffs); the zero value always fans out. Gating only
-	// selects between bit-identical implementations, so results never
-	// depend on the cutoffs.
-	Cutoffs *parallel.Cutoffs
 
 	// Span, when non-nil, receives the per-pass timing breakdown:
 	// LegalizeCtx records setup (the bucket grid) plus one child per
@@ -133,9 +116,6 @@ type legalizer struct {
 	gridLo  geom.Point
 	nx, ny  int
 	buckets [][]int // bucket y*nx+x → placed indices
-
-	pool *parallel.Pool   // bounds the independent scans; nil runs serial
-	cut  parallel.Cutoffs // adaptive-granularity thresholds for the scans
 
 	stats *Result    // live statistics sink
 	work  workCounts // search work so far, noted on each pass span
@@ -274,7 +254,6 @@ func LegalizeCtx(ctx context.Context, nl *component.Netlist, region geom.Rect, c
 	if err != nil {
 		return nil, err
 	}
-	defer lg.pool.Close()
 	return lg.run()
 }
 
@@ -321,12 +300,11 @@ func (lg *legalizer) run() (*Result, error) {
 			cfg.Progress(i+1, len(passes))
 		}
 	}
-	cfg.Span.SetWorkers(lg.pool.WorkerBusy())
 	return res, nil
 }
 
-// newLegalizer validates the inputs and returns a legalizer that owns a
-// worker pool (the caller closes it) and still needs setup.
+// newLegalizer validates the inputs and returns a legalizer that still needs
+// setup.
 func newLegalizer(ctx context.Context, nl *component.Netlist, region geom.Rect, cm *frequency.CollisionMap, cfg Config) (*legalizer, error) {
 	if err := checkCollisionMap(nl, cm); err != nil {
 		return nil, err
@@ -347,9 +325,7 @@ func newLegalizer(ctx context.Context, nl *component.Netlist, region geom.Rect, 
 		// small margin absorbs boundary quantization.
 		bounds: region.Inflate(region.W() * 0.02),
 		pitch:  pitch,
-		pool:   parallel.New(cfg.Workers),
 	}
-	lg.cut = parallel.Resolve(cfg.Cutoffs, lg.pool)
 	return lg, nil
 }
 
@@ -702,19 +678,13 @@ func (lg *legalizer) refineQubits(res *Result, anchors []geom.Point) error {
 	for i, qi := range qubits {
 		sites[i] = lg.nl.Instances[qi].Pos
 	}
-	// Cost rows are independent of each other — the legalizer's one
-	// parallel scan; the flow solve itself is sequential. The matrix is
-	// len(qubits)² entries of pure arithmetic, gated by ScanCells.
 	costs := make([][]float64, len(qubits))
-	pool := parallel.Gate(lg.pool, len(qubits)*len(qubits), lg.cut.ScanCells)
-	pool.For(len(qubits), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			costs[i] = make([]float64, len(sites))
-			for j, s := range sites {
-				costs[i][j] = anchors[i].Dist2(s)
-			}
+	for i := range costs {
+		costs[i] = make([]float64, len(sites))
+		for j, s := range sites {
+			costs[i][j] = anchors[i].Dist2(s)
 		}
-	})
+	}
 	assign, _ := mcmf.Assign(costs)
 	for i, qi := range qubits {
 		in := lg.nl.Instances[qi]

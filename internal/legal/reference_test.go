@@ -222,7 +222,6 @@ func newDifferential(t *testing.T, nl *component.Netlist, region geom.Rect, cm *
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(lg.pool.Close)
 	d := &differential{t: t, lg: lg, ref: newRefSearch(lg)}
 	lg.levelHook = d.check
 	return d

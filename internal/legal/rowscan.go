@@ -24,7 +24,6 @@ const maxGuardTries = 400
 // shelves. With FrequencyAware set, the cursor slides forward past spots that
 // would violate the isolation guard against already-placed collision-map
 // partners (cm.ByInst); residual fallbacks are counted like LegalizeCtx's.
-// The sweep is sequential and ignores cfg.Workers and cfg.Cutoffs.
 //
 // The layout is overlap-free by construction (the cursor only advances and
 // shelves are disjoint bands), at the cost of larger displacement than

@@ -29,10 +29,6 @@ type Cutoffs struct {
 	// PointItems gates the embarrassingly parallel per-instance sweeps
 	// (field sampling, boundary springs, gradient combine).
 	PointItems int
-	// ScanCells gates the min-cost-flow cost-matrix fills of the shelf
-	// legalizer's refine pass and the mcmf detailed placer (items = matrix
-	// cells, n²).
-	ScanCells int
 }
 
 // Gate selects the pool for one stage invocation: it returns p when the
@@ -69,7 +65,6 @@ var defaultCutoffs = Cutoffs{
 	RasterCells:     4096,
 	SolveCells:      2048,
 	PointItems:      1024,
-	ScanCells:       8192,
 }
 
 var (
@@ -148,7 +143,6 @@ func calibrate() Cutoffs {
 		RasterCells:     cutoff(4),
 		SolveCells:      cutoff(8), // FFT butterflies per cell
 		PointItems:      cutoff(8), // bilinear field sampling
-		ScanCells:       cutoff(4),
 	}
 }
 

@@ -150,7 +150,7 @@ func TestCutoffsBitIdentical(t *testing.T) {
 	serial := runPlacement(t, "falcon", nil)
 	huge := parallel.Cutoffs{
 		WirelengthItems: 1 << 30, PairItems: 1 << 30, RasterCells: 1 << 30,
-		SolveCells: 1 << 30, PointItems: 1 << 30, ScanCells: 1 << 30,
+		SolveCells: 1 << 30, PointItems: 1 << 30,
 	}
 	for _, workers := range []int{1, 2, 3, 5} {
 		for name, cut := range map[string]*parallel.Cutoffs{

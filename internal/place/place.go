@@ -961,7 +961,7 @@ func (e *engine) splitCollisionPairs() {
 // polynomial in the raw coordinate differences (no d→0 direction
 // singularity) and its stiffness is bounded by ~4/R everywhere, so stacked
 // pairs cannot collapse the optimizer's stable step size and freeze the
-// layout (see DESIGN.md, "Frequency force").
+// layout.
 func pairRepulsion(xy []float64, pairs [][2]int, grad []float64, rcut float64) float64 {
 	var total float64
 	r2 := rcut * rcut

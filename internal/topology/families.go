@@ -67,6 +67,8 @@ func Aliases() map[string]string {
 
 // maxParametricQubits bounds parser-built devices: a mistyped name like
 // grid-1000000 must fail fast instead of allocating a million-qubit device.
+// The r×c forms check cols against the bound divided by rows, so an
+// oversized product cannot wrap around into range.
 const maxParametricQubits = 4096
 
 // Parse resolves a parametric family name (grid-64, grid-3x7, xtree-17,
@@ -87,7 +89,7 @@ func Parse(name string) (*Device, error) {
 		return GridRC(name, rows, cols), nil
 	case "octagon":
 		rows, cols, err := parseRxC(param)
-		if err != nil || rows < 1 || cols < 1 || rows*cols*8 > maxParametricQubits {
+		if err != nil || rows < 1 || cols < 1 || cols > maxParametricQubits/8/rows {
 			return nil, fmt.Errorf("%w %q: octagon wants octagon-<r>x<c> with r,c >= 1", ErrUnknown, name)
 		}
 		return OctagonRC(name, rows, cols), nil
@@ -118,7 +120,7 @@ func Parse(name string) (*Device, error) {
 func parseGridParam(name, param string) (rows, cols int, err error) {
 	if strings.Contains(param, "x") {
 		rows, cols, err = parseRxC(param)
-		if err != nil || rows < 1 || cols < 1 || rows*cols < 2 || rows*cols > maxParametricQubits {
+		if err != nil || rows < 1 || cols < 1 || cols > maxParametricQubits/rows || rows*cols < 2 {
 			return 0, 0, fmt.Errorf("%w %q: grid wants grid-<n> or grid-<r>x<c> with r·c in [2,%d]",
 				ErrUnknown, name, maxParametricQubits)
 		}

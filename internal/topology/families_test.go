@@ -75,6 +75,8 @@ func TestParseRejectsBadNames(t *testing.T) {
 		"grid", "grid-", "grid-1", "grid-0x5", "grid-9999999", "grid-axb",
 		"xtree-4", "xtree-21", "xtree-0", "xtree-9999999",
 		"octagon-0x5", "octagon-99x99",
+		// r·c (·8) wraps to 2 and 0 qubits when multiplied unchecked.
+		"grid-3x6148914691236517206", "octagon-1x2305843009213693952",
 		"hummingbird-64", "falcon-27", "warbler-9", "",
 	} {
 		if _, err := Parse(name); !errors.Is(err, ErrUnknown) {

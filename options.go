@@ -267,9 +267,10 @@ func WithWorkers(n int) Option {
 }
 
 // WithParallelism bounds the worker pool a single placement's hot path fans
-// out on — the per-iteration gradient components (wirelength, density bins
-// and the spectral Poisson solve, frequency and chain pair repulsion) and
-// the legalizers' independent scans. The default is GOMAXPROCS; 1 restores
+// out on — the per-iteration gradient components of global placement
+// (wirelength, density bins and the spectral Poisson solve, frequency and
+// chain pair repulsion). Legalization and detailed placement are sequential
+// and ignore it. The default is GOMAXPROCS; 1 restores
 // the serial path; n <= 0 resets to the default. A request above GOMAXPROCS
 // is clamped at plan time — oversubscribing the scheduler only adds context
 // switches to a CPU-bound hot path — and the clamp is noted on the plan's

@@ -78,12 +78,11 @@ func TestEndToEndDaemon(t *testing.T) {
 	if !dup.Cached || dup.Job.ID != sub.Job.ID {
 		t.Fatalf("duplicate submit not cached: %+v", dup)
 	}
-	var stats server.Stats
-	if code := call(t, http.MethodGet, base+"/metrics", "", &stats); code != http.StatusOK {
-		t.Fatalf("metrics status %d", code)
-	}
-	if stats.CacheHits != 1 || stats.Done != 1 || stats.Cancelled != 1 {
-		t.Fatalf("daemon counters: %+v", stats)
+	samples, _ := scrapeProm(t, base)
+	if samples["qplacerd_cache_hits_total"] != 1 || samples["qplacerd_jobs_done_total"] != 1 ||
+		samples["qplacerd_jobs_cancelled_total"] != 1 {
+		t.Fatalf("daemon counters: cache hits %v, done %v, cancelled %v", samples["qplacerd_cache_hits_total"],
+			samples["qplacerd_jobs_done_total"], samples["qplacerd_jobs_cancelled_total"])
 	}
 
 	// Graceful shutdown: Serve unwinds with ErrServerClosed, jobs drained.

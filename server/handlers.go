@@ -8,7 +8,6 @@ import (
 	"net"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"qplacer"
@@ -443,16 +442,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// handleMetrics serves the service counters in two formats, negotiated on
-// Accept: the legacy JSON Stats by default (curl, existing clients), and the
-// Prometheus text exposition when the client asks for text/plain or an
-// openmetrics type (as every Prometheus scraper does).
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if accept := r.Header.Get("Accept"); strings.Contains(accept, "text/plain") ||
-		strings.Contains(accept, "openmetrics") {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = s.mgr.WriteMetrics(w)
-		return
-	}
-	writeJSON(w, http.StatusOK, s.mgr.Stats())
+// handleMetrics serves the service counters in the Prometheus text
+// exposition format, whatever the Accept header asks for.
+func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	_ = s.mgr.WriteMetrics(w)
 }

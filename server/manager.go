@@ -158,20 +158,21 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Stats are the service counters served by /metrics.
+// Stats is an in-process snapshot of the service counters, read from the
+// same registry /metrics exposes in Prometheus format.
 type Stats struct {
-	Submitted    uint64  `json:"jobs_submitted"`
-	Queued       int     `json:"jobs_queued"`
-	Running      int     `json:"jobs_running"`
-	Done         uint64  `json:"jobs_done"`
-	Failed       uint64  `json:"jobs_failed"`
-	Cancelled    uint64  `json:"jobs_cancelled"`
-	Retried      uint64  `json:"jobs_retried"`
-	Recovered    uint64  `json:"jobs_recovered"`
-	QuotaDenied  uint64  `json:"quota_denied"`
-	StoreErrors  uint64  `json:"store_errors"`
-	CacheHits    uint64  `json:"cache_hits"`
-	CacheHitRate float64 `json:"cache_hit_rate"`
+	Submitted    uint64
+	Queued       int
+	Running      int
+	Done         uint64
+	Failed       uint64
+	Cancelled    uint64
+	Retried      uint64
+	Recovered    uint64
+	QuotaDenied  uint64
+	StoreErrors  uint64
+	CacheHits    uint64
+	CacheHitRate float64 // CacheHits / (Submitted + CacheHits)
 }
 
 // Manager owns the job queue, the engine pool, and the store. It is safe
@@ -632,8 +633,7 @@ func (m *Manager) Cancel(id string) (JobView, error) {
 	return m.st.view(job), nil
 }
 
-// Stats snapshots the service counters: the legacy JSON view of the same
-// registry /metrics exposes in Prometheus format.
+// Stats snapshots the service counters for in-process readers.
 func (m *Manager) Stats() Stats {
 	m.st.mu.Lock()
 	defer m.st.mu.Unlock()

@@ -64,7 +64,6 @@ func scrapeProm(t *testing.T, base string) (map[string]float64, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set("Accept", "text/plain")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +81,7 @@ func scrapeProm(t *testing.T, base string) (map[string]float64, string) {
 
 // TestPrometheusExposition walks a job lifecycle and asserts the Prometheus
 // view tracks it: counters start at zero, move with the lifecycle, and never
-// decrease, while the JSON view keeps serving the legacy Stats shape.
+// decrease.
 func TestPrometheusExposition(t *testing.T) {
 	ts, _ := newObsTS(t, server.Config{Workers: 1})
 
@@ -155,15 +154,6 @@ func TestPrometheusExposition(t *testing.T) {
 	}
 	if !found {
 		t.Error("no qplacerd_http_requests_total series for POST /v1/plans")
-	}
-
-	// The legacy JSON view still serves — same registry, same numbers.
-	var stats server.Stats
-	if code := call(t, http.MethodGet, ts.URL+"/metrics", "", &stats); code != http.StatusOK {
-		t.Fatalf("JSON metrics status %d", code)
-	}
-	if stats.Submitted != 1 || stats.Done != 1 || stats.CacheHits != 1 {
-		t.Fatalf("JSON stats: %+v", stats)
 	}
 }
 
@@ -360,8 +350,6 @@ func TestMetricsScrapeUnderLoad(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 40; i++ {
 			scrapeProm(t, ts.URL)
-			var stats server.Stats
-			call(t, http.MethodGet, ts.URL+"/metrics", "", &stats)
 		}
 	}()
 	wg.Wait()

@@ -203,6 +203,8 @@ func TestSubmitValidation(t *testing.T) {
 		{"malformed JSON", `{"topology":`, http.StatusBadRequest, "bad_request"},
 		{"malformed parametric name", `{"topology":"grid-0"}`, http.StatusNotFound, "unknown_topology"},
 		{"out-of-series xtree", `{"topology":"xtree-21"}`, http.StatusNotFound, "unknown_topology"},
+		{"grid r·c overflows int", `{"topology":"grid-3x6148914691236517206"}`, http.StatusNotFound, "unknown_topology"},
+		{"octagon 8·r·c overflows int", `{"topology":"octagon-1x2305843009213693952"}`, http.StatusNotFound, "unknown_topology"},
 	}
 	for _, tc := range cases {
 		var errResp struct {
@@ -266,15 +268,14 @@ func TestDuplicateSubmitHitsResultCache(t *testing.T) {
 		t.Fatalf("duplicate not served from cache: %+v", dup)
 	}
 
-	var stats server.Stats
-	if code := call(t, http.MethodGet, ts.URL+"/metrics", "", &stats); code != http.StatusOK {
-		t.Fatalf("metrics status %d", code)
+	samples, _ := scrapeProm(t, ts.URL)
+	submitted, hits := samples["qplacerd_jobs_submitted_total"], samples["qplacerd_cache_hits_total"]
+	if submitted != 1 || hits != 1 || samples["qplacerd_jobs_done_total"] != 1 {
+		t.Fatalf("counters after duplicate: submitted %v, cache hits %v, done %v",
+			submitted, hits, samples["qplacerd_jobs_done_total"])
 	}
-	if stats.Submitted != 1 || stats.CacheHits != 1 || stats.Done != 1 {
-		t.Fatalf("counters after duplicate: %+v", stats)
-	}
-	if stats.CacheHitRate != 0.5 {
-		t.Fatalf("cache hit rate %v, want 0.5", stats.CacheHitRate)
+	if rate := hits / (submitted + hits); rate != 0.5 {
+		t.Fatalf("cache hit rate %v, want 0.5", rate)
 	}
 }
 
@@ -417,12 +418,10 @@ func TestRegistriesHealthAndMetrics(t *testing.T) {
 	if code := call(t, http.MethodGet, ts.URL+"/healthz", "", &health); code != http.StatusOK || health.Status != "ok" {
 		t.Fatalf("healthz: %d %+v", code, health)
 	}
-	var stats server.Stats
-	if code := call(t, http.MethodGet, ts.URL+"/metrics", "", &stats); code != http.StatusOK {
-		t.Fatalf("metrics status %d", code)
-	}
-	if stats.Submitted != 0 || stats.Running != 0 {
-		t.Fatalf("fresh server counters: %+v", stats)
+	samples, _ := scrapeProm(t, ts.URL)
+	if samples["qplacerd_jobs_submitted_total"] != 0 || samples["qplacerd_jobs_running"] != 0 {
+		t.Fatalf("fresh server counters: submitted %v, running %v",
+			samples["qplacerd_jobs_submitted_total"], samples["qplacerd_jobs_running"])
 	}
 }
 
