@@ -7,9 +7,9 @@
 // The real transforms exploit input symmetry (Makhoul's permutation): a
 // length-n DCT needs only one length-n/2 complex FFT, a 4× reduction over the
 // naive length-2n mirrored embedding. All lengths must be powers of two. The
-// package is stdlib-only and allocation-conscious: a Plan caches twiddle,
+// package is stdlib-only and allocation-conscious: a plan caches twiddle,
 // phase, and permutation tables plus scratch space for repeated transforms of
-// one size, and Clone shares the immutable tables across per-worker plans.
+// one size, and clone shares the immutable tables across per-worker plans.
 package fft
 
 import (
@@ -38,18 +38,19 @@ func NextPow2(n int) int {
 // tables holds the precomputed, immutable state for real transforms of one
 // length: twiddle/bit-reversal tables for the half-length complex FFT, the
 // DCT twist phases, the even/odd unpack factors, and Makhoul's input
-// permutation. One tables value is shared (read-only) by every Plan cloned
+// permutation. One tables value is shared (read-only) by every plan cloned
 // from the same original, so per-worker plans cost only scratch space.
 type tables struct {
 	n       int          // real-domain transform length
 	m       int          // complex FFT length = n/2
-	twiddle []complex128 // e^{-2πi k/m}, k = 0..m/2-1
-	rev     []int        // bit-reversal permutation for length m
+	stageTw []complex128 // per-stage twiddles: stage half h uses [h-1, 2h-1)
+	rev     []int        // bit-reversal permutation for length m (an involution)
 	phase   []complex128 // e^{-iπ k/(2n)}, k = 0..n-1 (DCT-II post-twist)
 	phaseI  []complex128 // e^{+iπ k/(2n)}, k = 0..n-1 (DCT-III pre-twist)
 	unpack  []complex128 // e^{-2πi k/n}, k = 0..m-1 (even/odd recombination)
 	unpackI []complex128 // e^{+2πi k/n}, k = 0..m-1
 	perm    []int        // Makhoul permutation: v[q] = x[perm[q]]
+	gather  []int        // dct2's input pairs in FFT input order: buf[r] = (x[gather[2r]], x[gather[2r+1]])
 }
 
 func newTables(n int) *tables {
@@ -60,7 +61,6 @@ func newTables(n int) *tables {
 	t := &tables{
 		n:       n,
 		m:       m,
-		twiddle: make([]complex128, m/2),
 		rev:     make([]int, m),
 		phase:   make([]complex128, n),
 		phaseI:  make([]complex128, n),
@@ -68,8 +68,22 @@ func newTables(n int) *tables {
 		unpackI: make([]complex128, m),
 		perm:    make([]int, n),
 	}
-	for k := range t.twiddle {
-		t.twiddle[k] = cmplx.Exp(complex(0, -2*math.Pi*float64(k)/float64(m)))
+	// The butterfly stage of half-size h reads twiddle[k·m/(2h)] for
+	// k = 0..h-1, with twiddle[k] = e^{-2πi k/m}; laying each stage's values
+	// out contiguously (the same values, copied) turns the strided lookup
+	// into a sequential scan.
+	twiddle := make([]complex128, m/2)
+	for k := range twiddle {
+		twiddle[k] = cmplx.Exp(complex(0, -2*math.Pi*float64(k)/float64(m)))
+	}
+	if m > 1 {
+		t.stageTw = make([]complex128, m-1)
+		for h := 1; h < m; h <<= 1 {
+			step := m / (2 * h)
+			for k := 0; k < h; k++ {
+				t.stageTw[h-1+k] = twiddle[k*step]
+			}
+		}
 	}
 	if m > 0 {
 		shift := bits.LeadingZeros(uint(m)) + 1
@@ -99,251 +113,254 @@ func newTables(n int) *tables {
 	for q := m; q < n; q++ {
 		t.perm[q] = 2*(n-1-q) + 1
 	}
+	// dct2 packs v's pairs (v[2q], v[2q+1]) into complex point q and the
+	// FFT wants point q at bit-reversed slot rev[q]; composing the two
+	// permutations lets the gather fill the FFT's input directly.
+	t.gather = make([]int, n)
+	for r := 0; r < m; r++ {
+		q := t.rev[r]
+		t.gather[2*r] = t.perm[2*q]
+		t.gather[2*r+1] = t.perm[2*q+1]
+	}
 	return t
 }
 
-// Plan holds the tables and scratch for transforms of a fixed length n
-// (power of two). A Plan is not safe for concurrent use; Clone cheap copies
-// for other goroutines share the immutable tables.
-type Plan struct {
+// plan holds the tables and scratch for transforms of a fixed length n
+// (power of two). A plan is not safe for concurrent use; clone makes cheap
+// copies for other goroutines that share the immutable tables.
+type plan struct {
 	tab  *tables
 	buf  []complex128 // scratch of length m (the packed half-length signal)
 	vbuf []complex128 // scratch of length m+1 (the twisted spectrum V[0..m])
 }
 
-// NewPlan returns a Plan for real transforms of length n (power of two).
-func NewPlan(n int) *Plan {
+// newPlan returns a plan for real transforms of length n (power of two).
+func newPlan(n int) *plan {
 	return planFromTables(newTables(n))
 }
 
-func planFromTables(t *tables) *Plan {
-	return &Plan{
+func planFromTables(t *tables) *plan {
+	return &plan{
 		tab:  t,
 		buf:  make([]complex128, t.m),
 		vbuf: make([]complex128, t.m+1),
 	}
 }
 
-// Clone returns an independent Plan (fresh scratch) sharing this plan's
+// clone returns an independent plan (fresh scratch) sharing this plan's
 // immutable twiddle/phase/permutation tables. Clones are safe to use
 // concurrently with the original and with each other.
-func (p *Plan) Clone() *Plan { return planFromTables(p.tab) }
+func (p *plan) clone() *plan { return planFromTables(p.tab) }
 
-// N returns the real-domain transform length of the plan.
-func (p *Plan) N() int { return p.tab.n }
+// smallHalf is the butterfly half-size below which a stage runs twiddle-
+// outer: its blocks are too short for a per-block inner loop to pay off,
+// so each twiddle is loaded once and swept across every block.
+const smallHalf = 8
 
-// ComplexLen returns the length of the plan's complex FFT (n/2): the real
-// transforms pack their input into a half-length complex signal, so FFT and
-// IFFT operate on slices of this length.
-func (p *Plan) ComplexLen() int { return p.tab.m }
-
-// fft performs an in-place forward DFT of length p.tab.m on a
-// (convention: X_k = Σ_n x_n e^{-2πi nk/m}).
-func (p *Plan) fft(a []complex128) {
+// fft performs an in-place forward DFT of length m = len(a) = p.tab.m
+// (convention: X_k = Σ_n x_n e^{-2πi nk/m}) on input stored in bit-reversed
+// order, a[rev[n]] = x_n, leaving X_k at a[k]. The callers write their
+// input straight into those slots, so no reordering pass runs here.
+//
+// Each butterfly spells out Go's complex multiply v = h·w as real
+// arithmetic (re = hr·wr − hi·wi, im = hr·wi + hi·wr, the compiler's own
+// expansion) and then forms u ± v, so every element sees exactly the float
+// operations of the textbook loop a[k+half]*twiddle[k·step]. No twiddle is
+// special-cased: skipping the multiply for w = 1 or ±i would change the
+// sign of zero results. Only the loop order across independent butterflies
+// differs, which cannot change any value.
+func (p *plan) fft(a []complex128) {
 	t := p.tab
-	m := t.m
-	for i, j := range t.rev {
-		if i < j {
-			a[i], a[j] = a[j], a[i]
+	m := len(a)
+	for half := 1; half < m; half <<= 1 {
+		size := half << 1
+		tw := t.stageTw[half-1 : size-1]
+		if half < smallHalf {
+			for k, w := range tw {
+				wr, wi := real(w), imag(w)
+				for j := k; j < m-half; j += size {
+					u, h := a[j], a[j+half]
+					hr, hi := real(h), imag(h)
+					vr := hr*wr - hi*wi
+					vi := hr*wi + hi*wr
+					ur, ui := real(u), imag(u)
+					a[j] = complex(ur+vr, ui+vi)
+					a[j+half] = complex(ur-vr, ui-vi)
+				}
+			}
+			continue
 		}
-	}
-	for size := 2; size <= m; size <<= 1 {
-		half := size >> 1
-		step := m / size
 		for start := 0; start < m; start += size {
-			for k := 0; k < half; k++ {
-				w := t.twiddle[k*step]
-				u := a[start+k]
-				v := a[start+k+half] * w
-				a[start+k] = u + v
-				a[start+k+half] = u - v
+			lo := a[start : start+half]
+			hiv := a[start+half : start+size]
+			hiv = hiv[:len(lo)]
+			w := tw[:len(lo)]
+			for k := range lo {
+				wr, wi := real(w[k]), imag(w[k])
+				h, u := hiv[k], lo[k]
+				hr, hi := real(h), imag(h)
+				vr := hr*wr - hi*wi
+				vi := hr*wi + hi*wr
+				ur, ui := real(u), imag(u)
+				lo[k] = complex(ur+vr, ui+vi)
+				hiv[k] = complex(ur-vr, ui-vi)
 			}
 		}
 	}
 }
 
-// FFT computes the forward DFT of a (length must be ComplexLen()).
-func (p *Plan) FFT(a []complex128) {
-	if len(a) != p.tab.m {
-		panic(fmt.Sprintf("fft: FFT length %d, plan expects %d", len(a), p.tab.m))
-	}
-	p.fft(a)
-}
-
-// IFFT computes the inverse DFT of a with 1/m normalization.
-func (p *Plan) IFFT(a []complex128) {
-	if len(a) != p.tab.m {
-		panic(fmt.Sprintf("fft: IFFT length %d, plan expects %d", len(a), p.tab.m))
-	}
-	for i := range a {
-		a[i] = cmplx.Conj(a[i])
-	}
-	p.fft(a)
-	inv := 1 / float64(p.tab.m)
-	for i := range a {
-		a[i] = complex(real(a[i])*inv, -imag(a[i])*inv)
-	}
-}
-
-// DCT2 computes the (unnormalized) DCT-II of src into dst:
+// dct2 computes, in place, the (unnormalized) DCT-II of the length-n vector
+// x[j] = a[off+j·stride]:
 //
-//	dst[k] = Σ_{j=0}^{n-1} src[j] · cos(π k (2j+1) / (2n)).
+//	x[k] ← Σ_{j=0}^{n-1} x[j] · cos(π k (2j+1) / (2n)).
 //
-// dst and src must have length n and may alias.
-//
-// Real-input path (Makhoul): permute src into v (evens ascending, odds
-// descending), pack v's pairs into a length-m=n/2 complex signal, run one
-// length-m FFT, recombine the even/odd spectra into V = DFT_n(v), and read
-// DCT2[k] = Re(e^{-iπk/(2n)} V[k]) — with the conjugate symmetry of the real
-// spectrum yielding dst[n-k] from the same V[k].
-func (p *Plan) DCT2(dst, src []float64) {
+// Real-input path (Makhoul): gather x straight from a in permuted order v
+// (evens ascending, odds descending), packing v's pairs into a length-m=n/2
+// complex signal laid out in the FFT's bit-reversed input order; run one
+// length-m FFT; recombine the even/odd spectra into
+// V = DFT_n(v) and read DCT2[k] = Re(e^{-iπk/(2n)} V[k]), with the conjugate
+// symmetry of the real spectrum yielding x[n-k] from the same V[k]. The
+// whole input is in scratch before the first output is written, so the
+// in-place update is safe.
+func (p *plan) dct2(a []float64, off, stride int) {
 	t := p.tab
 	n, m := t.n, t.m
-	if len(src) != n || len(dst) != n {
-		panic("fft: DCT2 length mismatch")
-	}
 	if n == 1 {
-		dst[0] = src[0]
 		return
 	}
-	for q := 0; q < m; q++ {
-		p.buf[q] = complex(src[t.perm[2*q]], src[t.perm[2*q+1]])
+	for r := 0; r < m; r++ {
+		p.buf[r] = complex(a[off+t.gather[2*r]*stride], a[off+t.gather[2*r+1]*stride])
 	}
 	p.fft(p.buf)
 	z0 := p.buf[0]
 	// V[0] and V[m] are real: the DC and Nyquist bins of the real signal v.
-	dst[0] = real(z0) + imag(z0)
-	dst[m] = (real(z0) - imag(z0)) * real(t.phase[m])
+	a[off] = real(z0) + imag(z0)
+	a[off+m*stride] = (real(z0) - imag(z0)) * real(t.phase[m])
 	for k := 1; k < m; k++ {
 		zk := p.buf[k]
 		zmk := cmplx.Conj(p.buf[m-k])
 		ev := (zk + zmk) * complex(0.5, 0)
 		od := (zk - zmk) * complex(0, -0.5)
 		v := ev + t.unpack[k]*od
-		dst[k] = real(t.phase[k] * v)
-		dst[n-k] = real(t.phase[n-k] * cmplx.Conj(v))
+		a[off+k*stride] = real(t.phase[k] * v)
+		a[off+(n-k)*stride] = real(t.phase[n-k] * cmplx.Conj(v))
 	}
 }
 
-// dct3core computes the shared inverse route for DCT3 and DST3M from the
+// dct3core computes the shared inverse route for dct3 and dst3m from the
 // twisted spectrum V[0..m] already placed in p.vbuf: recover the even/odd
 // half-spectra, rebuild the packed complex signal with one conjugated
-// forward FFT, and un-permute into dst. The route is the exact algebraic
-// inverse of DCT2's real-input path, with the conventional n/2 scale of the
-// unnormalized DCT-III folded in (it cancels the IFFT's 1/m, so no
-// normalization pass is needed).
-func (p *Plan) dct3core(dst []float64) {
+// forward FFT, and un-permute it straight into x[j] = a[off+j·stride]. The
+// route is the exact algebraic inverse of dct2's real-input path, with the
+// conventional n/2 scale of the unnormalized DCT-III folded in (it cancels
+// the IFFT's 1/m, so no normalization pass is needed). With negOdd, every
+// odd-indexed output is negated as it is stored (dst3m's (−1)^j factor).
+func (p *plan) dct3core(a []float64, off, stride int, negOdd bool) {
 	t := p.tab
 	m := t.m
 	v0 := p.vbuf[0]
 	vm := cmplx.Conj(p.vbuf[m])
-	// buf holds conj(Z): z = conj(FFT(conj(Z))) evaluates the inverse DFT.
+	// buf holds conj(Z), in bit-reversed order: z = conj(FFT(conj(Z)))
+	// evaluates the inverse DFT.
 	p.buf[0] = cmplx.Conj((v0+vm)*complex(0.5, 0) + (v0-vm)*complex(0, 0.5))
 	for k := 1; k < m; k++ {
 		vk := p.vbuf[k]
 		vmk := cmplx.Conj(p.vbuf[m-k])
 		ev := (vk + vmk) * complex(0.5, 0)
 		od := t.unpackI[k] * (vk - vmk) * complex(0, 0.5)
-		p.buf[k] = cmplx.Conj(ev + od)
+		p.buf[t.rev[k]] = cmplx.Conj(ev + od)
 	}
 	p.fft(p.buf)
+	// perm[i] is odd exactly when i >= m (the descending odd half).
 	for q := 0; q < m; q++ {
 		z := p.buf[q]
-		dst[t.perm[2*q]] = real(z)
-		dst[t.perm[2*q+1]] = -imag(z)
+		re, im := real(z), -imag(z)
+		if negOdd {
+			if 2*q >= m {
+				re = -re
+			}
+			if 2*q+1 >= m {
+				im = -im
+			}
+		}
+		a[off+t.perm[2*q]*stride] = re
+		a[off+t.perm[2*q+1]*stride] = im
 	}
 }
 
-// DCT3 computes the (unnormalized) DCT-III of src into dst:
+// dct3 computes, in place, the (unnormalized) DCT-III of the length-n vector
+// x[j] = a[off+j·stride]:
 //
-//	dst[j] = src[0]/2 + Σ_{k=1}^{n-1} src[k] · cos(π k (2j+1) / (2n)).
+//	x[j] ← x[0]/2 + Σ_{k=1}^{n-1} x[k] · cos(π k (2j+1) / (2n)).
 //
-// DCT3(DCT2(x)) = (n/2)·x, so the exact inverse of DCT2 is (2/n)·DCT3.
-// dst and src must have length n and may alias.
-func (p *Plan) DCT3(dst, src []float64) {
+// dct3(dct2(x)) = (n/2)·x, so the exact inverse of dct2 is (2/n)·dct3.
+func (p *plan) dct3(a []float64, off, stride int) {
 	t := p.tab
 	n, m := t.n, t.m
-	if len(src) != n || len(dst) != n {
-		panic("fft: DCT3 length mismatch")
-	}
 	if n == 1 {
-		dst[0] = src[0] / 2
+		a[off] = a[off] / 2
 		return
 	}
 	// Twist the real coefficients into the half-spectrum V[0..m]:
 	// V[k] = e^{+iπk/(2n)} (c[k] − i·c[n−k]), with c[n] ≡ 0.
-	p.vbuf[0] = complex(src[0], 0)
+	p.vbuf[0] = complex(a[off], 0)
 	for k := 1; k <= m; k++ {
-		p.vbuf[k] = t.phaseI[k] * complex(src[k], -src[n-k])
+		p.vbuf[k] = t.phaseI[k] * complex(a[off+k*stride], -a[off+(n-k)*stride])
 	}
-	p.dct3core(dst)
+	p.dct3core(a, off, stride, false)
 }
 
-// DST3M computes the mixed sine synthesis used for the electric field:
+// dst3m computes, in place, the mixed sine synthesis used for the electric
+// field on the length-n vector x[j] = a[off+j·stride]:
 //
-//	dst[j] = Σ_{k=1}^{n-1} src[k] · sin(π k (2j+1) / (2n)).
+//	x[j] ← Σ_{k=1}^{n-1} x[k] · sin(π k (2j+1) / (2n)).
 //
-// src[0] is ignored. dst and src must have length n and may alias.
-//
-// It rides the DCT3 route via the index-reversal identity
-// DST3M(s)[j] = (−1)^j · DCT3(s̃)[j] with s̃[k] = s[n−k], s̃[0] = 0.
-func (p *Plan) DST3M(dst, src []float64) {
+// x[0] is ignored. It rides the DCT-III route via the index-reversal
+// identity DST3M(s)[j] = (−1)^j · DCT3(s̃)[j] with s̃[k] = s[n−k], s̃[0] = 0.
+func (p *plan) dst3m(a []float64, off, stride int) {
 	t := p.tab
 	n, m := t.n, t.m
-	if len(src) != n || len(dst) != n {
-		panic("fft: DST3M length mismatch")
-	}
 	if n == 1 {
-		dst[0] = 0
+		a[off] = 0
 		return
 	}
 	p.vbuf[0] = 0
 	for k := 1; k <= m; k++ {
-		p.vbuf[k] = t.phaseI[k] * complex(src[n-k], -src[k])
+		p.vbuf[k] = t.phaseI[k] * complex(a[off+(n-k)*stride], -a[off+k*stride])
 	}
-	p.dct3core(dst)
-	for j := 1; j < n; j += 2 {
-		dst[j] = -dst[j]
-	}
+	p.dct3core(a, off, stride, true)
 }
 
 // Grid2D is an ny×nx row-major matrix of float64 with plans for separable
 // 2-D trigonometric transforms (rows of length nx, columns of length ny).
-// Parallelize spreads the independent 1-D transforms over a worker pool;
-// because every row (and column) is transformed start-to-end by one worker
-// using the same shared twiddle tables, the output is bit-identical to the
-// serial transform at every pool size.
+// Rows (stride 1) and columns (stride nx) are transformed in place, read
+// and written straight from the grid. Parallelize spreads the independent
+// 1-D transforms over a worker pool; because every row (and column) is
+// transformed start-to-end by one worker using the same shared twiddle
+// tables, the output is bit-identical to the serial transform at every
+// pool size.
 type Grid2D struct {
 	NX, NY int
-	px, py *Plan
-	colIn  []float64
-	colOut []float64
-	rowOut []float64
+	px, py *plan
 
 	pool    *parallel.Pool
-	workers []*gridWorker // per-worker plans + scratch, nil when serial
+	workers []gridWorker // per-worker plans, nil when serial
 }
 
-// gridWorker is one worker's private plans and scratch. Plans carry mutable
-// scratch (buf), so concurrent rows need one plan each; the plans are clones
-// of the grid's own, sharing one set of immutable tables.
+// gridWorker is one worker's private plans. Plans carry mutable scratch
+// (buf), so concurrent rows need one plan each; the plans are clones of the
+// grid's own, sharing one set of immutable tables.
 type gridWorker struct {
-	px, py *Plan
-	colIn  []float64
-	colOut []float64
-	rowOut []float64
+	px, py *plan
 }
 
 // NewGrid2D returns a transformer for ny×nx grids (both powers of two).
 func NewGrid2D(nx, ny int) *Grid2D {
 	return &Grid2D{
-		NX:     nx,
-		NY:     ny,
-		px:     NewPlan(nx),
-		py:     NewPlan(ny),
-		colIn:  make([]float64, ny),
-		colOut: make([]float64, ny),
-		rowOut: make([]float64, nx),
+		NX: nx,
+		NY: ny,
+		px: newPlan(nx),
+		py: newPlan(ny),
 	}
 }
 
@@ -355,78 +372,55 @@ func (g *Grid2D) Parallelize(p *parallel.Pool) {
 	if p.Workers() <= 1 {
 		return
 	}
-	g.workers = make([]*gridWorker, p.Workers())
+	g.workers = make([]gridWorker, p.Workers())
 	for i := range g.workers {
-		g.workers[i] = &gridWorker{
-			px:     g.px.Clone(),
-			py:     g.py.Clone(),
-			colIn:  make([]float64, g.NY),
-			colOut: make([]float64, g.NY),
-			rowOut: make([]float64, g.NX),
-		}
+		g.workers[i] = gridWorker{px: g.px.clone(), py: g.py.clone()}
 	}
 }
 
-type transform1D func(p *Plan, dst, src []float64)
-
-func dct2T(p *Plan, dst, src []float64)  { p.DCT2(dst, src) }
-func dct3T(p *Plan, dst, src []float64)  { p.DCT3(dst, src) }
-func dst3mT(p *Plan, dst, src []float64) { p.DST3M(dst, src) }
+// transform1D is one in-place strided 1-D transform: (*plan).dct2, dct3
+// or dst3m.
+type transform1D func(p *plan, a []float64, off, stride int)
 
 // apply runs rowT over every row and colT over every column of a, in place.
 func (g *Grid2D) apply(a []float64, rowT, colT transform1D) {
-	if len(a) != g.NX*g.NY {
+	nx, ny := g.NX, g.NY
+	if len(a) != nx*ny {
 		panic("fft: Grid2D size mismatch")
 	}
 	if g.workers != nil {
-		g.pool.For(g.NY, func(w, lo, hi int) {
-			gw := g.workers[w]
+		g.pool.For(ny, func(w, lo, hi int) {
+			px := g.workers[w].px
 			for y := lo; y < hi; y++ {
-				row := a[y*g.NX : (y+1)*g.NX]
-				rowT(gw.px, gw.rowOut, row)
-				copy(row, gw.rowOut)
+				rowT(px, a, y*nx, 1)
 			}
 		})
-		g.pool.For(g.NX, func(w, lo, hi int) {
-			gw := g.workers[w]
+		g.pool.For(nx, func(w, lo, hi int) {
+			py := g.workers[w].py
 			for x := lo; x < hi; x++ {
-				for y := 0; y < g.NY; y++ {
-					gw.colIn[y] = a[y*g.NX+x]
-				}
-				colT(gw.py, gw.colOut, gw.colIn)
-				for y := 0; y < g.NY; y++ {
-					a[y*g.NX+x] = gw.colOut[y]
-				}
+				colT(py, a, x, nx)
 			}
 		})
 		return
 	}
-	for y := 0; y < g.NY; y++ {
-		row := a[y*g.NX : (y+1)*g.NX]
-		rowT(g.px, g.rowOut, row)
-		copy(row, g.rowOut)
+	for y := 0; y < ny; y++ {
+		rowT(g.px, a, y*nx, 1)
 	}
-	for x := 0; x < g.NX; x++ {
-		for y := 0; y < g.NY; y++ {
-			g.colIn[y] = a[y*g.NX+x]
-		}
-		colT(g.py, g.colOut, g.colIn)
-		for y := 0; y < g.NY; y++ {
-			a[y*g.NX+x] = g.colOut[y]
-		}
+	for x := 0; x < nx; x++ {
+		colT(g.py, a, x, nx)
 	}
 }
 
 // DCT2D applies the 2-D DCT-II (forward analysis) in place.
-func (g *Grid2D) DCT2D(a []float64) { g.apply(a, dct2T, dct2T) }
+func (g *Grid2D) DCT2D(a []float64) { g.apply(a, (*plan).dct2, (*plan).dct2) }
 
 // SynthCosCos synthesizes Σ a_uv cos·cos without normalization
 // (row/column DCT-III); used for the potential ψ.
-func (g *Grid2D) SynthCosCos(a []float64) { g.apply(a, dct3T, dct3T) }
+func (g *Grid2D) SynthCosCos(a []float64) { g.apply(a, (*plan).dct3, (*plan).dct3) }
 
 // SynthSinCos synthesizes Σ a_uv sin_x·cos_y (sine along rows/x, cosine
 // along columns/y); used for the x-field Ex.
-func (g *Grid2D) SynthSinCos(a []float64) { g.apply(a, dst3mT, dct3T) }
+func (g *Grid2D) SynthSinCos(a []float64) { g.apply(a, (*plan).dst3m, (*plan).dct3) }
 
 // SynthCosSin synthesizes Σ a_uv cos_x·sin_y; used for the y-field Ey.
-func (g *Grid2D) SynthCosSin(a []float64) { g.apply(a, dct3T, dst3mT) }
+func (g *Grid2D) SynthCosSin(a []float64) { g.apply(a, (*plan).dct3, (*plan).dst3m) }

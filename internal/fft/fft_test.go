@@ -114,13 +114,13 @@ func TestIsPow2AndNextPow2(t *testing.T) {
 func TestFFTMatchesNaiveDFT(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{2, 4, 8, 32, 64} {
-		p := NewPlan(n)
-		a := make([]complex128, p.ComplexLen())
+		p := newPlan(n)
+		a := make([]complex128, p.tab.m)
 		for i := range a {
 			a[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 		}
 		want := naiveDFT(a)
-		p.FFT(a)
+		fftNatural(p, a)
 		for k := range a {
 			if cmplx.Abs(a[k]-want[k]) > 1e-9 {
 				t.Fatalf("n=%d: FFT[%d] = %v, want %v", n, k, a[k], want[k])
@@ -132,15 +132,15 @@ func TestFFTMatchesNaiveDFT(t *testing.T) {
 func TestIFFTInvertsFFT(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, n := range []int{2, 4, 16, 64} {
-		p := NewPlan(n)
-		a := make([]complex128, p.ComplexLen())
-		orig := make([]complex128, p.ComplexLen())
+		p := newPlan(n)
+		a := make([]complex128, p.tab.m)
+		orig := make([]complex128, p.tab.m)
 		for i := range a {
 			a[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 			orig[i] = a[i]
 		}
-		p.FFT(a)
-		p.IFFT(a)
+		fftNatural(p, a)
+		ifft(p, a)
 		for i := range a {
 			if cmplx.Abs(a[i]-orig[i]) > 1e-9 {
 				t.Fatalf("n=%d: roundtrip[%d] = %v, want %v", n, i, a[i], orig[i])
@@ -152,11 +152,11 @@ func TestIFFTInvertsFFT(t *testing.T) {
 func TestDCT2MatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, n := range []int{1, 2, 8, 64, 128} {
-		p := NewPlan(n)
+		p := newPlan(n)
 		x := randReal(n, rng)
 		want := naiveDCT2(x)
-		got := make([]float64, n)
-		p.DCT2(got, x)
+		got := append([]float64(nil), x...)
+		p.dct2(got, 0, 1)
 		if d := maxAbsDiff(got, want); d > 1e-8 {
 			t.Fatalf("n=%d: DCT2 max diff %g", n, d)
 		}
@@ -166,11 +166,11 @@ func TestDCT2MatchesNaive(t *testing.T) {
 func TestDCT3MatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for _, n := range []int{1, 2, 8, 64, 128} {
-		p := NewPlan(n)
+		p := newPlan(n)
 		x := randReal(n, rng)
 		want := naiveDCT3(x)
-		got := make([]float64, n)
-		p.DCT3(got, x)
+		got := append([]float64(nil), x...)
+		p.dct3(got, 0, 1)
 		if d := maxAbsDiff(got, want); d > 1e-8 {
 			t.Fatalf("n=%d: DCT3 max diff %g", n, d)
 		}
@@ -180,11 +180,11 @@ func TestDCT3MatchesNaive(t *testing.T) {
 func TestDST3MMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, n := range []int{2, 8, 64, 128} {
-		p := NewPlan(n)
+		p := newPlan(n)
 		x := randReal(n, rng)
 		want := naiveDST3M(x)
-		got := make([]float64, n)
-		p.DST3M(got, x)
+		got := append([]float64(nil), x...)
+		p.dst3m(got, 0, 1)
 		if d := maxAbsDiff(got, want); d > 1e-8 {
 			t.Fatalf("n=%d: DST3M max diff %g", n, d)
 		}
@@ -194,12 +194,11 @@ func TestDST3MMatchesNaive(t *testing.T) {
 func TestDCT3InvertsDCT2(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	n := 32
-	p := NewPlan(n)
+	p := newPlan(n)
 	x := randReal(n, rng)
-	coeff := make([]float64, n)
-	back := make([]float64, n)
-	p.DCT2(coeff, x)
-	p.DCT3(back, coeff)
+	back := append([]float64(nil), x...)
+	p.dct2(back, 0, 1)
+	p.dct3(back, 0, 1)
 	for i := range back {
 		back[i] *= 2 / float64(n)
 	}
@@ -208,26 +207,43 @@ func TestDCT3InvertsDCT2(t *testing.T) {
 	}
 }
 
+// TestTransformsAllowAliasedBuffers checks the in-place strided form: a
+// DCT-II of every third entry (offset 1) of a shared buffer transforms
+// exactly that sub-vector and leaves its neighbours alone.
 func TestTransformsAllowAliasedBuffers(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	n := 16
-	p := NewPlan(n)
-	x := randReal(n, rng)
+	p := newPlan(n)
+	buf := randReal(3*n, rng)
+	orig := append([]float64(nil), buf...)
+	x := make([]float64, n)
+	for j := range x {
+		x[j] = buf[1+3*j]
+	}
 	want := naiveDCT2(x)
-	inPlace := append([]float64(nil), x...)
-	p.DCT2(inPlace, inPlace)
-	if d := maxAbsDiff(inPlace, want); d > 1e-9 {
-		t.Fatalf("aliased DCT2 max diff %g", d)
+	p.dct2(buf, 1, 3)
+	got := make([]float64, n)
+	for j := range got {
+		got[j] = buf[1+3*j]
+		buf[1+3*j] = orig[1+3*j]
+	}
+	if d := maxAbsDiff(got, want); d > 1e-9 {
+		t.Fatalf("strided DCT2 max diff %g", d)
+	}
+	for i := range buf {
+		if buf[i] != orig[i] {
+			t.Fatalf("strided DCT2 wrote outside its sub-vector at %d", i)
+		}
 	}
 }
 
 func TestNewPlanRejectsNonPow2(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("NewPlan(12) should panic")
+			t.Fatal("newPlan(12) should panic")
 		}
 	}()
-	NewPlan(12)
+	newPlan(12)
 }
 
 func TestGrid2DInverseRoundTrip(t *testing.T) {
@@ -326,19 +342,19 @@ func TestQuickFFTParseval(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 16
-		p := NewPlan(n)
-		a := make([]complex128, p.ComplexLen())
+		p := newPlan(n)
+		a := make([]complex128, p.tab.m)
 		var eIn float64
 		for i := range a {
 			a[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 			eIn += real(a[i])*real(a[i]) + imag(a[i])*imag(a[i])
 		}
-		p.FFT(a)
+		fftNatural(p, a)
 		var eOut float64
 		for i := range a {
 			eOut += real(a[i])*real(a[i]) + imag(a[i])*imag(a[i])
 		}
-		return math.Abs(eOut-float64(p.ComplexLen())*eIn) < 1e-6*(1+eIn)
+		return math.Abs(eOut-float64(p.tab.m)*eIn) < 1e-6*(1+eIn)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -350,13 +366,12 @@ func TestQuickDCT2Constant(t *testing.T) {
 	f := func(c float64) bool {
 		c = math.Mod(c, 1e6)
 		n := 16
-		p := NewPlan(n)
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = c
-		}
+		p := newPlan(n)
 		out := make([]float64, n)
-		p.DCT2(out, x)
+		for i := range out {
+			out[i] = c
+		}
+		p.dct2(out, 0, 1)
 		if math.Abs(out[0]-float64(n)*c) > 1e-7*(1+math.Abs(c)) {
 			return false
 		}
@@ -378,20 +393,20 @@ func TestQuickDCT2Constant(t *testing.T) {
 // while carrying private scratch, and produces bit-identical transforms.
 func TestCloneSharesTables(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	p := NewPlan(64)
-	c := p.Clone()
+	p := newPlan(64)
+	c := p.clone()
 	if c.tab != p.tab {
-		t.Fatal("Clone did not share the immutable tables")
+		t.Fatal("clone did not share the immutable tables")
 	}
 	if &c.buf[0] == &p.buf[0] || &c.vbuf[0] == &p.vbuf[0] {
-		t.Fatal("Clone shared mutable scratch")
+		t.Fatal("clone shared mutable scratch")
 	}
 	x := randReal(64, rng)
-	want := make([]float64, 64)
-	got := make([]float64, 64)
-	for _, tr := range []func(p *Plan, dst, src []float64){dct2T, dct3T, dst3mT} {
-		tr(p, want, x)
-		tr(c, got, x)
+	for _, tr := range []transform1D{(*plan).dct2, (*plan).dct3, (*plan).dst3m} {
+		want := append([]float64(nil), x...)
+		got := append([]float64(nil), x...)
+		tr(p, want, 0, 1)
+		tr(c, got, 0, 1)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("clone transform diverged at %d: %v != %v (bitwise)", i, got[i], want[i])
@@ -417,21 +432,70 @@ func TestGrid2DWorkersShareTables(t *testing.T) {
 }
 
 func BenchmarkDCT2_256(b *testing.B) {
-	p := NewPlan(256)
+	p := newPlan(256)
 	x := randReal(256, rand.New(rand.NewSource(1)))
 	dst := make([]float64, 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.DCT2(dst, x)
+		copy(dst, x)
+		p.dct2(dst, 0, 1)
 	}
 }
 
+// BenchmarkGrid2D_DCT2D_128 times the forward analysis of the placer's
+// Eagle-sized grid. Each op restores the input into a preallocated buffer
+// so the transform always sees the same values and the loop allocates
+// nothing.
 func BenchmarkGrid2D_DCT2D_128(b *testing.B) {
 	g := NewGrid2D(128, 128)
 	a := randReal(128*128, rand.New(rand.NewSource(1)))
+	buf := make([]float64, len(a))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf := append([]float64(nil), a...)
+		copy(buf, a)
 		g.DCT2D(buf)
+	}
+}
+
+// BenchmarkGrid2D_Synth_128 times the field synthesis route (DCT-III and
+// DST-III passes) on the same grid: one SynthSinCos and one SynthCosSin,
+// the two syntheses every Poisson solve runs.
+func BenchmarkGrid2D_Synth_128(b *testing.B) {
+	g := NewGrid2D(128, 128)
+	a := randReal(128*128, rand.New(rand.NewSource(1)))
+	buf := make([]float64, len(a))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(buf, a)
+		g.SynthSinCos(buf)
+		copy(buf, a)
+		g.SynthCosSin(buf)
+	}
+}
+
+// fftNatural computes the forward DFT of a in place, input and output in
+// natural order: it stores the input in the bit-reversed order the kernel
+// expects, then runs it.
+func fftNatural(p *plan, a []complex128) {
+	for i, j := range p.tab.rev {
+		if i < j {
+			a[i], a[j] = a[j], a[i]
+		}
+	}
+	p.fft(a)
+}
+
+// ifft computes the inverse DFT of a with 1/m normalization through the
+// forward kernel: conj(FFT(conj(a)))/m.
+func ifft(p *plan, a []complex128) {
+	for i := range a {
+		a[i] = cmplx.Conj(a[i])
+	}
+	fftNatural(p, a)
+	inv := 1 / float64(p.tab.m)
+	for i := range a {
+		a[i] = complex(real(a[i])*inv, -imag(a[i])*inv)
 	}
 }

@@ -2,6 +2,8 @@ package place
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"os"
 	"sync"
 	"testing"
@@ -26,11 +28,13 @@ func runPlacement(t *testing.T, topo string, mutate func(*Config)) []float64 {
 	return nl.Positions()
 }
 
+// requireBitIdentical fails unless got and want agree in every bit
+// (Float64bits: a +0/−0 flip counts as a difference).
 func requireBitIdentical(t *testing.T, label string, got, want []float64) {
 	t.Helper()
 	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("%s: pos[%d] = %v, want %v (bitwise)", label, i, got[i], want[i])
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: [%d] = %v, want %v (bitwise)", label, i, got[i], want[i])
 		}
 	}
 }
@@ -163,6 +167,75 @@ func TestCutoffsBitIdentical(t *testing.T) {
 				cfg.Cutoffs = cut
 			})
 			requireBitIdentical(t, "falcon/"+name, got, serial)
+		}
+	}
+}
+
+// TestRenormEvalMatchesFull is the exactness contract of the renorm-only
+// evaluation at the major point: at seeded random positions, the gradWL,
+// gradD and overflow it produces equal evalComponents' bit for bit, whether
+// it computes them (a memo miss, or delta eval off) or replays them (a memo
+// hit), serially and on a pool. It also checks that a miss stores nothing:
+// the memo's slots must only ever hold complete evaluations.
+func TestRenormEvalMatchesFull(t *testing.T) {
+	for _, delta := range []bool{false, true} {
+		for _, workers := range []int{1, 3} {
+			label := fmt.Sprintf("delta=%v/workers=%d", delta, workers)
+			nl, cm := placeProblem(t, "falcon")
+			cfg := DefaultConfig()
+			cfg.DeltaEval = delta
+			cfg.Workers = workers
+			full := newEngine(nl, cm, cfg)
+			defer full.close()
+			renorm := newEngine(nl, cm, cfg)
+			defer renorm.close()
+
+			rng := rand.New(rand.NewSource(41))
+			r := full.region
+			xy := make([]float64, 2*len(nl.Instances))
+			for trial := 0; trial < 4; trial++ {
+				for i := 0; i < len(xy); i += 2 {
+					xy[i] = r.Lo.X + rng.Float64()*r.W()
+					xy[i+1] = r.Lo.Y + rng.Float64()*r.H()
+				}
+				full.evalComponents(xy)
+				wantWL := append([]float64(nil), full.gradWL...)
+				wantD := append([]float64(nil), full.gradD...)
+				wantOver := full.overflow
+
+				// Computed: the renorm engine has never seen xy.
+				renorm.evalRenorm(xy)
+				requireBitIdentical(t, label+" computed gradWL", renorm.gradWL, wantWL)
+				requireBitIdentical(t, label+" computed gradD", renorm.gradD, wantD)
+				requireBitIdentical(t, label+" computed overflow", []float64{renorm.overflow}, []float64{wantOver})
+
+				// Replayed (memo on) or recomputed (memo off) on the engine
+				// that just evaluated xy in full, from clobbered scratch.
+				for i := range full.gradWL {
+					full.gradWL[i], full.gradD[i] = 0, 0
+				}
+				full.overflow = -1
+				full.evalRenorm(xy)
+				requireBitIdentical(t, label+" repeated gradWL", full.gradWL, wantWL)
+				requireBitIdentical(t, label+" repeated gradD", full.gradD, wantD)
+				requireBitIdentical(t, label+" repeated overflow", []float64{full.overflow}, []float64{wantOver})
+			}
+			if renorm.renormEvals != 4 || renorm.fullEvals != 0 {
+				t.Fatalf("%s: renorm engine ran %d renorm-only and %d full evaluations, want 4 and 0",
+					label, renorm.renormEvals, renorm.fullEvals)
+			}
+			if delta {
+				if full.memo.hits != 4 || full.renormEvals != 0 {
+					t.Fatalf("%s: repeated points: %d memo hits, %d renorm-only evaluations, want 4 and 0",
+						label, full.memo.hits, full.renormEvals)
+				}
+				// A renorm-only miss must not have stored xy.
+				before := renorm.memo.hits
+				renorm.evalComponents(xy)
+				if renorm.memo.hits != before {
+					t.Fatalf("%s: a renorm-only evaluation was stored in the memo", label)
+				}
+			}
 		}
 	}
 }

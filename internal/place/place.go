@@ -231,6 +231,10 @@ type engine struct {
 	memo          *evalMemo
 	vlQ, vlS, vlC *verlet
 
+	// Evaluation counts for the trace note: every component computed, and
+	// only what the re-weighting reads (memo replays are counted by memo).
+	fullEvals, renormEvals int
+
 	// Aggregating trace sub-spans of cfg.Span (all nil when untraced).
 	spWL, spDen, spRaster, spField *obs.Span
 	spFreq, spChain, spWall        *obs.Span
@@ -377,7 +381,9 @@ func PlaceCtx(ctx context.Context, nl *component.Netlist, cm *frequency.Collisio
 		if ratioFS < ratioFSCap {
 			ratioFS *= freqLambdaGrowth
 		}
-		e.evalComponents(opt.X())
+		// renorm reads only ‖∇WL‖₁, ‖∇D‖₁ and the overflow (evalRenorm
+		// says why the other components may stay stale).
+		e.evalRenorm(opt.X())
 		renorm()
 		opt.InvalidateGradient()
 		if cfg.Progress != nil {
@@ -615,10 +621,13 @@ func (e *engine) annotateSpan() {
 	if sp == nil {
 		return
 	}
+	var replayed int
 	if e.memo != nil {
-		total := e.memo.hits + e.memo.misses
-		sp.Note(fmt.Sprintf("delta-eval: %d/%d gradient evaluations replayed from memo", e.memo.hits, total))
+		replayed = e.memo.hits
 	}
+	sp.Note(fmt.Sprintf("delta-eval: %d gradient evaluations: %d full, %d renorm-only, %d replayed from memo",
+		e.fullEvals+e.renormEvals+replayed, e.fullEvals, e.renormEvals, replayed))
+	e.solver.Annotate()
 	for _, f := range []struct {
 		name string
 		vl   *verlet
@@ -711,8 +720,9 @@ func (e *engine) evalComponents(xy []float64) (wl, dEnergy, fq, fs, cPot float64
 			return wl, dEnergy, fq, fs, cPot
 		}
 	}
+	e.fullEvals++
 	wl = e.wirelengthGrad(xy)
-	dEnergy = e.densityGrad(xy)
+	dEnergy = e.densityGrad(xy, true)
 	fq, fs = e.frequencyGrad(xy)
 	cPot = e.chainGrad(xy)
 	e.wallGrad(xy)
@@ -720,6 +730,27 @@ func (e *engine) evalComponents(xy []float64) (wl, dEnergy, fq, fs, cPot float64
 		e.memo.store(e, xy, wl, dEnergy, fq, fs, cPot)
 	}
 	return wl, dEnergy, fq, fs, cPot
+}
+
+// evalRenorm refreshes only what the penalty re-weighting reads at xy:
+// gradWL, gradD (the Poisson field included, ψ and the energy skipped) and
+// the overflow. A memo hit replays as in evalComponents; a miss computes the
+// two components and stores nothing, since the memo's slots must hold every
+// output. It is exact as a substitute for evalComponents at the major
+// point: the frequency, chain and boundary gradients it leaves stale are
+// never combined, because the placer invalidates the optimizer's gradient
+// right after re-weighting and the next gradient call refreshes every
+// component; and the Verlet lists it does not advance are exact under any
+// rebuild schedule.
+func (e *engine) evalRenorm(xy []float64) {
+	if e.memo != nil {
+		if _, _, _, _, _, ok := e.memo.lookup(e, xy); ok {
+			return
+		}
+	}
+	e.renormEvals++
+	e.wirelengthGrad(xy)
+	e.densityGrad(xy, false)
 }
 
 // gradient is the optim.GradFunc: total objective and gradient. The
@@ -819,8 +850,10 @@ func (e *engine) wirelengthGrad(xy []float64) float64 {
 }
 
 // densityGrad rasterizes charges, solves the Poisson problem and sets the
-// density gradient −q·E per instance. Returns the electrostatic energy.
-func (e *engine) densityGrad(xy []float64) float64 {
+// density gradient −q·E per instance and the overflow. With withEnergy it
+// returns the electrostatic energy (which costs the solver one more
+// synthesis, of ψ); without, it returns 0.
+func (e *engine) densityGrad(xy []float64, withEnergy bool) float64 {
 	denTimer := e.spDen.Start()
 	defer denTimer.End()
 	s := e.solver
@@ -835,11 +868,14 @@ func (e *engine) densityGrad(xy []float64) float64 {
 	// When parallel, a per-instance prefilter pins each instance's clamped
 	// row span first, so the per-band sweeps skip non-overlapping instances
 	// with two int compares instead of redoing the bbox float math W times.
+	// The clipping uses the builtin min/max, which compile inline and return
+	// exactly what math.Min/math.Max return for every non-NaN operand,
+	// signed zeros and infinities included (positions are finite here).
 	if e.poolRaster != nil {
 		e.poolRaster.For(len(e.nl.Instances), func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				cy := xy[2*i+1]
-				sh := math.Max(e.chargeH[i], s.HY)
+				sh := max(e.chargeH[i], s.HY)
 				y0 := cy - sh/2
 				by0 := int(math.Floor(y0 / s.HY))
 				by1 := int(math.Ceil((y0 + sh) / s.HY))
@@ -866,7 +902,7 @@ func (e *engine) densityGrad(xy []float64) float64 {
 			w, h := e.chargeW[i], e.chargeH[i]
 			// Local smoothing: stretch tiny cells to at least one bin while
 			// conserving charge.
-			sw, sh := math.Max(w, s.HX), math.Max(h, s.HY)
+			sw, sh := max(w, s.HX), max(h, s.HY)
 			scale := (w * h) / (sw * sh)
 			x0 := cx - sw/2
 			y0 := cy - sh/2
@@ -881,8 +917,8 @@ func (e *engine) densityGrad(xy []float64) float64 {
 				by1 = rowHi
 			}
 			for by := by0; by < by1; by++ {
-				yLo := math.Max(y0, float64(by)*s.HY)
-				yHi := math.Min(y0+sh, float64(by+1)*s.HY)
+				yLo := max(y0, float64(by)*s.HY)
+				yHi := min(y0+sh, float64(by+1)*s.HY)
 				if yHi <= yLo {
 					continue
 				}
@@ -890,8 +926,8 @@ func (e *engine) densityGrad(xy []float64) float64 {
 					if bx < 0 || bx >= nx {
 						continue
 					}
-					xLo := math.Max(x0, float64(bx)*s.HX)
-					xHi := math.Min(x0+sw, float64(bx+1)*s.HX)
+					xLo := max(x0, float64(bx)*s.HX)
+					xHi := min(x0+sw, float64(bx+1)*s.HX)
 					if xHi <= xLo {
 						continue
 					}
@@ -930,6 +966,9 @@ func (e *engine) densityGrad(xy []float64) float64 {
 		}
 	})
 	fieldTimer.End()
+	if !withEnergy {
+		return 0
+	}
 	return s.Energy()
 }
 

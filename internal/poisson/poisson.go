@@ -27,23 +27,28 @@ type Solver struct {
 	HX, HY float64 // physical bin dimensions
 
 	Density []float64 // input charge density ρ (overwritten only by caller)
-	Psi     []float64 // potential ψ
-	Ex, Ey  []float64 // field components E = −∇ψ
+	// Psi is the potential ψ, valid only after Energy: Solve leaves ψ's
+	// scaled cosine coefficients here, and the first Energy call after a
+	// Solve synthesizes ψ from them in place.
+	Psi    []float64
+	Ex, Ey []float64 // field components E = −∇ψ
 
-	grid   *fft.Grid2D
-	pool   *parallel.Pool
-	coeff  []float64 // DCT coefficients of ρ, then scaled
-	bufPsi []float64
-	bufEx  []float64
-	bufEy  []float64
-	wx     []float64 // w_u = πu/(NX·HX)
-	wy     []float64 // w_v = πv/(NY·HY)
+	grid     *fft.Grid2D
+	pool     *parallel.Pool
+	wx       []float64 // w_u = πu/(NX·HX)
+	wy       []float64 // w_v = πv/(NY·HY)
+	psiReady bool      // Psi holds ψ (not its coefficients)
+
+	// Work counts for the trace note: solves run, ψ syntheses run.
+	solves, psiSynths int
 
 	// Trace spans (nil = untraced): the solve as a whole, its forward and
-	// synthesis transforms, and the eigenvalue-scaling pass.
+	// field-synthesis transforms, the eigenvalue-scaling pass, and the lazy
+	// ψ synthesis Energy runs.
 	spanSolve *obs.Span
 	spanFFT   *obs.Span
 	spanSpec  *obs.Span
+	spanPsi   *obs.Span
 }
 
 // NewSolver returns a solver for an nx×ny grid of hx×hy bins.
@@ -61,10 +66,6 @@ func NewSolver(nx, ny int, hx, hy float64) *Solver {
 		Ex:      make([]float64, nx*ny),
 		Ey:      make([]float64, nx*ny),
 		grid:    fft.NewGrid2D(nx, ny),
-		coeff:   make([]float64, nx*ny),
-		bufPsi:  make([]float64, nx*ny),
-		bufEx:   make([]float64, nx*ny),
-		bufEy:   make([]float64, nx*ny),
 		wx:      make([]float64, nx),
 		wy:      make([]float64, ny),
 	}
@@ -87,62 +88,84 @@ func (s *Solver) Parallelize(p *parallel.Pool) {
 }
 
 // SetSpan attaches a trace span to the solver: subsequent Solves fold their
-// timing into it, broken into "fft" (forward DCT + synthesis transforms) and
-// "spectral" (eigenvalue scaling). nil detaches.
+// timing into it, broken into "fft" (forward DCT + field synthesis) and
+// "spectral" (eigenvalue scaling); Energy's ψ synthesis, which runs outside
+// Solve, folds into "psi". nil detaches.
 func (s *Solver) SetSpan(sp *obs.Span) {
 	s.spanSolve = sp
 	s.spanFFT = sp.Child("fft")
 	s.spanSpec = sp.Child("spectral")
+	s.spanPsi = sp.Child("psi")
 }
 
-// Solve computes Psi, Ex and Ey from the current Density.
+// Annotate notes on the solver's span how many Solves ran and after how
+// many of them Energy synthesized ψ. Safe without a span.
+func (s *Solver) Annotate() {
+	s.spanSolve.Note(fmt.Sprintf("psi synthesized after %d of %d solves", s.psiSynths, s.solves))
+}
+
+// Solve computes Ex and Ey from the current Density and leaves ψ's scaled
+// coefficients in Psi for Energy to synthesize on demand. It allocates
+// nothing on the serial path.
 func (s *Solver) Solve() {
 	solveTimer := s.spanSolve.Start()
 	defer solveTimer.End()
-	nx, ny := s.NX, s.NY
-	copy(s.coeff, s.Density)
+	s.solves++
+	s.psiReady = false
+	copy(s.Psi, s.Density)
 	fwdTimer := s.spanFFT.Start()
-	s.grid.DCT2D(s.coeff)
+	s.grid.DCT2D(s.Psi)
 	fwdTimer.End()
 
-	// Normalize the analysis coefficients so that SynthCosCos (with its
-	// halved u=0 / v=0 terms) reconstructs the input exactly, then divide by
-	// the Laplacian eigenvalues. Rows are independent (owner-computes), so
-	// the fan-out preserves bits.
-	norm := 4 / float64(nx*ny)
 	specTimer := s.spanSpec.Start()
-	s.pool.For(ny, func(_, lo, hi int) {
-		for v := lo; v < hi; v++ {
-			for u := 0; u < nx; u++ {
-				i := v*nx + u
-				if u == 0 && v == 0 {
-					s.bufPsi[i], s.bufEx[i], s.bufEy[i] = 0, 0, 0
-					continue
-				}
-				lambda := s.wx[u]*s.wx[u] + s.wy[v]*s.wy[v]
-				c := s.coeff[i] * norm / lambda
-				s.bufPsi[i] = c
-				s.bufEx[i] = c * s.wx[u]
-				s.bufEy[i] = c * s.wy[v]
-			}
-		}
-	})
-
+	if s.pool == nil {
+		s.scaleRows(0, 0, s.NY)
+	} else {
+		s.pool.For(s.NY, s.scaleRows)
+	}
 	specTimer.End()
 
 	synthTimer := s.spanFFT.Start()
-	copy(s.Psi, s.bufPsi)
-	s.grid.SynthCosCos(s.Psi)
-	copy(s.Ex, s.bufEx)
 	s.grid.SynthSinCos(s.Ex)
-	copy(s.Ey, s.bufEy)
 	s.grid.SynthCosSin(s.Ey)
 	synthTimer.End()
 }
 
+// scaleRows normalizes the analysis coefficients of rows [lo, hi) in Psi so
+// that SynthCosCos (with its halved u=0 / v=0 terms) reconstructs the
+// input exactly, divides them by the Laplacian eigenvalues, and writes the
+// field spectra into Ex and Ey. Rows are independent (owner-computes), so
+// the fan-out preserves bits.
+func (s *Solver) scaleRows(_, lo, hi int) {
+	nx := s.NX
+	norm := 4 / float64(nx*s.NY)
+	for v := lo; v < hi; v++ {
+		for u := 0; u < nx; u++ {
+			i := v*nx + u
+			if u == 0 && v == 0 {
+				s.Psi[i], s.Ex[i], s.Ey[i] = 0, 0, 0
+				continue
+			}
+			lambda := s.wx[u]*s.wx[u] + s.wy[v]*s.wy[v]
+			c := s.Psi[i] * norm / lambda
+			s.Psi[i] = c
+			s.Ex[i] = c * s.wx[u]
+			s.Ey[i] = c * s.wy[v]
+		}
+	}
+}
+
 // Energy returns the total electrostatic energy ½·Σ ρ·ψ·(bin area) of the
-// last Solve. It is the density-penalty value used by the placer.
+// last Solve. It is the density-penalty value used by the placer. The first
+// call after a Solve synthesizes Psi; later calls reuse it.
 func (s *Solver) Energy() float64 {
+	if !s.psiReady {
+		psiTimer := s.spanPsi.Start()
+		s.grid.SynthCosCos(s.Psi)
+		psiTimer.End()
+		s.psiReady = true
+		s.psiSynths++
+	}
 	var e float64
 	for i := range s.Psi {
 		e += s.Density[i] * s.Psi[i]

@@ -161,18 +161,17 @@ func (c Config) withDefaults() Config {
 // Stats is an in-process snapshot of the service counters, read from the
 // same registry /metrics exposes in Prometheus format.
 type Stats struct {
-	Submitted    uint64
-	Queued       int
-	Running      int
-	Done         uint64
-	Failed       uint64
-	Cancelled    uint64
-	Retried      uint64
-	Recovered    uint64
-	QuotaDenied  uint64
-	StoreErrors  uint64
-	CacheHits    uint64
-	CacheHitRate float64 // CacheHits / (Submitted + CacheHits)
+	Submitted   uint64
+	Queued      int
+	Running     int
+	Done        uint64
+	Failed      uint64
+	Cancelled   uint64
+	Retried     uint64
+	Recovered   uint64
+	QuotaDenied uint64
+	StoreErrors uint64
+	CacheHits   uint64
 }
 
 // Manager owns the job queue, the engine pool, and the store. It is safe
@@ -638,7 +637,7 @@ func (m *Manager) Stats() Stats {
 	m.st.mu.Lock()
 	defer m.st.mu.Unlock()
 	queued, running := m.st.counts()
-	s := Stats{
+	return Stats{
 		Submitted:   m.metrics.submitted.Value(),
 		Queued:      queued,
 		Running:     running,
@@ -651,10 +650,6 @@ func (m *Manager) Stats() Stats {
 		StoreErrors: m.metrics.storeErrors.Value(),
 		CacheHits:   m.metrics.cacheHits.Value(),
 	}
-	if total := s.Submitted + s.CacheHits; total > 0 {
-		s.CacheHitRate = float64(s.CacheHits) / float64(total)
-	}
-	return s
 }
 
 // LatestEventSeq returns the Seq of the job's most recent event, so SSE
