@@ -24,15 +24,13 @@ import (
 // frequency-aware local-swap hill climb ("swap").
 
 // nesterovPlacer is the frequency-aware electrostatic engine of §IV-C,
-// refactored behind the Placer interface. The registered backend evaluates
-// gradients incrementally (delta evaluation) and gates each parallel stage
-// at auto-calibrated cutoffs. fullEval and cutoffs select the reference
-// paths instead — full recompute, fixed gating — which are bit-identical by
-// contract; only the exactness tests set them.
+// refactored behind the Placer interface. The registered backend gates each
+// parallel stage at auto-calibrated cutoffs; cutoffs selects fixed gating
+// instead, which is bit-identical by contract and set only by the
+// exactness tests.
 type nesterovPlacer struct {
-	name     string
-	fullEval bool
-	cutoffs  *parallel.Cutoffs
+	name    string
+	cutoffs *parallel.Cutoffs
 }
 
 func (p nesterovPlacer) Name() string { return p.name }
@@ -42,7 +40,6 @@ func (p nesterovPlacer) Place(ctx context.Context, st *StageState, observer Obse
 	cfg.Span = obs.SpanFrom(ctx)
 	cfg.Seed = st.Options.Seed
 	cfg.Workers = st.Parallelism
-	cfg.DeltaEval = !p.fullEval
 	cfg.Cutoffs = p.cutoffs
 	if st.Options.MaxIters > 0 {
 		cfg.MaxIters = st.Options.MaxIters

@@ -3,7 +3,6 @@ package qplacer
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -431,29 +430,22 @@ func TestGoldenCorpusDetailedNone(t *testing.T) {
 	}
 }
 
-// registerReferenceBackends registers, once per test binary, copies of the
-// built-in gradient placer that run its reference paths: full gradient
-// recompute instead of delta evaluation ("-full-eval"), and zero cutoffs, so
-// every parallel stage fans out instead of gating at the calibrated sizes
-// ("-fanout"). They register only when the first caller runs, after the
-// conformance suites have enumerated the registries.
+// registerReferenceBackends registers, once per test binary, a copy of the
+// built-in gradient placer that runs with zero cutoffs, so every parallel
+// stage fans out instead of gating at the calibrated sizes ("-fanout"). It
+// registers only when the first caller runs, after the conformance suites
+// have enumerated the registries.
 var registerReferenceBackends = sync.OnceValue(func() error {
-	fanout := &parallel.Cutoffs{}
-	return errors.Join(
-		RegisterPlacer(nesterovPlacer{name: "nesterov-full-eval", fullEval: true}),
-		RegisterPlacer(nesterovPlacer{name: "nesterov-fanout", cutoffs: fanout}),
-		RegisterPlacer(nesterovPlacer{name: "nesterov-full-eval-fanout", fullEval: true, cutoffs: fanout}),
-	)
+	return RegisterPlacer(nesterovPlacer{name: "nesterov-fanout", cutoffs: &parallel.Cutoffs{}})
 })
 
-// TestGoldenCorpusToggles holds the gradient placer's reference paths to the
-// golden fixtures: full recompute instead of delta evaluation, and forced
-// fan-out instead of calibrated gating, must be byte-invisible in every
-// corpus combination, serially and in parallel. The fixtures were generated
-// on the default paths (serial), so each variant re-proves the exactness
-// contract end to end. The annealer has neither path, so its combinations
-// vary only the parallelism; the Classic entries ride along for the gradient
-// placer only.
+// TestGoldenCorpusToggles holds the gradient placer's forced fan-out to the
+// golden fixtures: fanning every stage out instead of gating at the
+// calibrated sizes must be byte-invisible in every gradient-placer corpus
+// combination, Classic included, on uneven and even partitions. The
+// fixtures were generated serially on the default path, so each variant
+// re-proves the parallel exactness contract end to end. The annealer has no
+// fan-out to toggle; TestGoldenCorpusParallel covers its parallelism.
 func TestGoldenCorpusToggles(t *testing.T) {
 	if testing.Short() {
 		t.Skip("toggle corpus re-run skipped in -short mode")
@@ -465,15 +457,12 @@ func TestGoldenCorpusToggles(t *testing.T) {
 	variants := []struct {
 		name        string
 		parallelism int
-		placerSfx   string
 	}{
-		{"delta-off-serial", 1, "-full-eval"},
-		{"delta-off-parallel", 3, "-full-eval"},
-		{"fanout-parallel", 3, "-fanout"},
-		{"all-off-parallel", 2, "-full-eval-fanout"},
+		{"fanout-parallel", 3},
+		{"fanout-parallel-2", 2},
 	}
-	combos := goldenCombos()
-	for _, o := range goldenClassicCombos() {
+	var combos []Options
+	for _, o := range append(goldenCombos(), goldenClassicCombos()...) {
 		if o.Placer == DefaultPlacerName {
 			combos = append(combos, o)
 		}
@@ -484,9 +473,7 @@ func TestGoldenCorpusToggles(t *testing.T) {
 		for _, v := range variants {
 			t.Run(goldenName(o)+"/"+v.name, func(t *testing.T) {
 				ref := o
-				if ref.Placer == DefaultPlacerName {
-					ref.Placer += v.placerSfx
-				}
+				ref.Placer += "-fanout"
 				got := buildFixture(t, ref, WithParallelism(v.parallelism))
 				got.Options.Placer = o.Placer
 				compareFixture(t, want, got)

@@ -31,7 +31,7 @@ func placedNetlist(t *testing.T, devName string) (*component.Netlist, *frequency
 	cm := frequency.BuildCollisionMap(nl, physics.DetuneThresholdGHz)
 	cfg := place.DefaultConfig()
 	cfg.MaxIters = 60
-	if _, err := place.Place(nl, cm, cfg); err != nil {
+	if _, err := place.PlaceCtx(context.Background(), nl, cm, cfg); err != nil {
 		t.Fatal(err)
 	}
 	return nl, cm

@@ -106,8 +106,8 @@ func (r Rect) Overlaps(s Rect) bool {
 // Intersect returns the overlap rectangle of r and s. If they do not
 // overlap, the second return value is false and the rectangle is degenerate.
 func (r Rect) Intersect(s Rect) (Rect, bool) {
-	lo := Point{math.Max(r.Lo.X, s.Lo.X), math.Max(r.Lo.Y, s.Lo.Y)}
-	hi := Point{math.Min(r.Hi.X, s.Hi.X), math.Min(r.Hi.Y, s.Hi.Y)}
+	lo := Point{max(r.Lo.X, s.Lo.X), max(r.Lo.Y, s.Lo.Y)}
+	hi := Point{min(r.Hi.X, s.Hi.X), min(r.Hi.Y, s.Hi.Y)}
 	if lo.X >= hi.X || lo.Y >= hi.Y {
 		return Rect{}, false
 	}
@@ -122,14 +122,14 @@ func (r Rect) IntersectionLength(s Rect) float64 {
 	if !ok {
 		return 0
 	}
-	return math.Max(ov.W(), ov.H())
+	return max(ov.W(), ov.H())
 }
 
 // Union returns the smallest rectangle containing both r and s.
 func (r Rect) Union(s Rect) Rect {
 	return Rect{
-		Lo: Point{math.Min(r.Lo.X, s.Lo.X), math.Min(r.Lo.Y, s.Lo.Y)},
-		Hi: Point{math.Max(r.Hi.X, s.Hi.X), math.Max(r.Hi.Y, s.Hi.Y)},
+		Lo: Point{min(r.Lo.X, s.Lo.X), min(r.Lo.Y, s.Lo.Y)},
+		Hi: Point{max(r.Hi.X, s.Hi.X), max(r.Hi.Y, s.Hi.Y)},
 	}
 }
 
@@ -137,11 +137,11 @@ func (r Rect) Union(s Rect) Rect {
 // (the Chebyshev-style clearance). It is negative when they overlap, with
 // magnitude equal to the smaller penetration depth.
 func (r Rect) Gap(s Rect) float64 {
-	dx := math.Max(r.Lo.X-s.Hi.X, s.Lo.X-r.Hi.X)
-	dy := math.Max(r.Lo.Y-s.Hi.Y, s.Lo.Y-r.Hi.Y)
+	dx := max(r.Lo.X-s.Hi.X, s.Lo.X-r.Hi.X)
+	dy := max(r.Lo.Y-s.Hi.Y, s.Lo.Y-r.Hi.Y)
 	if dx < 0 && dy < 0 {
 		// Overlapping: report negative penetration (closest escape axis).
-		return math.Max(dx, dy)
+		return max(dx, dy)
 	}
 	if dx < 0 {
 		return dy
@@ -173,7 +173,7 @@ func EnclosingRect(rects []Rect) (Rect, bool) {
 // Clamp returns p clamped into r.
 func (r Rect) Clamp(p Point) Point {
 	return Point{
-		X: math.Min(math.Max(p.X, r.Lo.X), r.Hi.X),
-		Y: math.Min(math.Max(p.Y, r.Lo.Y), r.Hi.Y),
+		X: min(max(p.X, r.Lo.X), r.Hi.X),
+		Y: min(max(p.Y, r.Lo.Y), r.Hi.Y),
 	}
 }

@@ -159,7 +159,7 @@ func (w workCounts) String() string {
 // Euclidean distance (diagonal pairs would otherwise slip through and still
 // overlap).
 func guardedApart(a, b geom.Point, guard float64) bool {
-	return math.Max(math.Abs(a.X-b.X), math.Abs(a.Y-b.Y)) >= guard
+	return max(math.Abs(a.X-b.X), math.Abs(a.Y-b.Y)) >= guard
 }
 
 // spotGrowth lists findSpot's escalation levels: each widens the search
@@ -177,7 +177,7 @@ func (lg *legalizer) setup() {
 		lg.slot[i] = -1
 	}
 	reach := lg.bounds.Inflate(lg.bounds.W() * spotGrowth[len(spotGrowth)-1])
-	lg.cell = math.Max(1.0, math.Max(reach.W(), reach.H())/maxGridCells)
+	lg.cell = max(1.0, max(reach.W(), reach.H())/maxGridCells)
 	lg.gridLo = reach.Lo
 	lg.nx = lg.gridCells(reach.W())
 	lg.ny = lg.gridCells(reach.H())
@@ -190,7 +190,7 @@ func (lg *legalizer) gridCells(extent float64) int {
 	if !(n >= 0) {
 		return 1
 	}
-	return int(math.Min(n, maxGridCells)) + 1
+	return int(min(n, maxGridCells)) + 1
 }
 
 // bucketCoord maps coordinate v to its bucket along an axis starting at lo
@@ -610,10 +610,10 @@ func (s *spiralSearch) blockedRunEnd(horizontal bool, fixed, v, to, dir int) int
 	var end float64
 	if dir > 0 {
 		end = math.Ceil((bHi+(size-overlapEps)/2-want)/s.lg.pitch) - 1
-		end = math.Min(end, float64(to))
+		end = min(end, float64(to))
 	} else {
 		end = math.Floor((bLo-(size-overlapEps)/2-want)/s.lg.pitch) + 1
-		end = math.Max(end, float64(to))
+		end = max(end, float64(to))
 	}
 	if !((end-float64(v))*float64(dir) > 0) { // also catches NaN
 		return v
@@ -898,10 +898,11 @@ func (lg *legalizer) pullIn(sid int, cluster []int, res *Result) bool {
 			}
 			// Chebyshev prefilter before the Euclidean test. Hypot(dx, dy)
 			// is max·√(1+(min/max)²), never below max. For special values
-			// it agrees with Max: +Inf if either axis is infinite, else NaN
-			// if either is NaN. So this skips only what Dist rejects.
+			// the builtin max is NaN if either axis is NaN (so the test is
+			// false), else +Inf if either is infinite, where Hypot is +Inf
+			// too. So this skips only what Dist rejects.
 			d := other.Pos.Sub(anchor)
-			if math.Max(math.Abs(d.X), math.Abs(d.Y)) > 2*step || other.Pos.Dist(anchor) > 2*step {
+			if max(math.Abs(d.X), math.Abs(d.Y)) > 2*step || other.Pos.Dist(anchor) > 2*step {
 				continue
 			}
 			// τ check (Algorithm 1, line 12): the foreign segment must stay

@@ -32,7 +32,7 @@ func placedNetlist(t testing.TB, devName string, mode place.Mode) (*component.Ne
 	cfg := place.DefaultConfig()
 	cfg.Mode = mode
 	cfg.MaxIters = 300
-	res, err := place.Place(nl, cm, cfg)
+	res, err := place.PlaceCtx(context.Background(), nl, cm, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -128,7 +128,7 @@ func legalized(t *testing.T, devName string, mode place.Mode) *component.Netlist
 	pcfg := place.DefaultConfig()
 	pcfg.Mode = mode
 	pcfg.MaxIters = 300
-	pres, err := place.Place(nl, cm, pcfg)
+	pres, err := place.PlaceCtx(context.Background(), nl, cm, pcfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,13 @@ package optim
 
 import "math"
 
+const (
+	// minStep is the smallest step size the optimizer takes.
+	minStep = 1e-12
+	// maxBacktrack bounds the inner backtracking loop.
+	maxBacktrack = 16
+)
+
 // GradFunc evaluates the objective gradient at x into grad (same length) and
 // returns the objective value. Implementations must not retain x or grad.
 type GradFunc func(x []float64, grad []float64) float64
@@ -27,12 +34,9 @@ type Nesterov struct {
 
 	a     float64 // Nesterov momentum parameter a_k
 	alpha float64 // current step size
-	iter  int
 
-	// MinStep and MaxStep clamp the step size.
-	MinStep, MaxStep float64
-	// MaxBacktrack bounds the inner backtracking loop.
-	MaxBacktrack int
+	// MaxStep caps the step size (minStep floors it).
+	MaxStep float64
 	// Value is the objective value at the last evaluated reference point.
 	Value float64
 
@@ -48,33 +52,25 @@ func NewNesterov(x0 []float64, grad GradFunc, initStep float64) *Nesterov {
 	}
 	n := len(x0)
 	return &Nesterov{
-		grad:         grad,
-		x:            append([]float64(nil), x0...),
-		v:            append([]float64(nil), x0...),
-		g:            make([]float64, n),
-		vNext:        make([]float64, n),
-		gNext:        make([]float64, n),
-		xNext:        make([]float64, n),
-		a:            1,
-		alpha:        initStep,
-		MinStep:      1e-12,
-		MaxStep:      1e12,
-		MaxBacktrack: 16,
+		grad:    grad,
+		x:       append([]float64(nil), x0...),
+		v:       append([]float64(nil), x0...),
+		g:       make([]float64, n),
+		vNext:   make([]float64, n),
+		gNext:   make([]float64, n),
+		xNext:   make([]float64, n),
+		a:       1,
+		alpha:   initStep,
+		MaxStep: 1e12,
 	}
 }
 
 // X returns the current major solution (live slice; copy before mutating).
 func (o *Nesterov) X() []float64 { return o.x }
 
-// Iter returns the number of completed steps.
-func (o *Nesterov) Iter() int { return o.iter }
-
-// StepSize returns the most recent accepted step size.
-func (o *Nesterov) StepSize() float64 { return o.alpha }
-
 func (o *Nesterov) clamp(a float64) float64 {
-	if a < o.MinStep {
-		return o.MinStep
+	if a < minStep {
+		return minStep
 	}
 	if a > o.MaxStep {
 		return o.MaxStep
@@ -120,7 +116,7 @@ func (o *Nesterov) Step() float64 {
 		default:
 			alphaHat = math.Sqrt(dv2 / dg2)
 		}
-		if alpha <= alphaHat*1.02 || bt >= o.MaxBacktrack || alpha <= o.MinStep {
+		if alpha <= alphaHat*1.02 || bt >= maxBacktrack || alpha <= minStep {
 			// Accept; seed the next iteration with the fresh estimate.
 			o.alpha = o.clamp(alphaHat)
 			// Adaptive (function-value) restart: if the objective rose at
@@ -141,18 +137,7 @@ func (o *Nesterov) Step() float64 {
 	}
 
 	o.a = aNext
-	o.iter++
 	return math.Sqrt(gnorm2)
-}
-
-// Reset clears the momentum state and cached gradients (used by the placer
-// when the objective changes discontinuously, e.g. after a penalty-weight
-// jump).
-func (o *Nesterov) Reset() {
-	o.a = 1
-	copy(o.v, o.x)
-	o.iter = 0
-	o.haveGrad = false
 }
 
 // InvalidateGradient discards the cached gradient so the next Step

@@ -112,29 +112,6 @@ func TestValueIsReported(t *testing.T) {
 	}
 }
 
-func TestResetClearsMomentum(t *testing.T) {
-	grad := func(x, g []float64) float64 {
-		g[0] = x[0]
-		return 0.5 * x[0] * x[0]
-	}
-	o := NewNesterov([]float64{1}, grad, 0.5)
-	for i := 0; i < 10; i++ {
-		o.Step()
-	}
-	o.Reset()
-	if o.Iter() != 0 {
-		t.Fatalf("Iter after Reset = %d", o.Iter())
-	}
-	// After reset the reference point must equal the major point: one step
-	// from a stationary state must not blow up.
-	before := o.X()[0]
-	o.Step()
-	after := o.X()[0]
-	if math.Abs(after) > math.Abs(before) {
-		t.Fatalf("step after reset diverged: %g -> %g", before, after)
-	}
-}
-
 func TestStepSizeClamping(t *testing.T) {
 	grad := func(x, g []float64) float64 {
 		g[0] = 1e-30 // near-zero gradient → BB step would explode
@@ -144,8 +121,8 @@ func TestStepSizeClamping(t *testing.T) {
 	o.MaxStep = 10
 	o.Step()
 	o.Step()
-	if o.StepSize() > 10 {
-		t.Fatalf("step size %g exceeds MaxStep", o.StepSize())
+	if o.alpha > 10 {
+		t.Fatalf("step size %g exceeds MaxStep", o.alpha)
 	}
 }
 

@@ -2,48 +2,52 @@ package place
 
 import "math"
 
-// This file implements the incremental (delta) gradient evaluation enabled
-// by Config.DeltaEval. Two independent mechanisms reuse work across Nesterov
-// iterations, both exact by construction so placements stay bit-identical to
-// a full recompute:
+// This file implements the incremental (delta) gradient evaluation. Two
+// independent mechanisms reuse work across Nesterov iterations, both exact
+// by construction so placements stay bit-identical to a full recompute:
 //
-//   - evalMemo caches the two most recent full component evaluations keyed
-//     by the exact bit pattern of the position vector. The Nesterov flow
+//   - lastEval records the most recent full component evaluation, keyed by
+//     the exact bit pattern of its position vector. The Nesterov flow
 //     re-evaluates the accepted lookahead point at the start of the next
 //     step (the placer invalidates the optimizer's cached gradient after
 //     re-weighting), so in steady state about one evaluation in three is a
-//     verbatim repeat. Component gradients depend only on positions — the
-//     penalty weights are applied later in the combine — so a bitwise-equal
-//     input implies bitwise-equal outputs and the memo can replay them.
+//     verbatim repeat of the last full one. Component gradients depend only
+//     on positions — the penalty weights are applied later in the combine —
+//     so a bitwise-equal input implies bitwise-equal outputs, and those
+//     outputs are still in the engine's component buffers: only a full
+//     evaluation writes them.
 //
 //   - verlet maintains, per pair family, the classic Verlet active list: the
 //     pairs within reach = rcut + margin of each other at the last rebuild.
 //     While no instance has moved more than margin/2 since then, every
 //     excluded pair provably still satisfies d > rcut and contributes
-//     exactly nothing (the serial kernel's early-out), so evaluating only
-//     the active pairs — in ascending pair order, the serial visit order —
+//     exactly nothing (the full scan's early-out), so evaluating only the
+//     active pairs — in ascending pair order, the full scan's visit order —
 //     reproduces the full scan bit for bit. The displacement check is the
 //     exact-recompute guard: the moment it fails, the list is rebuilt from
 //     the current positions.
 
-// evalSlot is one cached evaluation: the input positions and every output
-// evalComponents produces (component gradients, penalty values, overflow).
-type evalSlot struct {
-	used  bool
-	stamp int64
-
-	xy                                             []float64
-	gradWL, gradD, gradFQ, gradFS, gradWall, gradC []float64
-	wl, dEnergy, fq, fs, cPot, overflow            float64
+// lastEval is the record of the last full evaluation: its input positions,
+// its penalty values and the overflow it set. Its component gradients are
+// the engine's gradWL, gradD, gradFQ, gradFS, gradC and gradWall.
+type lastEval struct {
+	xy                        []float64
+	wl, dEnergy, fq, fs, cPot float64
+	overflow                  float64
 }
 
-// evalMemo is a two-slot LRU of component evaluations. Two slots cover the
-// optimizer's repeat pattern (the accepted lookahead point and the major
-// point alternate); a deeper cache would only hold stale vectors.
-type evalMemo struct {
-	slots        [2]evalSlot
-	clock        int64
-	hits, misses int
+// replay reports whether xy is bitwise the input of the last full
+// evaluation and, if so, restores the overflow that evaluation set (a
+// renorm-only evaluation may have overwritten it since) and counts the
+// replay. Before the first full evaluation the record is empty and matches
+// nothing.
+func (e *engine) replay(xy []float64) bool {
+	if !bitsEqual(e.last.xy, xy) {
+		return false
+	}
+	e.replays++
+	e.overflow = e.last.overflow
+	return true
 }
 
 // bitsEqual reports whether two vectors are identical down to the bit
@@ -59,51 +63,6 @@ func bitsEqual(a, b []float64) bool {
 		}
 	}
 	return true
-}
-
-// lookup replays a cached evaluation for xy into the engine's gradient
-// scratch, if one exists.
-func (m *evalMemo) lookup(e *engine, xy []float64) (wl, dEnergy, fq, fs, cPot float64, ok bool) {
-	for s := range m.slots {
-		sl := &m.slots[s]
-		if !sl.used || !bitsEqual(sl.xy, xy) {
-			continue
-		}
-		m.clock++
-		sl.stamp = m.clock
-		m.hits++
-		copy(e.gradWL, sl.gradWL)
-		copy(e.gradD, sl.gradD)
-		copy(e.gradFQ, sl.gradFQ)
-		copy(e.gradFS, sl.gradFS)
-		copy(e.gradWall, sl.gradWall)
-		copy(e.gradC, sl.gradC)
-		e.overflow = sl.overflow
-		return sl.wl, sl.dEnergy, sl.fq, sl.fs, sl.cPot, true
-	}
-	m.misses++
-	return 0, 0, 0, 0, 0, false
-}
-
-// store captures the evaluation just computed for xy, evicting the
-// least-recently-used slot.
-func (m *evalMemo) store(e *engine, xy []float64, wl, dEnergy, fq, fs, cPot float64) {
-	sl := &m.slots[0]
-	if m.slots[0].used && (!m.slots[1].used || m.slots[1].stamp < m.slots[0].stamp) {
-		sl = &m.slots[1]
-	}
-	m.clock++
-	sl.used = true
-	sl.stamp = m.clock
-	sl.xy = append(sl.xy[:0], xy...)
-	sl.gradWL = append(sl.gradWL[:0], e.gradWL...)
-	sl.gradD = append(sl.gradD[:0], e.gradD...)
-	sl.gradFQ = append(sl.gradFQ[:0], e.gradFQ...)
-	sl.gradFS = append(sl.gradFS[:0], e.gradFS...)
-	sl.gradWall = append(sl.gradWall[:0], e.gradWall...)
-	sl.gradC = append(sl.gradC[:0], e.gradC...)
-	sl.wl, sl.dEnergy, sl.fq, sl.fs, sl.cPot = wl, dEnergy, fq, fs, cPot
-	sl.overflow = e.overflow
 }
 
 // verlet is one pair family's active-list state.
@@ -127,13 +86,8 @@ type verlet struct {
 	activeSum       int64
 }
 
-// newVerlet returns the active-list state for one family, or nil when the
-// family is empty (no list to maintain, and the caller's full-scan path is
-// already free).
+// newVerlet returns the active-list state for one family.
 func newVerlet(n int, pairs [][2]int, rcut float64, withInc bool) *verlet {
-	if len(pairs) == 0 {
-		return nil
-	}
 	v := &verlet{
 		pairs:  pairs,
 		rcut:   rcut,
@@ -226,11 +180,21 @@ func (v *verlet) rebuildInc() {
 	}
 }
 
-// pairRepulsionActive is the serial pair kernel restricted to an active
-// list: identical arithmetic to pairRepulsion, visiting only the listed
-// pairs in ascending order. Skipped pairs would contribute exactly nothing
-// (they are beyond rcut by the verlet guarantee), so the scatter and the
-// running potential sum keep their full-scan bits.
+// pairRepulsionActive accumulates a finite-range repulsive potential
+//
+//	U(d) = (R² − d²)² / R³   for d < R,   0 otherwise,
+//
+// and its gradient over the listed pairs, in ascending order. This realizes
+// the frequency repulsive force of Eq. 9 — active only inside the
+// interaction radius and pushing monotonically harder as near-resonant
+// instances approach — with two numerical properties the literal 1/d²
+// profile lacks: the force is a polynomial in the raw coordinate
+// differences (no d→0 direction singularity) and its stiffness is bounded
+// by ~4/R everywhere, so stacked pairs cannot collapse the optimizer's
+// stable step size and freeze the layout. Pairs off the active list would
+// contribute exactly nothing (they are beyond rcut by the verlet
+// guarantee), so the scatter and the running potential sum keep the bits of
+// a scan over the whole family.
 func pairRepulsionActive(xy []float64, pairs [][2]int, active []int32, grad []float64, rcut float64) float64 {
 	var total float64
 	r2 := rcut * rcut
@@ -246,6 +210,7 @@ func pairRepulsionActive(xy []float64, pairs [][2]int, active []int32, grad []fl
 		}
 		gap := r2 - d2
 		total += gap * gap / r3
+		// ∂U/∂xi = −4·(R²−d²)·dx / R³.
 		scale := 4 * gap / r3
 		grad[2*i] -= scale * dx
 		grad[2*i+1] -= scale * dy

@@ -1,14 +1,17 @@
 package place
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"os"
+	"slices"
 	"sync"
 	"testing"
 
 	"qplacer/internal/bmgen"
+	"qplacer/internal/obs"
 	"qplacer/internal/parallel"
 	"qplacer/internal/topology"
 )
@@ -22,7 +25,7 @@ func runPlacement(t *testing.T, topo string, mutate func(*Config)) []float64 {
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	if _, err := Place(nl, cm, cfg); err != nil {
+	if _, err := PlaceCtx(context.Background(), nl, cm, cfg); err != nil {
 		t.Fatal(err)
 	}
 	return nl.Positions()
@@ -64,87 +67,6 @@ var registerGoldenSuite = sync.OnceValues(func() (string, error) {
 	})
 })
 
-// TestDeltaEvalExact is the delta-gradient exactness contract: with
-// DeltaEval on — memoized evaluations plus Verlet pair lists — placements
-// are bit-identical to the full recompute, serially and in parallel, on
-// every topology of the golden corpus (grid, falcon, and the generated
-// suite's device) in both placement modes.
-func TestDeltaEvalExact(t *testing.T) {
-	suite, err := registerGoldenSuite()
-	if err != nil {
-		t.Fatal(err)
-	}
-	topos := []string{"grid", "falcon", suite}
-	if !testing.Short() {
-		topos = append(topos, "eagle") // ~1s per placement; skipped under -short/-race
-	}
-	for _, topo := range topos {
-		for _, mode := range []Mode{ModeQplacer, ModeClassic} {
-			want := runPlacement(t, topo, func(cfg *Config) { cfg.Mode = mode })
-			for _, workers := range []int{1, 2, 3} {
-				got := runPlacement(t, topo, func(cfg *Config) {
-					cfg.Mode = mode
-					cfg.DeltaEval = true
-					cfg.Workers = workers
-				})
-				requireBitIdentical(t, fmt.Sprintf("%s/%v/delta/workers=%d", topo, mode, workers), got, want)
-			}
-		}
-	}
-}
-
-// TestDeltaEvalActuallyShortCircuits guards against the delta path silently
-// degrading to full recompute: repeated evaluations at the same positions
-// must be served from the memo, small drifts must not rebuild the Verlet
-// lists, and large drifts must.
-func TestDeltaEvalActuallyShortCircuits(t *testing.T) {
-	nl, cm := placeProblem(t, "falcon")
-	cfg := DefaultConfig()
-	cfg.DeltaEval = true
-	e := newEngine(nl, cm, cfg)
-	defer e.close()
-
-	x := nl.Positions()
-	grad := make([]float64, len(x))
-	full := make([]float64, len(x))
-
-	e.gradient(x, full)
-	if e.memo.misses != 1 || e.memo.hits != 0 {
-		t.Fatalf("first eval: hits=%d misses=%d", e.memo.hits, e.memo.misses)
-	}
-	e.gradient(x, grad)
-	if e.memo.hits != 1 {
-		t.Fatalf("repeat eval not memoized: hits=%d misses=%d", e.memo.hits, e.memo.misses)
-	}
-	for i := range grad {
-		if grad[i] != full[i] {
-			t.Fatalf("memoized gradient diverged at %d: %v != %v (bitwise)", i, grad[i], full[i])
-		}
-	}
-
-	if e.vlS == nil {
-		t.Fatal("segment-pair Verlet list missing")
-	}
-	rebuilds := e.vlS.rebuilds
-	// A drift well inside margin/2 must keep the active list.
-	drift := append([]float64(nil), x...)
-	for i := range drift {
-		drift[i] += e.vlS.margin / 100
-	}
-	e.gradient(drift, grad)
-	if e.vlS.rebuilds != rebuilds {
-		t.Fatalf("tiny drift triggered a Verlet rebuild (%d -> %d)", rebuilds, e.vlS.rebuilds)
-	}
-	// A drift past the guard must rebuild.
-	for i := range drift {
-		drift[i] += e.vlS.margin
-	}
-	e.gradient(drift, grad)
-	if e.vlS.rebuilds <= rebuilds {
-		t.Fatal("large drift did not rebuild the Verlet list")
-	}
-}
-
 // TestCutoffsBitIdentical runs the same problem under every granularity
 // policy — always fan out (zero cutoffs), auto-calibrated, and cutoffs so
 // high every stage gates serial — at several worker counts, and requires
@@ -171,71 +93,302 @@ func TestCutoffsBitIdentical(t *testing.T) {
 	}
 }
 
+// exactnessEngines builds the engine under test and a serial reference
+// engine for the same problem. The engine under test runs on the given
+// worker count with zero cutoffs, so a pool fans every stage out and the
+// owner-computes kernels run. It gets fixed, distinct nonzero penalty
+// weights, so every component shows in the combined gradient.
+func exactnessEngines(t *testing.T, topo string, mode Mode, workers int) (e, ref *engine) {
+	t.Helper()
+	nl, cm := placeProblem(t, topo)
+	cfg := DefaultConfig()
+	cfg.Mode = mode
+	cfg.Workers = workers
+	cfg.Cutoffs = &parallel.Cutoffs{}
+	e = newEngine(nl, cm, cfg)
+	t.Cleanup(e.close)
+	cfg.Workers = 1
+	ref = newEngine(nl, cm, cfg)
+	t.Cleanup(ref.close)
+	e.lambda, e.lambdaFQ, e.lambdaFS, e.lambdaC, e.wall = 0.7, 1.3, 0.9, 1.1, 1.5
+	return e, ref
+}
+
+// requireEval fails unless an evaluation of e — its returned value, its
+// gradient and the overflow it left — matches the reference bit for bit.
+func requireEval(t *testing.T, label string, e *engine, value float64, grad []float64, want refEval) {
+	t.Helper()
+	requireBitIdentical(t, label+" value", []float64{value}, []float64{want.value})
+	requireBitIdentical(t, label+" gradient", grad, want.grad)
+	requireBitIdentical(t, label+" overflow", []float64{e.overflow}, []float64{want.overflow})
+}
+
+// requireRenorm fails unless a renorm-only evaluation's outputs match the
+// reference's wirelength and density gradients and overflow bit for bit.
+func requireRenorm(t *testing.T, label string, e *engine, gradWL, gradD []float64, want refEval) {
+	t.Helper()
+	requireBitIdentical(t, label+" gradWL", gradWL, want.gradWL)
+	requireBitIdentical(t, label+" gradD", gradD, want.gradD)
+	requireBitIdentical(t, label+" overflow", []float64{e.overflow}, []float64{want.overflow})
+}
+
+// drift returns a copy of xy with every coordinate moved by a seeded
+// uniform amount in [−jitter, jitter).
+func drift(rng *rand.Rand, xy []float64, jitter float64) []float64 {
+	out := make([]float64, len(xy))
+	for i, v := range xy {
+		out[i] = v + (2*rng.Float64()-1)*jitter
+	}
+	return out
+}
+
+// evaluatedFamilies lists the Verlet lists of the pair families e's mode
+// evaluates, skipping families with no pairs.
+func evaluatedFamilies(e *engine) []*verlet {
+	all := []*verlet{e.vlC}
+	if e.cfg.Mode == ModeQplacer {
+		all = append(all, e.vlQ, e.vlS)
+	}
+	var fams []*verlet
+	for _, v := range all {
+		if len(v.pairs) > 0 {
+			fams = append(fams, v)
+		}
+	}
+	return fams
+}
+
+// walkExact drives the engine under test along a seeded position walk in
+// the pattern of the placer's loop — a full evaluation at a, a renorm-only
+// evaluation at a nearby major point b, then a again — and holds every
+// evaluation to the full-recompute reference bit for bit. Steps between
+// points a are small drifts, which must keep every Verlet list, and every
+// third is a large drift, which must rebuild each one. The second
+// evaluation of a must be a replay that recomputes nothing.
+func walkExact(t *testing.T, topo string, mode Mode, workers int) {
+	e, ref := exactnessEngines(t, topo, mode, workers)
+	fams := evaluatedFamilies(e)
+	minMargin, maxMargin := math.Inf(1), 0.0
+	for _, v := range fams {
+		minMargin = min(minMargin, v.margin)
+		maxMargin = max(maxMargin, v.margin)
+	}
+	// A small drift moves an instance at most √2·minMargin/16, so the two
+	// that can accumulate between large drifts stay below margin/2. A large
+	// drift moves one instance by maxMargin ± maxMargin/4 along x, past
+	// margin/2 for every family.
+	small := minMargin / 16
+	rng := rand.New(rand.NewSource(7))
+	grad := make([]float64, 2*len(e.nl.Instances))
+	rebuilds := make([]int, len(fams))
+	var fq, fs, cPot float64
+	a := e.nl.Positions()
+	for step := 0; step < 8; step++ {
+		label := fmt.Sprintf("%s/%v/workers=%d/step %d", topo, mode, workers, step)
+		large := step%3 == 2
+		switch {
+		case large:
+			a = drift(rng, a, maxMargin/4)
+			a[2*rng.Intn(len(e.nl.Instances))] += maxMargin
+		case step > 0:
+			a = drift(rng, a, small)
+		}
+		for i, v := range fams {
+			rebuilds[i] = v.rebuilds
+		}
+		want := referenceEval(ref, e, a)
+		fq, fs, cPot = fq+want.fq, fs+want.fs, cPot+want.cPot
+		requireEval(t, label, e, e.gradient(a, grad), grad, want)
+		for i, v := range fams {
+			switch got := v.rebuilds - rebuilds[i]; {
+			case step == 0 && got != 1:
+				t.Fatalf("%s: the first evaluation built a list %d times", label, got)
+			case step > 0 && large && got != 1:
+				t.Fatalf("%s: a large drift rebuilt a list %d times, want 1", label, got)
+			case step > 0 && !large && got != 0:
+				t.Fatalf("%s: a small drift rebuilt a list %d times, want 0", label, got)
+			}
+		}
+
+		b := drift(rng, a, small)
+		gradWL, gradD := e.evalRenorm(b)
+		requireRenorm(t, label+" renorm at b", e, gradWL, gradD, referenceEval(ref, e, b))
+
+		full, renorms, replays := e.fullEvals, e.renormEvals, e.replays
+		var evals int
+		for _, v := range fams {
+			evals += v.evals
+		}
+		requireEval(t, label+" replay of a", e, e.gradient(a, grad), grad, want)
+		for _, v := range fams {
+			evals -= v.evals
+		}
+		if e.fullEvals != full || e.renormEvals != renorms || e.replays != replays+1 || evals != 0 {
+			t.Fatalf("%s: the replay of a recomputed: %d full, %d renorm-only, %d replayed evaluations and %d Verlet checks added, want 0, 0, 1, 0",
+				label, e.fullEvals-full, e.renormEvals-renorms, e.replays-replays, -evals)
+		}
+	}
+	// The walk must exercise every evaluated pair kernel, not just zeros.
+	if cPot == 0 && len(e.vlC.pairs) > 0 || mode == ModeQplacer && (fq == 0 && len(e.vlQ.pairs) > 0 || fs == 0 && len(e.vlS.pairs) > 0) {
+		t.Fatalf("%s/%v: a pair family never interacted along the walk (fq=%g fs=%g chain=%g)", topo, mode, fq, fs, cPot)
+	}
+}
+
+// TestDeltaEvalExact is the delta-evaluation exactness contract: the
+// replay of the last full evaluation and the Verlet active lists reproduce
+// the full-recompute reference bit for bit, in the value and in every
+// gradient coordinate, along position walks that keep and rebuild the
+// lists. It covers every topology of the golden corpus (grid, falcon and
+// the generated suite's device) and, without -short, Eagle, in both modes,
+// serially and on a pool.
+func TestDeltaEvalExact(t *testing.T) {
+	suite, err := registerGoldenSuite()
+	if err != nil {
+		t.Fatal(err)
+	}
+	topos := []string{"grid", "falcon", suite}
+	if !testing.Short() {
+		topos = append(topos, "eagle") // its 529k segment pairs are slow under -race
+	}
+	for _, topo := range topos {
+		for _, mode := range []Mode{ModeQplacer, ModeClassic} {
+			for _, workers := range []int{1, 3} {
+				walkExact(t, topo, mode, workers)
+			}
+		}
+	}
+}
+
+// TestDeltaEvalActuallyShortCircuits guards against the delta path silently
+// degrading to full recompute: a repeat of the last full evaluation, full or
+// renorm-only, must be a replay; a small drift must keep the segment
+// family's Verlet list, which must skip pairs; and a large drift must
+// rebuild it. Every evaluation still matches the reference.
+func TestDeltaEvalActuallyShortCircuits(t *testing.T) {
+	e, ref := exactnessEngines(t, "falcon", ModeQplacer, 1)
+	rng := rand.New(rand.NewSource(3))
+	x := e.nl.Positions()
+	grad := make([]float64, len(x))
+
+	want := referenceEval(ref, e, x)
+	requireEval(t, "first", e, e.gradient(x, grad), grad, want)
+	if e.fullEvals != 1 || e.replays != 0 {
+		t.Fatalf("first eval: %d full, %d replayed, want 1 and 0", e.fullEvals, e.replays)
+	}
+	requireEval(t, "repeat", e, e.gradient(x, grad), grad, want)
+	if e.fullEvals != 1 || e.replays != 1 {
+		t.Fatalf("repeat eval not replayed: %d full, %d replayed", e.fullEvals, e.replays)
+	}
+	gradWL, gradD := e.evalRenorm(x)
+	requireRenorm(t, "renorm repeat", e, gradWL, gradD, want)
+	if e.renormEvals != 0 || e.replays != 2 {
+		t.Fatalf("renorm-only repeat not replayed: %d renorm-only, %d replayed", e.renormEvals, e.replays)
+	}
+
+	vs := e.vlS
+	rebuilds := vs.rebuilds
+	y := drift(rng, x, vs.margin/100)
+	requireEval(t, "small drift", e, e.gradient(y, grad), grad, referenceEval(ref, e, y))
+	if vs.rebuilds != rebuilds {
+		t.Fatalf("small drift triggered a Verlet rebuild (%d -> %d)", rebuilds, vs.rebuilds)
+	}
+	if len(vs.active) >= len(vs.pairs) {
+		t.Fatalf("the segment active list holds all %d pairs: nothing is skipped", len(vs.pairs))
+	}
+	z := drift(rng, y, vs.margin)
+	requireEval(t, "large drift", e, e.gradient(z, grad), grad, referenceEval(ref, e, z))
+	if vs.rebuilds != rebuilds+1 {
+		t.Fatalf("large drift: %d Verlet rebuilds, want 1", vs.rebuilds-rebuilds)
+	}
+}
+
 // TestRenormEvalMatchesFull is the exactness contract of the renorm-only
 // evaluation at the major point: at seeded random positions, the gradWL,
-// gradD and overflow it produces equal evalComponents' bit for bit, whether
-// it computes them (a memo miss, or delta eval off) or replays them (a memo
-// hit), serially and on a pool. It also checks that a miss stores nothing:
-// the memo's slots must only ever hold complete evaluations.
+// gradD and overflow it yields match the full-recompute reference bit for
+// bit, whether it computes them (a point the engine has not evaluated in
+// full) or replays them (the last full evaluation's point), serially and on
+// a pool. A computed one must leave the record of the last full evaluation
+// and its component gradients untouched, since a later replay reads them.
 func TestRenormEvalMatchesFull(t *testing.T) {
-	for _, delta := range []bool{false, true} {
+	for _, mode := range []Mode{ModeQplacer, ModeClassic} {
 		for _, workers := range []int{1, 3} {
-			label := fmt.Sprintf("delta=%v/workers=%d", delta, workers)
-			nl, cm := placeProblem(t, "falcon")
-			cfg := DefaultConfig()
-			cfg.DeltaEval = delta
-			cfg.Workers = workers
-			full := newEngine(nl, cm, cfg)
-			defer full.close()
-			renorm := newEngine(nl, cm, cfg)
-			defer renorm.close()
-
+			label := fmt.Sprintf("%v/workers=%d", mode, workers)
+			e, ref := exactnessEngines(t, "falcon", mode, workers)
 			rng := rand.New(rand.NewSource(41))
-			r := full.region
-			xy := make([]float64, 2*len(nl.Instances))
+			r := e.region
+			xy := make([]float64, 2*len(e.nl.Instances))
+			grad := make([]float64, len(xy))
 			for trial := 0; trial < 4; trial++ {
 				for i := 0; i < len(xy); i += 2 {
 					xy[i] = r.Lo.X + rng.Float64()*r.W()
 					xy[i+1] = r.Lo.Y + rng.Float64()*r.H()
 				}
-				full.evalComponents(xy)
-				wantWL := append([]float64(nil), full.gradWL...)
-				wantD := append([]float64(nil), full.gradD...)
-				wantOver := full.overflow
+				want := referenceEval(ref, e, xy)
 
-				// Computed: the renorm engine has never seen xy.
-				renorm.evalRenorm(xy)
-				requireBitIdentical(t, label+" computed gradWL", renorm.gradWL, wantWL)
-				requireBitIdentical(t, label+" computed gradD", renorm.gradD, wantD)
-				requireBitIdentical(t, label+" computed overflow", []float64{renorm.overflow}, []float64{wantOver})
+				// Computed: the engine has never evaluated xy in full.
+				record := append([]float64(nil), e.last.xy...)
+				wl := append([]float64(nil), e.gradWL...)
+				d := append([]float64(nil), e.gradD...)
+				renorms := e.renormEvals
+				gradWL, gradD := e.evalRenorm(xy)
+				requireRenorm(t, label+" computed", e, gradWL, gradD, want)
+				if e.renormEvals != renorms+1 {
+					t.Fatalf("%s: a new point was not computed", label)
+				}
+				if !bitsEqual(e.last.xy, record) || !bitsEqual(e.gradWL, wl) || !bitsEqual(e.gradD, d) {
+					t.Fatalf("%s: a renorm-only evaluation overwrote the last full evaluation", label)
+				}
 
-				// Replayed (memo on) or recomputed (memo off) on the engine
-				// that just evaluated xy in full, from clobbered scratch.
-				for i := range full.gradWL {
-					full.gradWL[i], full.gradD[i] = 0, 0
-				}
-				full.overflow = -1
-				full.evalRenorm(xy)
-				requireBitIdentical(t, label+" repeated gradWL", full.gradWL, wantWL)
-				requireBitIdentical(t, label+" repeated gradD", full.gradD, wantD)
-				requireBitIdentical(t, label+" repeated overflow", []float64{full.overflow}, []float64{wantOver})
-			}
-			if renorm.renormEvals != 4 || renorm.fullEvals != 0 {
-				t.Fatalf("%s: renorm engine ran %d renorm-only and %d full evaluations, want 4 and 0",
-					label, renorm.renormEvals, renorm.fullEvals)
-			}
-			if delta {
-				if full.memo.hits != 4 || full.renormEvals != 0 {
-					t.Fatalf("%s: repeated points: %d memo hits, %d renorm-only evaluations, want 4 and 0",
-						label, full.memo.hits, full.renormEvals)
-				}
-				// A renorm-only miss must not have stored xy.
-				before := renorm.memo.hits
-				renorm.evalComponents(xy)
-				if renorm.memo.hits != before {
-					t.Fatalf("%s: a renorm-only evaluation was stored in the memo", label)
+				// Replayed: the last full evaluation was at xy.
+				e.gradient(xy, grad)
+				e.overflow = -1
+				renorms, replays := e.renormEvals, e.replays
+				gradWL, gradD = e.evalRenorm(xy)
+				requireRenorm(t, label+" replayed", e, gradWL, gradD, want)
+				if e.renormEvals != renorms || e.replays != replays+1 {
+					t.Fatalf("%s: the last full evaluation's point was not replayed", label)
 				}
 			}
 		}
+	}
+}
+
+// TestWorkCountsFalconSerial pins the work of a serial falcon seed-1 Qplacer
+// placement as its trace notes report it: how many evaluations were full,
+// renorm-only and replayed, how many Poisson solves synthesized ψ, and each
+// Verlet list's size and rebuilds. The counts are exact per seed, so a
+// replay that silently stops hitting, or a guard that rebuilds more often,
+// fails here with no timing involved.
+func TestWorkCountsFalconSerial(t *testing.T) {
+	nl, cm := placeProblem(t, "falcon")
+	cfg := DefaultConfig()
+	cfg.Workers = 1
+	cfg.Span = obs.NewSpan("place")
+	if _, err := PlaceCtx(context.Background(), nl, cm, cfg); err != nil {
+		t.Fatal(err)
+	}
+	snap := cfg.Span.Snapshot()
+	want := []string{
+		"delta-eval: 912 gradient evaluations: 410 full, 196 renorm-only, 306 replayed",
+		"verlet qubit pairs: 85 total, 15 active on average, 16 rebuilds over 410 evaluations",
+		"verlet seg pairs: 18117 total, 208 active on average, 60 rebuilds over 410 evaluations",
+		"verlet chain pairs: 1968 total, 264 active on average, 79 rebuilds over 410 evaluations",
+	}
+	if !slices.Equal(snap.Notes, want) {
+		t.Errorf("place notes:\n got %q\nwant %q", snap.Notes, want)
+	}
+	var poisson []string
+	for _, c := range snap.Children {
+		if c.Name != "density" {
+			continue
+		}
+		for _, g := range c.Children {
+			if g.Name == "poisson" {
+				poisson = g.Notes
+			}
+		}
+	}
+	if want := []string{"psi synthesized after 410 of 606 solves"}; !slices.Equal(poisson, want) {
+		t.Errorf("poisson notes: got %q, want %q", poisson, want)
 	}
 }

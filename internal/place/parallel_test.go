@@ -1,6 +1,7 @@
 package place
 
 import (
+	"context"
 	"testing"
 
 	"qplacer/internal/component"
@@ -39,7 +40,7 @@ func TestParallelBitIdentical(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.MaxIters = 30
 			cfg.Workers = workers
-			if _, err := Place(nl, cm, cfg); err != nil {
+			if _, err := PlaceCtx(context.Background(), nl, cm, cfg); err != nil {
 				t.Fatal(err)
 			}
 			return nl.Positions()
@@ -66,7 +67,7 @@ func TestParallelResultFields(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.MaxIters = 40
 		cfg.Workers = workers
-		res, err := Place(nl, cm, cfg)
+		res, err := PlaceCtx(context.Background(), nl, cm, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -112,15 +112,6 @@ type Config struct {
 	// it never changes results. Ignored when Workers <= 1.
 	Cutoffs *parallel.Cutoffs
 
-	// DeltaEval enables incremental gradient evaluation across Nesterov
-	// iterations: bitwise-repeated position vectors replay their cached
-	// component gradients, and the pair-repulsion kernels keep Verlet active
-	// lists so far-apart pairs are not re-scanned every iteration. Both
-	// mechanisms carry exact-recompute guards (bit-pattern equality, a
-	// displacement bound), so placements are bit-identical with or without
-	// it — and at every worker count either way.
-	DeltaEval bool
-
 	// Progress, when non-nil, is called once per completed iteration with
 	// the 1-based iteration count and the current density overflow. It rides
 	// on values the loop computes anyway, so it adds no work; it must be
@@ -206,18 +197,17 @@ type engine struct {
 
 	// Parallel state (nil/empty when Workers <= 1). The incidence
 	// structures drive owner-computes accumulation: instNets[i] (ascending
-	// net indices) and the per-family CSR incidence (ascending pair
+	// net indices) and each Verlet list's CSR incidence (ascending pair
 	// indices) let the worker that owns instance i fold exactly the
 	// serial-order contributions into grad[2i], grad[2i+1]. The contrib
 	// buffers collect per-net / per-pair scalar terms, reduced serially in
 	// index order so objective values keep their serial bits too.
-	pool             *parallel.Pool
-	instNets         [][]int32
-	incQ, incS, incC incidenceCSR
-	netContrib       []float64
-	pairContrib      []float64
-	rasterLo         []int32 // per-instance clamped bin-row span, refreshed
-	rasterHi         []int32 // each densityGrad so workers skip cheaply
+	pool        *parallel.Pool
+	instNets    [][]int32
+	netContrib  []float64
+	pairContrib []float64
+	rasterLo    []int32 // per-instance clamped bin-row span, refreshed
+	rasterHi    []int32 // each densityGrad so workers skip cheaply
 
 	// Adaptive granularity: per-stage gated views of pool (nil = run that
 	// stage serially because its problem size is below the cutoff). The
@@ -227,13 +217,17 @@ type engine struct {
 	poolWL, poolRaster, poolPoint *parallel.Pool
 	poolSolve                     *parallel.Pool
 
-	// Delta evaluation (nil/disabled unless cfg.DeltaEval).
-	memo          *evalMemo
-	vlQ, vlS, vlC *verlet
+	// Delta evaluation: the last full evaluation's record and one Verlet
+	// active list per pair family. evalRenorm computes into renormWL and
+	// renormD, so only a full evaluation writes the component gradients and
+	// they stay the last one's outputs until the next.
+	last              lastEval
+	vlQ, vlS, vlC     *verlet
+	renormWL, renormD []float64
 
-	// Evaluation counts for the trace note: every component computed, and
-	// only what the re-weighting reads (memo replays are counted by memo).
-	fullEvals, renormEvals int
+	// Evaluation counts for the trace note: every component computed, only
+	// what the re-weighting reads, and replays of the last full evaluation.
+	fullEvals, renormEvals, replays int
 
 	// Aggregating trace sub-spans of cfg.Span (all nil when untraced).
 	spWL, spDen, spRaster, spField *obs.Span
@@ -241,55 +235,23 @@ type engine struct {
 	spCombine, spReduce            *obs.Span
 }
 
-// incidenceCSR is a pair family inverted into compressed-sparse-row form:
-// instance i's incident half-edges occupy entries start[i]..start[i+1], in
-// ascending pair order (the serial visit order). Each entry stores the
-// opposite instance and, when i is the pair's first endpoint, the pair index
-// to write the scalar contribution to (-1 otherwise). The flat layout keeps
-// the hot loop streaming instead of chasing [][2]int at random.
+// incidenceCSR is a Verlet active list inverted into compressed-sparse-row
+// form: instance i's incident half-edges occupy entries
+// start[i]..start[i+1], in ascending pair order (the serial visit order).
+// Each entry stores the opposite instance and, when i is the pair's first
+// endpoint, the pair index to write the scalar contribution to (-1
+// otherwise). The flat layout keeps the hot loop streaming instead of
+// chasing [][2]int at random.
 type incidenceCSR struct {
 	start      []int32
 	other      []int32
 	contribIdx []int32
 }
 
-// buildIncidence inverts an edge list into CSR incidence.
-func buildIncidence(n int, edges [][2]int) incidenceCSR {
-	deg := make([]int32, n+1)
-	for _, ed := range edges {
-		deg[ed[0]+1]++
-		deg[ed[1]+1]++
-	}
-	for i := 0; i < n; i++ {
-		deg[i+1] += deg[i]
-	}
-	inc := incidenceCSR{
-		start:      deg,
-		other:      make([]int32, 2*len(edges)),
-		contribIdx: make([]int32, 2*len(edges)),
-	}
-	fill := append([]int32(nil), deg[:n]...)
-	for k, ed := range edges {
-		a, b := ed[0], ed[1]
-		inc.other[fill[a]] = int32(b)
-		inc.contribIdx[fill[a]] = int32(k)
-		fill[a]++
-		inc.other[fill[b]] = int32(a)
-		inc.contribIdx[fill[b]] = -1
-		fill[b]++
-	}
-	return inc
-}
-
-// Place runs global placement on the netlist, mutating instance positions.
-// The collision map may be nil for ModeClassic.
-func Place(nl *component.Netlist, cm *frequency.CollisionMap, cfg Config) (*Result, error) {
-	return PlaceCtx(context.Background(), nl, cm, cfg)
-}
-
-// PlaceCtx is Place with cancellation: the Nesterov loop checks ctx once per
-// iteration and returns ctx.Err() as soon as it fires, leaving the netlist at
-// the positions of the last completed iteration.
+// PlaceCtx runs global placement on the netlist, mutating instance
+// positions. The collision map may be nil for ModeClassic. The Nesterov loop
+// checks ctx once per iteration and returns ctx.Err() as soon as it fires,
+// leaving the netlist at the positions of the last completed iteration.
 func PlaceCtx(ctx context.Context, nl *component.Netlist, cm *frequency.CollisionMap, cfg Config) (*Result, error) {
 	start := time.Now()
 	if cfg.MaxIters <= 0 {
@@ -329,12 +291,12 @@ func PlaceCtx(ctx context.Context, nl *component.Netlist, cm *frequency.Collisio
 	// springPeak is the maximum force of the unit-weight polynomial spring
 	// U = (R²−d²)²/R³, attained at d = R/√3: 8/(3√3) · 1/R.
 	const springPeak = 1.5396
-	renorm := func() {
-		wlNorm := l1(e.gradWL) + 1e-12
+	renorm := func(gradWL, gradD []float64) {
+		wlNorm := l1(gradWL) + 1e-12
 		// Typical per-coordinate wirelength gradient: the force scale one
 		// instance actually feels.
-		gBar := wlNorm / float64(len(e.gradWL))
-		if dNorm := l1(e.gradD); dNorm > 0 {
+		gBar := wlNorm / float64(len(gradWL))
+		if dNorm := l1(gradD); dNorm > 0 {
 			e.lambda = ratioD * wlNorm / dNorm
 		}
 		// Pair weights are normalized per pair, not per aggregate: a spring
@@ -349,7 +311,7 @@ func PlaceCtx(ctx context.Context, nl *component.Netlist, cm *frequency.Collisio
 		e.lambdaC = ratioC * gBar * e.chainR0 / springPeak
 		e.wall = math.Max(e.lambda, 1)
 	}
-	renorm()
+	renorm(e.gradWL, e.gradD)
 
 	opt := optim.NewNesterov(x0, e.gradient, e.region.W()/100)
 	opt.MaxStep = e.region.W() / 4 // a step never crosses a quarter-region
@@ -383,8 +345,7 @@ func PlaceCtx(ctx context.Context, nl *component.Netlist, cm *frequency.Collisio
 		}
 		// renorm reads only ‖∇WL‖₁, ‖∇D‖₁ and the overflow (evalRenorm
 		// says why the other components may stay stale).
-		e.evalRenorm(opt.X())
-		renorm()
+		renorm(e.evalRenorm(opt.X()))
 		opt.InvalidateGradient()
 		if cfg.Progress != nil {
 			cfg.Progress(iters, e.overflow)
@@ -438,6 +399,8 @@ func newEngine(nl *component.Netlist, cm *frequency.CollisionMap, cfg Config) *e
 	e.gradFS = make([]float64, 2*n)
 	e.gradWall = make([]float64, 2*n)
 	e.gradC = make([]float64, 2*n)
+	e.renormWL = make([]float64, 2*n)
+	e.renormD = make([]float64, 2*n)
 	e.setupChainPairs()
 	e.splitCollisionPairs()
 	e.setupParallel()
@@ -583,9 +546,6 @@ func (e *engine) setupParallel() {
 	e.poolSolve = parallel.Gate(e.pool, cells, e.cut.SolveCells)
 	e.solver.Parallelize(e.poolSolve)
 	e.instNets = incidence(n, e.nl.Nets)
-	e.incQ = buildIncidence(n, e.qubitPairs)
-	e.incS = buildIncidence(n, e.segPairs)
-	e.incC = buildIncidence(n, e.chainPairs)
 	e.netContrib = make([]float64, len(e.nl.Nets))
 	maxPairs := len(e.qubitPairs)
 	if len(e.segPairs) > maxPairs {
@@ -599,15 +559,11 @@ func (e *engine) setupParallel() {
 	e.rasterHi = make([]int32, n)
 }
 
-// setupDelta builds the delta-evaluation state: the two-slot evaluation memo
-// and one Verlet active list per pair family. The filtered owner-computes
-// incidence buffers are only allocated when a pool exists to use them.
+// setupDelta builds one Verlet active list per pair family. The filtered
+// owner-computes incidence buffers are only allocated when a pool exists to
+// use them.
 func (e *engine) setupDelta() {
-	if !e.cfg.DeltaEval {
-		return
-	}
 	n := len(e.nl.Instances)
-	e.memo = &evalMemo{}
 	withInc := e.pool != nil
 	e.vlQ = newVerlet(n, e.qubitPairs, FreqCutoffMM, withInc)
 	e.vlS = newVerlet(n, e.segPairs, FreqCutoffSegMM, withInc)
@@ -621,18 +577,14 @@ func (e *engine) annotateSpan() {
 	if sp == nil {
 		return
 	}
-	var replayed int
-	if e.memo != nil {
-		replayed = e.memo.hits
-	}
-	sp.Note(fmt.Sprintf("delta-eval: %d gradient evaluations: %d full, %d renorm-only, %d replayed from memo",
-		e.fullEvals+e.renormEvals+replayed, e.fullEvals, e.renormEvals, replayed))
+	sp.Note(fmt.Sprintf("delta-eval: %d gradient evaluations: %d full, %d renorm-only, %d replayed",
+		e.fullEvals+e.renormEvals+e.replays, e.fullEvals, e.renormEvals, e.replays))
 	e.solver.Annotate()
 	for _, f := range []struct {
 		name string
 		vl   *verlet
 	}{{"qubit", e.vlQ}, {"seg", e.vlS}, {"chain", e.vlC}} {
-		if f.vl == nil || f.vl.evals == 0 {
+		if f.vl.evals == 0 {
 			continue
 		}
 		sp.Note(fmt.Sprintf("verlet %s pairs: %d total, %d active on average, %d rebuilds over %d evaluations",
@@ -679,78 +631,74 @@ func incidence(n int, edges [][2]int) [][]int32 {
 func (e *engine) chainGrad(xy []float64) float64 {
 	chainTimer := e.spChain.Start()
 	defer chainTimer.End()
-	return e.pairForce(xy, e.chainPairs, e.incC, e.vlC, e.gradC, e.chainR0)
+	return e.pairForce(xy, e.vlC, e.gradC)
 }
 
-// pairForce evaluates one pair family into grad, selecting the evaluation
-// strategy: the Verlet active list when delta eval is on, then the
-// owner-computes fan-out when the live pair count clears the adaptive
-// cutoff, and the serial scatter otherwise. Every combination produces the
-// same bits (the active list is exact, and the owner-computes kernel
-// reproduces the serial accumulation order).
-func (e *engine) pairForce(xy []float64, pairs [][2]int, inc incidenceCSR, vl *verlet, grad []float64, rcut float64) float64 {
-	items := len(pairs)
-	var active []int32
-	if vl != nil {
-		vl.ensure(xy)
-		active = vl.active
-		items = len(active)
-		inc = vl.inc
+// pairForce evaluates one pair family into grad over its Verlet active
+// list: on the owner-computes fan-out when the live pair count clears the
+// adaptive cutoff, with the serial scatter otherwise. Both produce the same
+// bits (the active list is exact, and the owner-computes kernel reproduces
+// the serial accumulation order). A family with no pairs has a zero
+// gradient and potential.
+func (e *engine) pairForce(xy []float64, vl *verlet, grad []float64) float64 {
+	if len(vl.pairs) == 0 {
+		for i := range grad {
+			grad[i] = 0
+		}
+		return 0
 	}
-	if p := parallel.Gate(e.pool, items, e.cut.PairItems); p != nil {
-		return e.pairRepulsionOwner(p, xy, len(pairs), inc, active, grad, rcut)
+	vl.ensure(xy)
+	if p := parallel.Gate(e.pool, len(vl.active), e.cut.PairItems); p != nil {
+		return e.pairRepulsionOwner(p, xy, vl, grad)
 	}
 	for i := range grad {
 		grad[i] = 0
 	}
-	if vl != nil {
-		return pairRepulsionActive(xy, pairs, active, grad, rcut)
-	}
-	return pairRepulsion(xy, pairs, grad, rcut)
+	return pairRepulsionActive(xy, vl.pairs, vl.active, grad, vl.rcut)
 }
 
 // evalComponents fills the component gradients for the positions xy and
-// refreshes the density overflow. It returns the penalty values. With delta
-// evaluation on, a bitwise repeat of a recently evaluated position vector is
-// replayed from the memo instead of recomputed (the outputs depend only on
-// xy — penalty weights enter later, in the combine — so the replay is exact).
+// refreshes the density overflow. It returns the penalty values. A bitwise
+// repeat of the last full evaluation's positions is replayed instead of
+// recomputed (see lastEval).
 func (e *engine) evalComponents(xy []float64) (wl, dEnergy, fq, fs, cPot float64) {
-	if e.memo != nil {
-		if wl, dEnergy, fq, fs, cPot, ok := e.memo.lookup(e, xy); ok {
-			return wl, dEnergy, fq, fs, cPot
-		}
+	if e.replay(xy) {
+		l := &e.last
+		return l.wl, l.dEnergy, l.fq, l.fs, l.cPot
 	}
 	e.fullEvals++
-	wl = e.wirelengthGrad(xy)
-	dEnergy = e.densityGrad(xy, true)
+	wl = e.wirelengthGrad(xy, e.gradWL)
+	dEnergy = e.densityGrad(xy, e.gradD, true)
 	fq, fs = e.frequencyGrad(xy)
 	cPot = e.chainGrad(xy)
 	e.wallGrad(xy)
-	if e.memo != nil {
-		e.memo.store(e, xy, wl, dEnergy, fq, fs, cPot)
+	e.last = lastEval{
+		xy: append(e.last.xy[:0], xy...),
+		wl: wl, dEnergy: dEnergy, fq: fq, fs: fs, cPot: cPot,
+		overflow: e.overflow,
 	}
 	return wl, dEnergy, fq, fs, cPot
 }
 
-// evalRenorm refreshes only what the penalty re-weighting reads at xy:
-// gradWL, gradD (the Poisson field included, ψ and the energy skipped) and
-// the overflow. A memo hit replays as in evalComponents; a miss computes the
-// two components and stores nothing, since the memo's slots must hold every
-// output. It is exact as a substitute for evalComponents at the major
-// point: the frequency, chain and boundary gradients it leaves stale are
-// never combined, because the placer invalidates the optimizer's gradient
-// right after re-weighting and the next gradient call refreshes every
-// component; and the Verlet lists it does not advance are exact under any
-// rebuild schedule.
-func (e *engine) evalRenorm(xy []float64) {
-	if e.memo != nil {
-		if _, _, _, _, _, ok := e.memo.lookup(e, xy); ok {
-			return
-		}
+// evalRenorm refreshes only what the penalty re-weighting reads at xy and
+// returns it: the wirelength and density gradients (the Poisson field
+// included, ψ and the energy skipped), with the overflow set. A replay of
+// the last full evaluation returns its gradWL and gradD; otherwise the two
+// components are computed into renormWL and renormD, leaving the last full
+// evaluation's outputs intact for a later replay. It is exact as a
+// substitute for evalComponents at the major point: the frequency, chain and
+// boundary gradients are not refreshed, but they are never combined before
+// the next evalComponents, because the placer invalidates the optimizer's
+// gradient right after re-weighting; and the Verlet lists it does not
+// advance are exact under any rebuild schedule.
+func (e *engine) evalRenorm(xy []float64) (gradWL, gradD []float64) {
+	if e.replay(xy) {
+		return e.gradWL, e.gradD
 	}
 	e.renormEvals++
-	e.wirelengthGrad(xy)
-	e.densityGrad(xy, false)
+	e.wirelengthGrad(xy, e.renormWL)
+	e.densityGrad(xy, e.renormD, false)
+	return e.renormWL, e.renormD
 }
 
 // gradient is the optim.GradFunc: total objective and gradient. The
@@ -787,8 +735,8 @@ func (e *engine) netWeight(a, b int) float64 {
 }
 
 // wirelengthGrad computes the smoothed wirelength Σ w·√(Δ²+γ²) per axis
-// over all 2-pin nets and its gradient.
-func (e *engine) wirelengthGrad(xy []float64) float64 {
+// over all 2-pin nets and its gradient into grad.
+func (e *engine) wirelengthGrad(xy, grad []float64) float64 {
 	wlTimer := e.spWL.Start()
 	defer wlTimer.End()
 	g2 := e.gamma * e.gamma
@@ -817,8 +765,8 @@ func (e *engine) wirelengthGrad(xy []float64) float64 {
 						gy -= w * dy / sy
 					}
 				}
-				e.gradWL[2*i] = gx
-				e.gradWL[2*i+1] = gy
+				grad[2*i] = gx
+				grad[2*i+1] = gy
 			}
 		})
 		reduceTimer := e.spReduce.Start()
@@ -829,8 +777,8 @@ func (e *engine) wirelengthGrad(xy []float64) float64 {
 		reduceTimer.End()
 		return total
 	}
-	for i := range e.gradWL {
-		e.gradWL[i] = 0
+	for i := range grad {
+		grad[i] = 0
 	}
 	var total float64
 	for _, net := range e.nl.Nets {
@@ -841,19 +789,19 @@ func (e *engine) wirelengthGrad(xy []float64) float64 {
 		sx := math.Sqrt(dx*dx + g2)
 		sy := math.Sqrt(dy*dy + g2)
 		total += w * (sx + sy - 2*e.gamma)
-		e.gradWL[2*a] += w * dx / sx
-		e.gradWL[2*b] -= w * dx / sx
-		e.gradWL[2*a+1] += w * dy / sy
-		e.gradWL[2*b+1] -= w * dy / sy
+		grad[2*a] += w * dx / sx
+		grad[2*b] -= w * dx / sx
+		grad[2*a+1] += w * dy / sy
+		grad[2*b+1] -= w * dy / sy
 	}
 	return total
 }
 
-// densityGrad rasterizes charges, solves the Poisson problem and sets the
-// density gradient −q·E per instance and the overflow. With withEnergy it
-// returns the electrostatic energy (which costs the solver one more
-// synthesis, of ψ); without, it returns 0.
-func (e *engine) densityGrad(xy []float64, withEnergy bool) float64 {
+// densityGrad rasterizes charges, solves the Poisson problem and writes the
+// density gradient −q·E per instance into grad, and sets the overflow. With
+// withEnergy it returns the electrostatic energy (which costs the solver one
+// more synthesis, of ψ); without, it returns 0.
+func (e *engine) densityGrad(xy, grad []float64, withEnergy bool) float64 {
 	denTimer := e.spDen.Start()
 	defer denTimer.End()
 	s := e.solver
@@ -961,8 +909,8 @@ func (e *engine) densityGrad(xy []float64, withEnergy bool) float64 {
 		for i := lo; i < hi; i++ {
 			q := e.chargeW[i] * e.chargeH[i]
 			cx, cy := xy[2*i], xy[2*i+1]
-			e.gradD[2*i] = -q * s.At(s.Ex, cx, cy)
-			e.gradD[2*i+1] = -q * s.At(s.Ey, cx, cy)
+			grad[2*i] = -q * s.At(s.Ex, cx, cy)
+			grad[2*i+1] = -q * s.At(s.Ey, cx, cy)
 		}
 	})
 	fieldTimer.End()
@@ -989,61 +937,23 @@ func (e *engine) splitCollisionPairs() {
 	}
 }
 
-// pairRepulsion accumulates a finite-range repulsive potential
-//
-//	U(d) = (R² − d²)² / R³   for d < R,   0 otherwise,
-//
-// and its gradient over the given pairs. This realizes the frequency
-// repulsive force of Eq. 9 — active only inside the interaction radius and
-// pushing monotonically harder as near-resonant instances approach — with
-// two numerical properties the literal 1/d² profile lacks: the force is a
-// polynomial in the raw coordinate differences (no d→0 direction
-// singularity) and its stiffness is bounded by ~4/R everywhere, so stacked
-// pairs cannot collapse the optimizer's stable step size and freeze the
-// layout.
-func pairRepulsion(xy []float64, pairs [][2]int, grad []float64, rcut float64) float64 {
-	var total float64
-	r2 := rcut * rcut
-	r3 := r2 * rcut
-	for _, p := range pairs {
-		i, j := p[0], p[1]
-		dx := xy[2*i] - xy[2*j]
-		dy := xy[2*i+1] - xy[2*j+1]
-		d2 := dx*dx + dy*dy
-		if d2 >= r2 {
-			continue
-		}
-		gap := r2 - d2
-		total += gap * gap / r3
-		// ∂U/∂xi = −4·(R²−d²)·dx / R³.
-		scale := 4 * gap / r3
-		grad[2*i] -= scale * dx
-		grad[2*i+1] -= scale * dy
-		grad[2*j] += scale * dx
-		grad[2*j+1] += scale * dy
-	}
-	return total
-}
-
-// pairRepulsionOwner is pairRepulsion fanned out over the pool with
+// pairRepulsionOwner is pairRepulsionActive fanned out over the pool with
 // owner-computes accumulation: each worker owns a contiguous instance range
-// and folds that range's incident pairs (ascending pair index — the serial
-// visit order) into its own gradient entries, so no two workers touch one
-// coordinate and the sums keep their serial bits. The loop is role-free:
-// with Δ measured from the owner (dx = x_i − x_j), IEEE negation symmetry
-// (fl(−t) = −fl(t) for subtraction and multiplication, g + (−u) ≡ g − u)
-// makes "gx −= scale·dx" reproduce the serial bits for both pair endpoints.
-// Per-pair potential terms land in e.pairContrib (written by the owner of
-// the pair's first instance, contribIdx >= 0) and reduce to the total in
-// serial pair order; out-of-range pairs record an exact 0, which leaves the
-// running float sum untouched. With a Verlet active list, inc is the
-// filtered incidence and active lists the live pair indices to reduce over
-// (skipped pairs would contribute exactly 0); active == nil reduces over
-// every pair.
-func (e *engine) pairRepulsionOwner(p *parallel.Pool, xy []float64, numPairs int, inc incidenceCSR, active []int32, grad []float64, rcut float64) float64 {
-	r2 := rcut * rcut
-	r3 := r2 * rcut
-	contrib := e.pairContrib[:numPairs]
+// and folds that range's incident active pairs (vl.inc, ascending pair
+// index — the serial visit order) into its own gradient entries, so no two
+// workers touch one coordinate and the sums keep their serial bits. The
+// loop is role-free: with Δ measured from the owner (dx = x_i − x_j), IEEE
+// negation symmetry (fl(−t) = −fl(t) for subtraction and multiplication,
+// g + (−u) ≡ g − u) makes "gx −= scale·dx" reproduce the serial bits for
+// both pair endpoints. Per-pair potential terms land in e.pairContrib
+// (written by the owner of the pair's first instance, contribIdx >= 0) and
+// reduce to the total over the active list in serial pair order;
+// out-of-range pairs record an exact 0, which leaves the running float sum
+// untouched.
+func (e *engine) pairRepulsionOwner(p *parallel.Pool, xy []float64, vl *verlet, grad []float64) float64 {
+	r2 := vl.rcut * vl.rcut
+	r3 := r2 * vl.rcut
+	inc, contrib := vl.inc, e.pairContrib
 	p.For(len(grad)/2, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			var gx, gy float64
@@ -1073,14 +983,8 @@ func (e *engine) pairRepulsionOwner(p *parallel.Pool, xy []float64, numPairs int
 	})
 	reduceTimer := e.spReduce.Start()
 	var total float64
-	if active != nil {
-		for _, k := range active {
-			total += contrib[k]
-		}
-	} else {
-		for _, c := range contrib {
-			total += c
-		}
+	for _, k := range vl.active {
+		total += contrib[k]
 	}
 	reduceTimer.End()
 	return total
@@ -1098,8 +1002,8 @@ func (e *engine) frequencyGrad(xy []float64) (fq, fs float64) {
 		}
 		return 0, 0
 	}
-	fq = e.pairForce(xy, e.qubitPairs, e.incQ, e.vlQ, e.gradFQ, FreqCutoffMM)
-	fs = e.pairForce(xy, e.segPairs, e.incS, e.vlS, e.gradFS, FreqCutoffSegMM)
+	fq = e.pairForce(xy, e.vlQ, e.gradFQ)
+	fs = e.pairForce(xy, e.vlS, e.gradFS)
 	return fq, fs
 }
 

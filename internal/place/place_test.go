@@ -1,6 +1,7 @@
 package place
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -34,7 +35,7 @@ func fastConfig(mode Mode) Config {
 
 func TestPlaceGridConverges(t *testing.T) {
 	nl, cm := buildProblem(t, topology.Grid25())
-	res, err := Place(nl, cm, fastConfig(ModeQplacer))
+	res, err := PlaceCtx(context.Background(), nl, cm, fastConfig(ModeQplacer))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,10 +62,10 @@ func TestFrequencyForceSeparatesResonantPairs(t *testing.T) {
 	for _, dev := range devs {
 		nlQ, cm := buildProblem(t, dev)
 		nlC := nlQ.Clone()
-		if _, err := Place(nlQ, cm, fastConfig(ModeQplacer)); err != nil {
+		if _, err := PlaceCtx(context.Background(), nlQ, cm, fastConfig(ModeQplacer)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Place(nlC, nil, fastConfig(ModeClassic)); err != nil {
+		if _, err := PlaceCtx(context.Background(), nlC, nil, fastConfig(ModeClassic)); err != nil {
 			t.Fatal(err)
 		}
 		minResDist := func(nl *component.Netlist) float64 {
@@ -93,10 +94,10 @@ func TestClassicIgnoresCollisionMap(t *testing.T) {
 	nl, cm := buildProblem(t, topology.Grid25())
 	nl2 := nl.Clone()
 	cfg := fastConfig(ModeClassic)
-	if _, err := Place(nl, cm, cfg); err != nil {
+	if _, err := PlaceCtx(context.Background(), nl, cm, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Place(nl2, nil, cfg); err != nil {
+	if _, err := PlaceCtx(context.Background(), nl2, nil, cfg); err != nil {
 		t.Fatal(err)
 	}
 	for i := range nl.Instances {
@@ -110,10 +111,10 @@ func TestPlaceIsDeterministic(t *testing.T) {
 	nlA, cmA := buildProblem(t, topology.Grid25())
 	nlB, cmB := buildProblem(t, topology.Grid25())
 	cfg := fastConfig(ModeQplacer)
-	if _, err := Place(nlA, cmA, cfg); err != nil {
+	if _, err := PlaceCtx(context.Background(), nlA, cmA, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Place(nlB, cmB, cfg); err != nil {
+	if _, err := PlaceCtx(context.Background(), nlB, cmB, cfg); err != nil {
 		t.Fatal(err)
 	}
 	for i := range nlA.Instances {
@@ -127,10 +128,10 @@ func TestPlaceValidation(t *testing.T) {
 	nl, cm := buildProblem(t, topology.Grid25())
 	bad := DefaultConfig()
 	bad.MaxIters = 0
-	if _, err := Place(nl, cm, bad); err == nil {
+	if _, err := PlaceCtx(context.Background(), nl, cm, bad); err == nil {
 		t.Error("zero MaxIters must fail")
 	}
-	if _, err := Place(nl, nil, DefaultConfig()); err == nil {
+	if _, err := PlaceCtx(context.Background(), nl, nil, DefaultConfig()); err == nil {
 		t.Error("Qplacer mode without a collision map must fail")
 	}
 }
@@ -167,11 +168,11 @@ func TestRegionScalesWithDevice(t *testing.T) {
 	large, cmL := buildProblem(t, topology.AspenM())
 	cfg := fastConfig(ModeQplacer)
 	cfg.MaxIters = 40
-	rS, err := Place(small, cmS, cfg)
+	rS, err := PlaceCtx(context.Background(), small, cmS, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rL, err := Place(large, cmL, cfg)
+	rL, err := PlaceCtx(context.Background(), large, cmL, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +215,7 @@ func TestHumanLargerThanPlacedRegion(t *testing.T) {
 	// electrostatic placement region (Fig. 13: ≈2× on average).
 	nl, cm := buildProblem(t, topology.Falcon27())
 	nlH := nl.Clone()
-	pres, err := Place(nl, cm, fastConfig(ModeQplacer))
+	pres, err := PlaceCtx(context.Background(), nl, cm, fastConfig(ModeQplacer))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +249,7 @@ func TestAvgIterMSKeepsFractions(t *testing.T) {
 	nl, cm := buildProblem(t, topology.Grid25())
 	cfg := DefaultConfig()
 	cfg.MaxIters = 3
-	res, err := Place(nl, cm, cfg)
+	res, err := PlaceCtx(context.Background(), nl, cm, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
