@@ -73,15 +73,6 @@ type StageState struct {
 	Device    *topology.Device
 	Netlist   *component.Netlist
 	Collision *frequency.CollisionMap
-
-	// Parallelism is the engine's WithParallelism setting for this run: the
-	// worker-pool bound a backend may fan its internal hot loops out on
-	// (<= 1 means serial). It is a scheduling hint only — a backend MUST
-	// produce identical results at every value, which is why it is not part
-	// of Options and never enters the plan-cache key. Backends with
-	// inherently sequential algorithms (e.g. the annealer's Metropolis
-	// chain) are free to ignore it.
-	Parallelism int
 }
 
 // PlaceOutcome reports a finished global placement.

@@ -2,6 +2,7 @@ package qplacer
 
 import (
 	"context"
+	"fmt"
 
 	"qplacer/internal/anneal"
 	"qplacer/internal/component"
@@ -10,7 +11,6 @@ import (
 	"qplacer/internal/geom"
 	"qplacer/internal/legal"
 	"qplacer/internal/obs"
-	"qplacer/internal/parallel"
 	"qplacer/internal/place"
 )
 
@@ -24,23 +24,15 @@ import (
 // frequency-aware local-swap hill climb ("swap").
 
 // nesterovPlacer is the frequency-aware electrostatic engine of §IV-C,
-// refactored behind the Placer interface. The registered backend gates each
-// parallel stage at auto-calibrated cutoffs; cutoffs selects fixed gating
-// instead, which is bit-identical by contract and set only by the
-// exactness tests.
-type nesterovPlacer struct {
-	name    string
-	cutoffs *parallel.Cutoffs
-}
+// refactored behind the Placer interface.
+type nesterovPlacer struct{}
 
-func (p nesterovPlacer) Name() string { return p.name }
+func (nesterovPlacer) Name() string { return DefaultPlacerName }
 
-func (p nesterovPlacer) Place(ctx context.Context, st *StageState, observer Observer) (*PlaceOutcome, error) {
+func (nesterovPlacer) Place(ctx context.Context, st *StageState, observer Observer) (*PlaceOutcome, error) {
 	cfg := place.DefaultConfig()
 	cfg.Span = obs.SpanFrom(ctx)
 	cfg.Seed = st.Options.Seed
-	cfg.Workers = st.Parallelism
-	cfg.Cutoffs = p.cutoffs
 	if st.Options.MaxIters > 0 {
 		cfg.MaxIters = st.Options.MaxIters
 	}
@@ -49,7 +41,7 @@ func (p nesterovPlacer) Place(ctx context.Context, st *StageState, observer Obse
 	}
 	cfg.Progress = func(iter int, overflow float64) {
 		observer.OnProgress(Progress{
-			Stage: StagePlace, Backend: p.name,
+			Stage: StagePlace, Backend: DefaultPlacerName,
 			Iteration: iter, Objective: overflow,
 		})
 	}
@@ -67,10 +59,6 @@ func (p nesterovPlacer) Place(ctx context.Context, st *StageState, observer Obse
 }
 
 // annealPlacer is the seeded simulated-annealing backend of internal/anneal.
-// Its Metropolis chain is inherently sequential (every move's acceptance
-// depends on the state left by the previous one), so it ignores
-// StageState.Parallelism — which is legal: parallelism never changes
-// results, and for this backend it simply does nothing.
 type annealPlacer struct{}
 
 func (annealPlacer) Name() string { return "anneal" }
@@ -107,8 +95,9 @@ func (annealPlacer) Place(ctx context.Context, st *StageState, observer Observer
 // legalBackend adapts one internal/legal entry point behind the Legalizer
 // interface: the integration-aware legalizer of §IV-C2 (greedy spiral +
 // min-cost-flow + Tetris + integration repair, "shelf") or its greedy
-// row-scan variant ("greedy"). Both guard the stage's collision map. Both
-// are sequential, so they ignore StageState.Parallelism.
+// row-scan variant ("greedy"). Both guard the stage's collision map, and
+// both note on the stage span how often that guard or the spot search gave
+// up (legal.Result's GuardFallbacks and SpotFailures).
 type legalBackend struct {
 	name string
 	run  func(context.Context, *component.Netlist, geom.Rect, *frequency.CollisionMap, legal.Config) (*legal.Result, error)
@@ -134,6 +123,7 @@ func (l legalBackend) Legalize(ctx context.Context, st *StageState, region geom.
 	if err != nil {
 		return nil, err
 	}
+	cfg.Span.Note(fmt.Sprintf("%d guard fallbacks, %d spot failures", res.GuardFallbacks, res.SpotFailures))
 	return &LegalizeOutcome{
 		IntegratedAll:       res.IntegratedAll,
 		QubitDisplacement:   res.QubitDisplacement,
@@ -157,7 +147,6 @@ func (noneDetailed) Refine(_ context.Context, st *StageState, _ geom.Rect, _ Obs
 // detailBackend adapts one internal/detail pass behind the DetailedPlacer
 // interface: the deterministic independent-set + min-cost-flow reassignment
 // ("mcmf") or the seeded frequency-aware local-swap hill climb ("swap").
-// Both are sequential and ignore StageState.Parallelism.
 type detailBackend struct {
 	name string
 	run  func(context.Context, *component.Netlist, detail.Config) (*detail.Result, error)
@@ -185,7 +174,7 @@ func (d detailBackend) Refine(ctx context.Context, st *StageState, _ geom.Rect, 
 
 func init() {
 	for _, err := range []error{
-		RegisterPlacer(nesterovPlacer{name: DefaultPlacerName}),
+		RegisterPlacer(nesterovPlacer{}),
 		RegisterPlacer(annealPlacer{}),
 		RegisterLegalizer(legalBackend{name: DefaultLegalizerName, run: legal.LegalizeCtx}),
 		RegisterLegalizer(legalBackend{name: "greedy", run: legal.RowScanCtx}),

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -15,94 +14,63 @@ func writeDoc(t *testing.T, doc Document) string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return writeRaw(t, string(data))
+}
+
+// writeRaw writes a document's bytes into a temp file and returns its path.
+func writeRaw(t *testing.T, data string) string {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path
 }
 
-func entry(topo string, workers int, speedup float64) Entry {
+func entry(topo string) Entry {
 	return Entry{
 		Topology: topo, Placer: "nesterov", Legalizer: "shelf",
-		Workers: workers, NsPerIter: 1000, SpeedupVsSerial: speedup,
-		ParityVsSerial: true,
+		NsPerIter: 1000, HPWLmm: 12.5, Overflow: 0.07, PhPercent: 0,
 	}
 }
 
-// TestCheckRequiresAParallelWin is the regression gate: a multi-core
-// document where every parallel entry loses to serial must fail -check
-// unless it is explicitly flagged degraded_host.
-func TestCheckRequiresAParallelWin(t *testing.T) {
-	losing := Document{
-		Entries: []Entry{
-			entry("grid", 1, 1.0),
-			entry("grid", 2, 0.62),
-			entry("grid", 4, 0.55),
-		},
-	}
-
-	path := writeDoc(t, losing)
-	err := checkDocument(path, 0.5, true)
-	if err == nil {
-		t.Fatal("all-losing document passed -check with require-win")
-	}
-	if !strings.Contains(err.Error(), "degraded_host") {
-		t.Fatalf("error should point at the degraded_host escape hatch, got: %v", err)
-	}
-
-	// The explicit degraded_host flag is the only escape hatch.
-	losing.DegradedHost = true
-	if err := checkDocument(writeDoc(t, losing), 0.5, true); err != nil {
-		t.Fatalf("degraded_host document should pass: %v", err)
-	}
-
-	// Without require-win the tolerance floor alone governs.
-	losing.DegradedHost = false
-	if err := checkDocument(writeDoc(t, losing), 0.5, false); err != nil {
-		t.Fatalf("require-win=false should defer to the floor: %v", err)
-	}
-}
-
-// TestCheckAcceptsAWinningDocument: one genuine win anywhere satisfies the
-// gate.
-func TestCheckAcceptsAWinningDocument(t *testing.T) {
-	doc := Document{
-		Entries: []Entry{
-			entry("grid", 1, 1.0),
-			entry("grid", 2, 0.9),
-			entry("eagle", 1, 1.0),
-			entry("eagle", 2, 1.7),
-		},
-	}
-	if err := checkDocument(writeDoc(t, doc), 0.5, true); err != nil {
+// TestCheckAcceptsAValidDocument: a parsed document with entries and
+// positive timings passes.
+func TestCheckAcceptsAValidDocument(t *testing.T) {
+	doc := Document{Entries: []Entry{entry("grid"), entry("eagle")}}
+	if err := checkDocument(writeDoc(t, doc)); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestCheckStillEnforcesParityAndFloor: require-win does not weaken the
-// existing invariants.
-func TestCheckStillEnforcesParityAndFloor(t *testing.T) {
-	bad := Document{
-		Entries: []Entry{
-			entry("grid", 1, 1.0),
-			entry("grid", 2, 1.4),
-		},
+// TestCheckRejectsBrokenDocuments covers each invariant -check enforces:
+// the document parses (which also keeps every quality column finite), has
+// entries, and every entry has a positive ns_per_iter.
+func TestCheckRejectsBrokenDocuments(t *testing.T) {
+	zero := entry("grid")
+	zero.NsPerIter = 0
+	for name, path := range map[string]string{
+		"missing file":       filepath.Join(t.TempDir(), "absent.json"),
+		"not json":           writeRaw(t, "{"),
+		"no entries":         writeDoc(t, Document{}),
+		"zero ns_per_iter":   writeDoc(t, Document{Entries: []Entry{entry("eagle"), zero}}),
+		"infinite hpwl_mm":   writeRaw(t, `{"entries":[{"topology":"grid","ns_per_iter":1000,"hpwl_mm":1e999}]}`),
+		"non-numeric ph":     writeRaw(t, `{"entries":[{"topology":"grid","ns_per_iter":1000,"ph_percent":"NaN"}]}`),
+		"negative ns/iter":   writeRaw(t, `{"entries":[{"topology":"grid","ns_per_iter":-5}]}`),
+		"fractional ns/iter": writeRaw(t, `{"entries":[{"topology":"grid","ns_per_iter":0.5}]}`),
+	} {
+		if err := checkDocument(path); err == nil {
+			t.Errorf("%s: passed -check", name)
+		}
 	}
-	bad.Entries[1].ParityVsSerial = false
-	if err := checkDocument(writeDoc(t, bad), 0.5, true); err == nil {
-		t.Fatal("parity failure passed -check")
-	}
+}
 
-	slow := Document{
-		Entries: []Entry{
-			entry("grid", 1, 1.0),
-			entry("grid", 2, 1.2),
-			entry("eagle", 1, 1.0),
-			entry("eagle", 2, 0.3),
-		},
-	}
-	if err := checkDocument(writeDoc(t, slow), 0.5, true); err == nil {
-		t.Fatal("below-floor group passed -check")
+// TestCheckAcceptsSchemaV1Documents: the checked-in documents from before
+// the worker axis was dropped still pass, their extra columns ignored.
+func TestCheckAcceptsSchemaV1Documents(t *testing.T) {
+	for _, name := range []string{"BENCH_5.json", "BENCH_9.json", "BENCH_19.json"} {
+		if err := checkDocument(filepath.Join("..", "..", name)); err != nil {
+			t.Error(err)
+		}
 	}
 }

@@ -52,7 +52,6 @@ func main() {
 		listTopo = flag.Bool("list-topologies", false, "print every resolvable topology and the parametric family schemas, then exit")
 		suite    = flag.String("suite", "", "load a generated benchmark suite (see qplacer-gen) and register its topology and workloads")
 		verify   = flag.Bool("verify", false, "independently verify the placement; exit non-zero when invalid")
-		par      = flag.Int("parallelism", 0, "worker pool inside the placement run (0 = GOMAXPROCS, 1 = serial); results are identical at any value")
 		version  = flag.Bool("version", false, "print build/version info and exit")
 	)
 	flag.Parse()
@@ -99,7 +98,6 @@ func main() {
 		qplacer.WithLB(*lb),
 		qplacer.WithSeed(*seed),
 		qplacer.WithWorkers(*workers),
-		qplacer.WithParallelism(*par),
 		qplacer.WithPlacer(*placer),
 		qplacer.WithLegalizer(*legalize),
 		qplacer.WithDetailedPlacer(*detailed),

@@ -72,8 +72,6 @@ func main() {
 			strings.Join(qplacer.DetailedPlacers(), "|"))
 		strict = flag.Bool("strict-validation", false,
 			"fail jobs whose placement carries error-severity violations (422 invalid_placement)")
-		parallelism = flag.Int("parallelism", 0,
-			"worker pool inside each placement run (0 = GOMAXPROCS/workers); results are identical at any value")
 		logLevel  = flag.String("log-level", "info", "structured-log level: debug|info|warn|error")
 		logFormat = flag.String("log-format", "text", "structured-log format: text|json")
 		debugAddr = flag.String("debug-addr", "", "serve net/http/pprof on this separate address (empty = disabled)")
@@ -131,7 +129,6 @@ func main() {
 		DefaultLegalizer:      *legalize,
 		DefaultDetailedPlacer: *detailed,
 		StrictValidation:      *strict,
-		Parallelism:           *parallelism,
 		Logger:                logger,
 	})
 	if *dataDir != "" {

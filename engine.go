@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -166,7 +165,7 @@ func (e *Engine) Plan(ctx context.Context, opts ...Option) (*PlanResult, error) 
 	for _, o := range opts {
 		o(&s)
 	}
-	return e.planWith(ctx, s.opts, s.observer, s.validation, s.parallelism, s.tracing)
+	return e.planWith(ctx, s.opts, s.observer, s.validation, s.tracing)
 }
 
 // PlanOptions is Plan taking the options as a struct — the migration path
@@ -175,12 +174,11 @@ func (e *Engine) Plan(ctx context.Context, opts ...Option) (*PlanResult, error) 
 // validation mode.
 func (e *Engine) PlanOptions(ctx context.Context, opts Options) (*PlanResult, error) {
 	s := e.settings
-	return e.planWith(ctx, opts, s.observer, s.validation, s.parallelism, s.tracing)
+	return e.planWith(ctx, opts, s.observer, s.validation, s.tracing)
 }
 
-// planWith runs one plan. par is a scheduling hint only — it never changes
-// results, which is why it travels beside Options rather than inside it.
-func (e *Engine) planWith(ctx context.Context, opts Options, observer Observer, vmode ValidationMode, par int, traced bool) (*PlanResult, error) {
+// planWith runs one plan.
+func (e *Engine) planWith(ctx context.Context, opts Options, observer Observer, vmode ValidationMode, traced bool) (*PlanResult, error) {
 	start := time.Now()
 	if ctx == nil {
 		ctx = context.Background()
@@ -210,15 +208,6 @@ func (e *Engine) planWith(ctx context.Context, opts Options, observer Observer, 
 		root = obs.NewSpan("plan")
 	}
 	rootTimer := root.StartAt(start)
-
-	// Clamp the requested parallelism to the schedulable CPUs: a CPU-bound
-	// hot path gains nothing from oversubscription, it only pays context
-	// switches. The clamp is a scheduling decision, so it is annotated on
-	// the trace rather than reported as an error.
-	if max := runtime.GOMAXPROCS(0); par > max {
-		root.Note(fmt.Sprintf("parallelism clamped from %d to %d (GOMAXPROCS)", par, max))
-		par = max
-	}
 
 	st, err := e.stage(norm, root)
 	if err != nil {
@@ -250,11 +239,10 @@ func (e *Engine) planWith(ctx context.Context, opts Options, observer Observer, 
 		out.Integrated = true
 	case SchemeQplacer, SchemeClassic:
 		state := &StageState{
-			Options:     norm,
-			Device:      st.device,
-			Netlist:     nl,
-			Collision:   st.collision,
-			Parallelism: par,
+			Options:   norm,
+			Device:    st.device,
+			Netlist:   nl,
+			Collision: st.collision,
 		}
 		placer, err := PlacerByName(norm.Placer)
 		if err != nil {

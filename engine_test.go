@@ -387,3 +387,33 @@ func TestParseScheme(t *testing.T) {
 		t.Fatalf("ParseScheme bogus err = %v, want ErrUnknownScheme", err)
 	}
 }
+
+// TestConcurrentEnginesPlanIdentically plans on two engines at once, so
+// `go test -race` covers engines that share the stage registries and the
+// package-level tables while each runs its own placement, and both must
+// produce the same layout.
+func TestConcurrentEnginesPlanIdentically(t *testing.T) {
+	ctx := context.Background()
+	opts := Options{Topology: "grid", MaxIters: 20}
+	var wg sync.WaitGroup
+	results := make([]*PlanResult, 2)
+	errs := make([]error, 2)
+	for i := range results {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i], errs[i] = New().Plan(ctx, WithOptions(opts))
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("engine %d: %v", i, err)
+		}
+	}
+	for i, in := range results[0].Netlist.Instances {
+		if other := results[1].Netlist.Instances[i]; in.Pos != other.Pos {
+			t.Fatalf("concurrent engines diverged at instance %d: %v vs %v", i, in.Pos, other.Pos)
+		}
+	}
+}

@@ -1,9 +1,11 @@
 package qplacer
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -164,6 +166,45 @@ func FuzzTopologyName(f *testing.F) {
 		}
 		if info.Qubits < 1 || info.Qubits > 4096 {
 			t.Fatalf("ResolveTopology(%q) built %d qubits, want 1..4096", name, info.Qubits)
+		}
+	})
+}
+
+// FuzzLoadSuite feeds arbitrary bytes to LoadSuite, the reader behind
+// qplacer -suite and qplacer-bench -suite: it must never panic, every
+// rejection wraps ErrInvalidSuite, and a suite it accepts writes out with
+// WriteJSON and reloads to an equal suite with identical bytes. The seed
+// corpus under testdata/fuzz/FuzzLoadSuite holds the suite generated from
+// testdata/gen-random16.spec.json, a truncated copy, copies with a tampered
+// spec_hash and a dangling collision-map index, and a copy whose lb_mm
+// differs from its spec's, which once made the validating netlist rebuild
+// size itself from the unhashed value.
+func FuzzLoadSuite(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := LoadSuite(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, ErrInvalidSuite) {
+				t.Fatalf("LoadSuite error %v is not ErrInvalidSuite", err)
+			}
+			return
+		}
+		var first bytes.Buffer
+		if err := s.WriteJSON(&first); err != nil {
+			t.Fatalf("accepted suite fails to write: %v", err)
+		}
+		back, err := LoadSuite(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("written suite fails to reload: %v", err)
+		}
+		if !reflect.DeepEqual(back, s) {
+			t.Fatalf("reloaded suite differs from the accepted one:\n%+v\nvs\n%+v", back.Suite, s.Suite)
+		}
+		var second bytes.Buffer
+		if err := back.WriteJSON(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatal("a reloaded suite writes different bytes")
 		}
 	})
 }

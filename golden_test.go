@@ -9,10 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
-
-	"qplacer/internal/parallel"
 )
 
 // The golden-corpus regression harness: checked-in fixtures pin the exact
@@ -189,8 +186,7 @@ func writeFixture(t *testing.T, path string, fix goldenFixture) {
 
 // buildFixture runs the full deterministic pipeline for one combination and
 // snapshots everything the corpus pins. Extra engine options let callers
-// vary how the pipeline runs (e.g. parallelism) without changing what it
-// must produce.
+// vary how the pipeline is configured without changing what it must produce.
 func buildFixture(t *testing.T, o Options, extra ...Option) goldenFixture {
 	t.Helper()
 	ctx := context.Background()
@@ -333,10 +329,10 @@ func TestGoldenCorpus(t *testing.T) {
 }
 
 // TestGoldenCorpusParallel re-runs every corpus combination — including the
-// detailed-placement and Classic entries — with the parallel hot path enabled (a worker
-// count chosen to exercise uneven partitions) and holds it to the same
-// serial-generated fixtures: parallelism must be invisible in the output,
-// byte for byte.
+// detailed-placement and Classic entries — with the deprecated
+// WithParallelism option set and holds it to the same fixtures: the option
+// is kept only so existing callers compile, and it must stay invisible in
+// the output, byte for byte.
 func TestGoldenCorpusParallel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("parallel corpus re-run skipped in -short mode")
@@ -350,34 +346,9 @@ func TestGoldenCorpusParallel(t *testing.T) {
 			want := loadFixture(t, path)
 			compareFixture(t, want, got)
 			if t.Failed() {
-				t.Logf("parallel run drifted from the serial fixture %s: the determinism contract is broken", path)
+				t.Logf("WithParallelism(3) drifted from the fixture %s: the deprecated option is no longer a no-op", path)
 			}
 		})
-	}
-}
-
-// TestGoldenCorpusDetailedParallel sweeps the detailed-placement corpus
-// entries across several worker counts (uneven partitions included): only
-// global placement runs a pool, and the detailed passes are sequential, so
-// every count must reproduce the serial fixture exactly.
-func TestGoldenCorpusDetailedParallel(t *testing.T) {
-	if testing.Short() {
-		t.Skip("parallel corpus re-run skipped in -short mode")
-	}
-	for _, o := range goldenDetailedCombos() {
-		for _, workers := range []int{2, 3, 5} {
-			o, workers := o, workers
-			t.Run(fmt.Sprintf("%s_w%d", goldenName(o), workers), func(t *testing.T) {
-				t.Parallel()
-				got := buildFixture(t, o, WithParallelism(workers))
-				path := filepath.Join("testdata", "golden", goldenName(o)+".json")
-				want := loadFixture(t, path)
-				compareFixture(t, want, got)
-				if t.Failed() {
-					t.Logf("workers=%d drifted from the serial fixture %s: the determinism contract is broken", workers, path)
-				}
-			})
-		}
 	}
 }
 
@@ -427,60 +398,5 @@ func TestGoldenCorpusDetailedNone(t *testing.T) {
 					DefaultDetailedPlacerName, b, a)
 			}
 		})
-	}
-}
-
-// registerReferenceBackends registers, once per test binary, a copy of the
-// built-in gradient placer that runs with zero cutoffs, so every parallel
-// stage fans out instead of gating at the calibrated sizes ("-fanout"). It
-// registers only when the first caller runs, after the conformance suites
-// have enumerated the registries.
-var registerReferenceBackends = sync.OnceValue(func() error {
-	return RegisterPlacer(nesterovPlacer{name: "nesterov-fanout", cutoffs: &parallel.Cutoffs{}})
-})
-
-// TestGoldenCorpusToggles holds the gradient placer's forced fan-out to the
-// golden fixtures: fanning every stage out instead of gating at the
-// calibrated sizes must be byte-invisible in every gradient-placer corpus
-// combination, Classic included, on uneven and even partitions. The
-// fixtures were generated serially on the default path, so each variant
-// re-proves the parallel exactness contract end to end. The annealer has no
-// fan-out to toggle; TestGoldenCorpusParallel covers its parallelism.
-func TestGoldenCorpusToggles(t *testing.T) {
-	if testing.Short() {
-		t.Skip("toggle corpus re-run skipped in -short mode")
-	}
-	raiseGOMAXPROCS(t, 4)
-	if err := registerReferenceBackends(); err != nil {
-		t.Fatal(err)
-	}
-	variants := []struct {
-		name        string
-		parallelism int
-	}{
-		{"fanout-parallel", 3},
-		{"fanout-parallel-2", 2},
-	}
-	var combos []Options
-	for _, o := range append(goldenCombos(), goldenClassicCombos()...) {
-		if o.Placer == DefaultPlacerName {
-			combos = append(combos, o)
-		}
-	}
-	for _, o := range combos {
-		path := filepath.Join("testdata", "golden", goldenName(o)+".json")
-		want := loadFixture(t, path)
-		for _, v := range variants {
-			t.Run(goldenName(o)+"/"+v.name, func(t *testing.T) {
-				ref := o
-				ref.Placer += "-fanout"
-				got := buildFixture(t, ref, WithParallelism(v.parallelism))
-				got.Options.Placer = o.Placer
-				compareFixture(t, want, got)
-				if t.Failed() {
-					t.Logf("%s drifted from %s: the exactness contract is broken", v.name, path)
-				}
-			})
-		}
 	}
 }

@@ -317,7 +317,14 @@ func (a *annealer) instCost(i int, x, y float64) float64 {
 			o = int(a.pairOther[2*pi+1])
 		}
 		cut := a.pairCut[pi]
-		d := math.Hypot(x-a.xy[2*o], y-a.xy[2*o+1])
+		dx, dy := x-a.xy[2*o], y-a.xy[2*o+1]
+		// Hypot(dx, dy) = p·√(1+q²) ≥ p = max(|dx|, |dy|), so a partner
+		// this far out along either axis fails d < cut: skip its Hypot. A
+		// NaN fails both tests and reaches d < cut, which rejects it.
+		if math.Abs(dx) >= cut || math.Abs(dy) >= cut {
+			continue
+		}
+		d := math.Hypot(dx, dy)
 		if d < cut {
 			gap := cut - d
 			cost += gap * gap / cut

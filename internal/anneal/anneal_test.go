@@ -3,11 +3,14 @@ package anneal
 import (
 	"context"
 	"errors"
+	"math"
+	"math/rand"
 	"testing"
 	"time"
 
 	"qplacer/internal/component"
 	"qplacer/internal/frequency"
+	"qplacer/internal/geom"
 	"qplacer/internal/physics"
 	"qplacer/internal/place"
 	"qplacer/internal/topology"
@@ -165,5 +168,153 @@ func TestAvgIterMSKeepsFractions(t *testing.T) {
 	want := float64(res.Runtime) / float64(time.Millisecond) / float64(res.Sweeps)
 	if res.AvgIterMS != want {
 		t.Fatalf("AvgIterMS = %v, want %v (Runtime %v over %d sweeps)", res.AvgIterMS, want, res.Runtime, res.Sweeps)
+	}
+}
+
+// hypotOnlyInstCost is instCost as it was before the axis prefilter: every
+// frequency partner goes through math.Hypot. TestInstCostPrefilterExact
+// holds instCost to it bit for bit.
+func (a *annealer) hypotOnlyInstCost(i int, x, y float64) float64 {
+	var cost float64
+	for _, ni := range a.nets[i] {
+		net := a.nl.Nets[ni]
+		o := net[0]
+		if o == i {
+			o = net[1]
+		}
+		cost += math.Abs(x-a.xy[2*o]) + math.Abs(y-a.xy[2*o+1])
+	}
+	bx := int(math.Floor(x / a.cell))
+	by := int(math.Floor(y / a.cell))
+	for dy := -1; dy <= 1; dy++ {
+		for dx := -1; dx <= 1; dx++ {
+			for _, j := range a.grid[[2]int{bx + dx, by + dy}] {
+				if j == i {
+					continue
+				}
+				ox := math.Min(x+a.halfW[i], a.xy[2*j]+a.halfW[j]) - math.Max(x-a.halfW[i], a.xy[2*j]-a.halfW[j])
+				if ox <= 0 {
+					continue
+				}
+				oy := math.Min(y+a.halfH[i], a.xy[2*j+1]+a.halfH[j]) - math.Max(y-a.halfH[i], a.xy[2*j+1]-a.halfH[j])
+				if oy <= 0 {
+					continue
+				}
+				cost += overlapWeight * ox * oy
+			}
+		}
+	}
+	for _, pi := range a.freqPairs[i] {
+		o := int(a.pairOther[2*pi])
+		if o == i {
+			o = int(a.pairOther[2*pi+1])
+		}
+		cut := a.pairCut[pi]
+		d := math.Hypot(x-a.xy[2*o], y-a.xy[2*o+1])
+		if d < cut {
+			gap := cut - d
+			cost += gap * gap / cut
+		}
+	}
+	return cost
+}
+
+// TestInstCostPrefilterExact holds instCost, which skips a frequency
+// partner whose |dx| or |dy| reaches the cutoff before calling math.Hypot,
+// to the Hypot-only version bit for bit: at random positions across and
+// beyond the region, at exactly |dx| == cut and |dy| == cut from a partner
+// (and one ulp inside), and at NaN coordinates.
+func TestInstCostPrefilterExact(t *testing.T) {
+	nl, cm := buildProblem(t, topology.Falcon27())
+	a := &annealer{nl: nl, rng: rand.New(rand.NewSource(5))}
+	side := math.Sqrt(place.TotalChargeArea(nl) / place.TargetDensity)
+	a.region = geom.NewRect(0, 0, side, side)
+	a.setup(cm)
+	a.initialPositions()
+	a.buildGrid()
+
+	same := func(got, want float64) bool {
+		return math.Float64bits(got) == math.Float64bits(want) || math.IsNaN(got) && math.IsNaN(want)
+	}
+	check := func(label string, i int, x, y float64) {
+		t.Helper()
+		if got, want := a.instCost(i, x, y), a.hypotOnlyInstCost(i, x, y); !same(got, want) {
+			t.Fatalf("%s: instCost(%d, %v, %v) = %v, Hypot-only %v", label, i, x, y, got, want)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(9))
+	n := len(nl.Instances)
+	near := 0
+	for trial := 0; trial < 20000; trial++ {
+		i := rng.Intn(n)
+		x := (1.2*rng.Float64() - 0.1) * side
+		y := (1.2*rng.Float64() - 0.1) * side
+		if len(a.freqPairs[i]) > 0 && trial%2 == 0 {
+			// Half the trials land near a partner, where the penalty bites.
+			pi := a.freqPairs[i][rng.Intn(len(a.freqPairs[i]))]
+			o := int(a.pairOther[2*pi])
+			if o == i {
+				o = int(a.pairOther[2*pi+1])
+			}
+			cut := a.pairCut[pi]
+			x = a.xy[2*o] + (2*rng.Float64()-1)*1.5*cut
+			y = a.xy[2*o+1] + (2*rng.Float64()-1)*1.5*cut
+			if math.Hypot(x-a.xy[2*o], y-a.xy[2*o+1]) < cut {
+				near++
+			}
+		}
+		check("random", i, x, y)
+	}
+	if near == 0 {
+		t.Fatal("no trial landed inside a partner's cutoff")
+	}
+
+	// offset returns a coordinate c with c − base == d exactly, searching a
+	// few ulps around base + d, or NaN when rounding rules it out.
+	offset := func(base, d float64) float64 {
+		c := base + d
+		for k := 0; k < 4; k++ {
+			switch diff := c - base; {
+			case diff == d:
+				return c
+			case diff < d:
+				c = math.Nextafter(c, math.Inf(1))
+			default:
+				c = math.Nextafter(c, math.Inf(-1))
+			}
+		}
+		return math.NaN()
+	}
+	// The first partner of every instance, at exactly |dx| == cut or
+	// |dy| == cut and one ulp inside; qubit and segment pairs have
+	// different cutoffs.
+	exact := 0
+	for i := range nl.Instances {
+		if len(a.freqPairs[i]) == 0 {
+			continue
+		}
+		pi := a.freqPairs[i][0]
+		o := int(a.pairOther[2*pi])
+		if o == i {
+			o = int(a.pairOther[2*pi+1])
+		}
+		cut := a.pairCut[pi]
+		ox, oy := a.xy[2*o], a.xy[2*o+1]
+		for _, d := range []float64{cut, -cut, math.Nextafter(cut, 0), math.Nextafter(-cut, 0)} {
+			if x := offset(ox, d); !math.IsNaN(x) {
+				exact++
+				check("x boundary", i, x, oy)
+			}
+			if y := offset(oy, d); !math.IsNaN(y) {
+				exact++
+				check("y boundary", i, ox, y)
+			}
+		}
+		check("NaN x", i, math.NaN(), oy)
+		check("NaN y", i, ox, math.NaN())
+	}
+	if exact == 0 {
+		t.Fatal("no boundary offset was exactly representable")
 	}
 }

@@ -289,6 +289,8 @@ func TestValidateCatchesTampering(t *testing.T) {
 		{"area too small", func(s *Suite) { s.AreaMM = [2]float64{0.1, 0.1} }},
 		{"edge out of range", func(s *Suite) { s.Topology.Edges[0] = [2]int{0, 999} }},
 		{"schema version", func(s *Suite) { s.SchemaVersion = 2 }},
+		{"lb off the spec", func(s *Suite) { s.Collisions.LBmm = 1e-9 }},
+		{"delta_c off the spec", func(s *Suite) { s.Frequencies.DeltaCGHz = 5 }},
 	}
 	for _, tc := range cases {
 		cp, err := ReadSuite(bytes.NewReader(encode(t, s)))

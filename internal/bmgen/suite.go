@@ -137,11 +137,18 @@ func (s *Suite) Device() (*topology.Device, error) {
 // must be a valid connected device, every recorded frequency must sit inside
 // its band, the collision map must equal a recomputation from the recorded
 // frequencies, the substrate must fit the components, workloads must be
-// executable, and the spec hash must match the embedded spec. Errors wrap
-// ErrInvalidSuite.
+// executable, and the spec hash must match the embedded spec. The segment
+// size and detuning threshold the artifacts were derived with must be the
+// hashed spec's: the netlist rebuild sizes itself from the segment size, so
+// an unhashed value would let a tampered file demand an arbitrarily large
+// rebuild. Errors wrap ErrInvalidSuite.
 func (s *Suite) Validate() error {
 	if s.SchemaVersion != 1 {
 		return fmt.Errorf("%w: unsupported schema_version %d", ErrInvalidSuite, s.SchemaVersion)
+	}
+	norm, err := s.Spec.Normalize()
+	if err != nil {
+		return fmt.Errorf("%w: embedded spec: %v", ErrInvalidSuite, err)
 	}
 	hash, err := s.Spec.Hash()
 	if err != nil {
@@ -150,6 +157,10 @@ func (s *Suite) Validate() error {
 	if hash != s.SpecHash {
 		return fmt.Errorf("%w: spec_hash %.12s... does not match the embedded spec (%.12s...)",
 			ErrInvalidSuite, s.SpecHash, hash)
+	}
+	if s.Collisions.LBmm != norm.LB || s.Frequencies.DeltaCGHz != norm.DeltaC {
+		return fmt.Errorf("%w: lb %g mm / delta_c %g GHz differ from the spec's %g / %g",
+			ErrInvalidSuite, s.Collisions.LBmm, s.Frequencies.DeltaCGHz, norm.LB, norm.DeltaC)
 	}
 	dev, err := s.Device()
 	if err != nil {
@@ -166,13 +177,6 @@ func (s *Suite) Validate() error {
 	}
 	if err := inBand(f.ResonatorGHz, frequency.ResonatorSpectrum(), "resonator"); err != nil {
 		return err
-	}
-	if f.DeltaCGHz <= 0 {
-		return fmt.Errorf("%w: non-positive delta_c", ErrInvalidSuite)
-	}
-
-	if s.Collisions.LBmm <= 0 {
-		return fmt.Errorf("%w: non-positive lb", ErrInvalidSuite)
 	}
 	ccfg := component.DefaultConfig()
 	ccfg.SegmentSize = s.Collisions.LBmm

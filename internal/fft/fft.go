@@ -9,7 +9,7 @@
 // naive length-2n mirrored embedding. All lengths must be powers of two. The
 // package is stdlib-only and allocation-conscious: a plan caches twiddle,
 // phase, and permutation tables plus scratch space for repeated transforms of
-// one size, and clone shares the immutable tables across per-worker plans.
+// one size.
 package fft
 
 import (
@@ -17,8 +17,6 @@ import (
 	"math"
 	"math/bits"
 	"math/cmplx"
-
-	"qplacer/internal/parallel"
 )
 
 // IsPow2 reports whether n is a positive power of two.
@@ -38,8 +36,7 @@ func NextPow2(n int) int {
 // tables holds the precomputed, immutable state for real transforms of one
 // length: twiddle/bit-reversal tables for the half-length complex FFT, the
 // DCT twist phases, the even/odd unpack factors, and Makhoul's input
-// permutation. One tables value is shared (read-only) by every plan cloned
-// from the same original, so per-worker plans cost only scratch space.
+// permutation.
 type tables struct {
 	n       int          // real-domain transform length
 	m       int          // complex FFT length = n/2
@@ -126,8 +123,7 @@ func newTables(n int) *tables {
 }
 
 // plan holds the tables and scratch for transforms of a fixed length n
-// (power of two). A plan is not safe for concurrent use; clone makes cheap
-// copies for other goroutines that share the immutable tables.
+// (power of two). A plan is not safe for concurrent use.
 type plan struct {
 	tab  *tables
 	buf  []complex128 // scratch of length m (the packed half-length signal)
@@ -136,21 +132,13 @@ type plan struct {
 
 // newPlan returns a plan for real transforms of length n (power of two).
 func newPlan(n int) *plan {
-	return planFromTables(newTables(n))
-}
-
-func planFromTables(t *tables) *plan {
+	t := newTables(n)
 	return &plan{
 		tab:  t,
 		buf:  make([]complex128, t.m),
 		vbuf: make([]complex128, t.m+1),
 	}
 }
-
-// clone returns an independent plan (fresh scratch) sharing this plan's
-// immutable twiddle/phase/permutation tables. Clones are safe to use
-// concurrently with the original and with each other.
-func (p *plan) clone() *plan { return planFromTables(p.tab) }
 
 // smallHalf is the butterfly half-size below which a stage runs twiddle-
 // outer: its blocks are too short for a per-block inner loop to pay off,
@@ -334,23 +322,10 @@ func (p *plan) dst3m(a []float64, off, stride int) {
 // Grid2D is an ny×nx row-major matrix of float64 with plans for separable
 // 2-D trigonometric transforms (rows of length nx, columns of length ny).
 // Rows (stride 1) and columns (stride nx) are transformed in place, read
-// and written straight from the grid. Parallelize spreads the independent
-// 1-D transforms over a worker pool; because every row (and column) is
-// transformed start-to-end by one worker using the same shared twiddle
-// tables, the output is bit-identical to the serial transform at every
-// pool size.
+// and written straight from the grid. Not safe for concurrent use: the
+// plans carry mutable scratch.
 type Grid2D struct {
 	NX, NY int
-	px, py *plan
-
-	pool    *parallel.Pool
-	workers []gridWorker // per-worker plans, nil when serial
-}
-
-// gridWorker is one worker's private plans. Plans carry mutable scratch
-// (buf), so concurrent rows need one plan each; the plans are clones of the
-// grid's own, sharing one set of immutable tables.
-type gridWorker struct {
 	px, py *plan
 }
 
@@ -364,20 +339,6 @@ func NewGrid2D(nx, ny int) *Grid2D {
 	}
 }
 
-// Parallelize runs subsequent transforms on the pool (nil restores the
-// serial path). The pool is borrowed, not owned: the caller closes it.
-func (g *Grid2D) Parallelize(p *parallel.Pool) {
-	g.pool = p
-	g.workers = nil
-	if p.Workers() <= 1 {
-		return
-	}
-	g.workers = make([]gridWorker, p.Workers())
-	for i := range g.workers {
-		g.workers[i] = gridWorker{px: g.px.clone(), py: g.py.clone()}
-	}
-}
-
 // transform1D is one in-place strided 1-D transform: (*plan).dct2, dct3
 // or dst3m.
 type transform1D func(p *plan, a []float64, off, stride int)
@@ -387,21 +348,6 @@ func (g *Grid2D) apply(a []float64, rowT, colT transform1D) {
 	nx, ny := g.NX, g.NY
 	if len(a) != nx*ny {
 		panic("fft: Grid2D size mismatch")
-	}
-	if g.workers != nil {
-		g.pool.For(ny, func(w, lo, hi int) {
-			px := g.workers[w].px
-			for y := lo; y < hi; y++ {
-				rowT(px, a, y*nx, 1)
-			}
-		})
-		g.pool.For(nx, func(w, lo, hi int) {
-			py := g.workers[w].py
-			for x := lo; x < hi; x++ {
-				colT(py, a, x, nx)
-			}
-		})
-		return
 	}
 	for y := 0; y < ny; y++ {
 		rowT(g.px, a, y*nx, 1)

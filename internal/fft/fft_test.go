@@ -6,17 +6,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"qplacer/internal/parallel"
 )
-
-// newTestPool builds a worker pool released when the test ends.
-func newTestPool(t *testing.T, workers int) *parallel.Pool {
-	t.Helper()
-	p := parallel.New(workers)
-	t.Cleanup(p.Close)
-	return p
-}
 
 // naiveDFT is the O(n²) reference DFT.
 func naiveDFT(x []complex128) []complex128 {
@@ -384,50 +374,6 @@ func TestQuickDCT2Constant(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestCloneSharesTables pins the allocation contract behind
-// Grid2D.Parallelize: a clone reuses the original's immutable tables (one
-// set of twiddle/phase/permutation arrays per size, however many workers)
-// while carrying private scratch, and produces bit-identical transforms.
-func TestCloneSharesTables(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	p := newPlan(64)
-	c := p.clone()
-	if c.tab != p.tab {
-		t.Fatal("clone did not share the immutable tables")
-	}
-	if &c.buf[0] == &p.buf[0] || &c.vbuf[0] == &p.vbuf[0] {
-		t.Fatal("clone shared mutable scratch")
-	}
-	x := randReal(64, rng)
-	for _, tr := range []transform1D{(*plan).dct2, (*plan).dct3, (*plan).dst3m} {
-		want := append([]float64(nil), x...)
-		got := append([]float64(nil), x...)
-		tr(p, want, 0, 1)
-		tr(c, got, 0, 1)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("clone transform diverged at %d: %v != %v (bitwise)", i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// TestGrid2DWorkersShareTables checks Parallelize builds its per-worker
-// plans as clones: every worker's row/column plans alias the grid's tables.
-func TestGrid2DWorkersShareTables(t *testing.T) {
-	g := NewGrid2D(16, 8)
-	pool := newTestPool(t, 3)
-	g.Parallelize(pool)
-	if len(g.workers) != 3 {
-		t.Fatalf("expected 3 workers, got %d", len(g.workers))
-	}
-	for i, gw := range g.workers {
-		if gw.px.tab != g.px.tab || gw.py.tab != g.py.tab {
-			t.Fatalf("worker %d recomputed tables instead of sharing", i)
-		}
 	}
 }
 

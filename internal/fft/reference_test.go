@@ -159,7 +159,7 @@ func refDCT2T(p *refPlan, dst, src []float64)  { p.DCT2(dst, src) }
 func refDCT3T(p *refPlan, dst, src []float64)  { p.DCT3(dst, src) }
 func refDST3MT(p *refPlan, dst, src []float64) { p.DST3M(dst, src) }
 
-// refApply is the reference Grid2D.apply (serial path): rows through a
+// refApply is the reference Grid2D.apply: rows through a
 // scratch row, columns gathered into and scattered out of scratch columns.
 func refApply(nx, ny int, a []float64, rowT, colT refTransform1D) {
 	px, py := newRefPlan(nx), newRefPlan(ny)
@@ -338,8 +338,7 @@ func gridInputs(nx, ny int, rng *rand.Rand) [][]float64 {
 }
 
 // TestGrid2DMatchesReference holds the in-place 2-D transforms to the
-// reference gather/copy passes bit for bit on square and non-square grids,
-// serially and on a 3-worker pool.
+// reference gather/copy passes bit for bit on square and non-square grids.
 func TestGrid2DMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	ops := []struct {
@@ -352,28 +351,22 @@ func TestGrid2DMatchesReference(t *testing.T) {
 		{"SynthSinCos", (*Grid2D).SynthSinCos, refDST3MT, refDCT3T},
 		{"SynthCosSin", (*Grid2D).SynthCosSin, refDCT3T, refDST3MT},
 	}
-	pool := newTestPool(t, 3)
 	for _, dims := range [][2]int{{8, 16}, {16, 8}, {32, 32}, {128, 128}} {
 		nx, ny := dims[0], dims[1]
-		serial := NewGrid2D(nx, ny)
-		par := NewGrid2D(nx, ny)
-		par.Parallelize(pool)
+		g := NewGrid2D(nx, ny)
 		for _, op := range ops {
 			for _, in := range gridInputs(nx, ny, rng) {
 				want := append([]float64(nil), in...)
 				refApply(nx, ny, want, op.rowT, op.colT)
 				got := append([]float64(nil), in...)
-				op.run(serial, got)
+				op.run(g, got)
 				requireSameBits(t, op.name, got, want)
-				got = append(got[:0], in...)
-				op.run(par, got)
-				requireSameBits(t, op.name+" (3 workers)", got, want)
 			}
 		}
 	}
 }
 
-// TestGrid2DDoesNotAllocate pins the in-place contract: a serial 2-D
+// TestGrid2DDoesNotAllocate pins the in-place contract: a 2-D
 // transform reads and writes the grid directly, with no scratch copies.
 func TestGrid2DDoesNotAllocate(t *testing.T) {
 	g := NewGrid2D(32, 16)
@@ -382,6 +375,6 @@ func TestGrid2DDoesNotAllocate(t *testing.T) {
 		g.DCT2D(a)
 		g.SynthSinCos(a)
 	}); n != 0 {
-		t.Fatalf("serial Grid2D transforms allocate %.0f times per run, want 0", n)
+		t.Fatalf("Grid2D transforms allocate %.0f times per run, want 0", n)
 	}
 }

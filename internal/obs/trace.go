@@ -43,7 +43,6 @@ type Span struct {
 	mu       sync.Mutex
 	order    []*Span
 	children map[string]*Span
-	workers  []time.Duration
 	notes    []string
 }
 
@@ -137,22 +136,8 @@ func (t Timer) End() {
 	}
 }
 
-// SetWorkers records per-worker busy time (index = worker id) on the span,
-// replacing any previous attribution. The engine calls this once per
-// placement run with the parallel pool's busy clocks.
-func (s *Span) SetWorkers(busy []time.Duration) {
-	if s == nil || len(busy) == 0 {
-		return
-	}
-	cp := make([]time.Duration, len(busy))
-	copy(cp, busy)
-	s.mu.Lock()
-	s.workers = cp
-	s.mu.Unlock()
-}
-
-// Note attaches a free-form annotation to the span (e.g. "parallelism
-// clamped to 2 CPUs", delta-eval hit rates). Notes ride along in snapshots
+// Note attaches a free-form annotation to the span (e.g. delta-eval hit
+// rates, a legalizer's search work). Notes ride along in snapshots
 // in insertion order; a duplicate of an already recorded note is dropped, so
 // re-running a stage does not repeat its annotations. Safe on nil.
 func (s *Span) Note(msg string) {
@@ -176,7 +161,6 @@ type Node struct {
 	Count    int64
 	Wall     time.Duration
 	CPU      time.Duration
-	Workers  []time.Duration
 	Notes    []string
 	Children []*Node
 }
@@ -194,10 +178,6 @@ func (s *Span) Snapshot() *Node {
 		CPU:   time.Duration(s.cpuNS.Load()),
 	}
 	s.mu.Lock()
-	if len(s.workers) > 0 {
-		n.Workers = make([]time.Duration, len(s.workers))
-		copy(n.Workers, s.workers)
-	}
 	if len(s.notes) > 0 {
 		n.Notes = make([]string, len(s.notes))
 		copy(n.Notes, s.notes)

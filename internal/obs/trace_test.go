@@ -17,7 +17,7 @@ func TestNilSpanIsNoOp(t *testing.T) {
 	}
 	tm := s.Start()
 	tm.End() // must not panic
-	s.SetWorkers([]time.Duration{time.Second})
+	s.Note("x")
 	if got := s.Snapshot(); got != nil {
 		t.Fatalf("nil.Snapshot = %v, want nil", got)
 	}
@@ -82,17 +82,6 @@ func TestStartAtExtendsInterval(t *testing.T) {
 	tm.End()
 	if w := s.Snapshot().Wall; w < time.Second {
 		t.Fatalf("wall = %v, want >= 1s (StartAt backdated)", w)
-	}
-}
-
-func TestSetWorkersSnapshot(t *testing.T) {
-	s := NewSpan("place")
-	busy := []time.Duration{3 * time.Millisecond, 5 * time.Millisecond}
-	s.SetWorkers(busy)
-	busy[0] = 0 // snapshot must have copied
-	n := s.Snapshot()
-	if len(n.Workers) != 2 || n.Workers[0] != 3*time.Millisecond {
-		t.Fatalf("workers = %v, want [3ms 5ms]", n.Workers)
 	}
 }
 

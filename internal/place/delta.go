@@ -70,41 +70,20 @@ type verlet struct {
 	pairs  [][2]int
 	rcut   float64
 	margin float64
-	n      int
 
-	refXY  []float64 // positions at the last rebuild
-	active []int32   // ascending pair indices within rcut+margin at rebuild
-
-	// Filtered owner-computes incidence over the active pairs, allocated
-	// only when the engine owns a worker pool. Rebuilt alongside active into
-	// these fixed full-capacity buffers.
-	inc    incidenceCSR
-	fill   []int32
-	hasInc bool
+	refXY []float64 // positions at the last rebuild
+	// active holds the ascending pair indices within rcut+margin at the
+	// last rebuild. It starts empty and grows on demand: the live list is a
+	// small fraction of the family (about 2k of Eagle's 529k segment pairs).
+	active []int32
 
 	evals, rebuilds int
 	activeSum       int64
 }
 
 // newVerlet returns the active-list state for one family.
-func newVerlet(n int, pairs [][2]int, rcut float64, withInc bool) *verlet {
-	v := &verlet{
-		pairs:  pairs,
-		rcut:   rcut,
-		margin: rcut / 2,
-		n:      n,
-		active: make([]int32, 0, len(pairs)),
-	}
-	if withInc {
-		v.inc = incidenceCSR{
-			start:      make([]int32, n+1),
-			other:      make([]int32, 2*len(pairs)),
-			contribIdx: make([]int32, 2*len(pairs)),
-		}
-		v.fill = make([]int32, n)
-		v.hasInc = true
-	}
-	return v
+func newVerlet(pairs [][2]int, rcut float64) *verlet {
+	return &verlet{pairs: pairs, rcut: rcut, margin: rcut / 2}
 }
 
 // ensure refreshes the active list when positions have drifted past the
@@ -144,39 +123,6 @@ func (v *verlet) rebuild(xy []float64) {
 		if dx*dx+dy*dy < r2 {
 			v.active = append(v.active, int32(k))
 		}
-	}
-	if v.hasInc {
-		v.rebuildInc()
-	}
-}
-
-// rebuildInc refilters the CSR incidence to the active pairs. Iterating the
-// active list in ascending pair order keeps each instance's half-edges in
-// the serial visit order, which the owner-computes kernel's bit-identity
-// argument requires.
-func (v *verlet) rebuildInc() {
-	start := v.inc.start
-	for i := range start {
-		start[i] = 0
-	}
-	for _, k := range v.active {
-		p := v.pairs[k]
-		start[p[0]+1]++
-		start[p[1]+1]++
-	}
-	for i := 0; i < v.n; i++ {
-		start[i+1] += start[i]
-	}
-	copy(v.fill, start[:v.n])
-	for _, k := range v.active {
-		p := v.pairs[k]
-		a, b := p[0], p[1]
-		v.inc.other[v.fill[a]] = int32(b)
-		v.inc.contribIdx[v.fill[a]] = k
-		v.fill[a]++
-		v.inc.other[v.fill[b]] = int32(a)
-		v.inc.contribIdx[v.fill[b]] = -1
-		v.fill[b]++
 	}
 }
 

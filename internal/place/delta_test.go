@@ -12,24 +12,8 @@ import (
 
 	"qplacer/internal/bmgen"
 	"qplacer/internal/obs"
-	"qplacer/internal/parallel"
 	"qplacer/internal/topology"
 )
-
-// runPlacement places one topology and returns the final positions.
-func runPlacement(t *testing.T, topo string, mutate func(*Config)) []float64 {
-	t.Helper()
-	nl, cm := placeProblem(t, topo)
-	cfg := DefaultConfig()
-	cfg.MaxIters = 30
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	if _, err := PlaceCtx(context.Background(), nl, cm, cfg); err != nil {
-		t.Fatal(err)
-	}
-	return nl.Positions()
-}
 
 // requireBitIdentical fails unless got and want agree in every bit
 // (Float64bits: a +0/−0 flip counts as a difference).
@@ -67,49 +51,16 @@ var registerGoldenSuite = sync.OnceValues(func() (string, error) {
 	})
 })
 
-// TestCutoffsBitIdentical runs the same problem under every granularity
-// policy — always fan out (zero cutoffs), auto-calibrated, and cutoffs so
-// high every stage gates serial — at several worker counts, and requires
-// bit-identical placements throughout: gating switches implementations, not
-// math.
-func TestCutoffsBitIdentical(t *testing.T) {
-	serial := runPlacement(t, "falcon", nil)
-	huge := parallel.Cutoffs{
-		WirelengthItems: 1 << 30, PairItems: 1 << 30, RasterCells: 1 << 30,
-		SolveCells: 1 << 30, PointItems: 1 << 30,
-	}
-	for _, workers := range []int{1, 2, 3, 5} {
-		for name, cut := range map[string]*parallel.Cutoffs{
-			"fanout": {},
-			"auto":   nil,
-			"serial": &huge,
-		} {
-			got := runPlacement(t, "falcon", func(cfg *Config) {
-				cfg.Workers = workers
-				cfg.Cutoffs = cut
-			})
-			requireBitIdentical(t, "falcon/"+name, got, serial)
-		}
-	}
-}
-
-// exactnessEngines builds the engine under test and a serial reference
-// engine for the same problem. The engine under test runs on the given
-// worker count with zero cutoffs, so a pool fans every stage out and the
-// owner-computes kernels run. It gets fixed, distinct nonzero penalty
-// weights, so every component shows in the combined gradient.
-func exactnessEngines(t *testing.T, topo string, mode Mode, workers int) (e, ref *engine) {
+// exactnessEngines builds the engine under test and a reference engine for
+// the same problem. The engine under test gets fixed, distinct nonzero
+// penalty weights, so every component shows in the combined gradient.
+func exactnessEngines(t *testing.T, topo string, mode Mode) (e, ref *engine) {
 	t.Helper()
 	nl, cm := placeProblem(t, topo)
 	cfg := DefaultConfig()
 	cfg.Mode = mode
-	cfg.Workers = workers
-	cfg.Cutoffs = &parallel.Cutoffs{}
 	e = newEngine(nl, cm, cfg)
-	t.Cleanup(e.close)
-	cfg.Workers = 1
 	ref = newEngine(nl, cm, cfg)
-	t.Cleanup(ref.close)
 	e.lambda, e.lambdaFQ, e.lambdaFS, e.lambdaC, e.wall = 0.7, 1.3, 0.9, 1.1, 1.5
 	return e, ref
 }
@@ -165,8 +116,8 @@ func evaluatedFamilies(e *engine) []*verlet {
 // points a are small drifts, which must keep every Verlet list, and every
 // third is a large drift, which must rebuild each one. The second
 // evaluation of a must be a replay that recomputes nothing.
-func walkExact(t *testing.T, topo string, mode Mode, workers int) {
-	e, ref := exactnessEngines(t, topo, mode, workers)
+func walkExact(t *testing.T, topo string, mode Mode) {
+	e, ref := exactnessEngines(t, topo, mode)
 	fams := evaluatedFamilies(e)
 	minMargin, maxMargin := math.Inf(1), 0.0
 	for _, v := range fams {
@@ -184,7 +135,7 @@ func walkExact(t *testing.T, topo string, mode Mode, workers int) {
 	var fq, fs, cPot float64
 	a := e.nl.Positions()
 	for step := 0; step < 8; step++ {
-		label := fmt.Sprintf("%s/%v/workers=%d/step %d", topo, mode, workers, step)
+		label := fmt.Sprintf("%s/%v/step %d", topo, mode, step)
 		large := step%3 == 2
 		switch {
 		case large:
@@ -239,8 +190,7 @@ func walkExact(t *testing.T, topo string, mode Mode, workers int) {
 // the full-recompute reference bit for bit, in the value and in every
 // gradient coordinate, along position walks that keep and rebuild the
 // lists. It covers every topology of the golden corpus (grid, falcon and
-// the generated suite's device) and, without -short, Eagle, in both modes,
-// serially and on a pool.
+// the generated suite's device) and, without -short, Eagle, in both modes.
 func TestDeltaEvalExact(t *testing.T) {
 	suite, err := registerGoldenSuite()
 	if err != nil {
@@ -252,9 +202,7 @@ func TestDeltaEvalExact(t *testing.T) {
 	}
 	for _, topo := range topos {
 		for _, mode := range []Mode{ModeQplacer, ModeClassic} {
-			for _, workers := range []int{1, 3} {
-				walkExact(t, topo, mode, workers)
-			}
+			walkExact(t, topo, mode)
 		}
 	}
 }
@@ -265,7 +213,7 @@ func TestDeltaEvalExact(t *testing.T) {
 // family's Verlet list, which must skip pairs; and a large drift must
 // rebuild it. Every evaluation still matches the reference.
 func TestDeltaEvalActuallyShortCircuits(t *testing.T) {
-	e, ref := exactnessEngines(t, "falcon", ModeQplacer, 1)
+	e, ref := exactnessEngines(t, "falcon", ModeQplacer)
 	rng := rand.New(rand.NewSource(3))
 	x := e.nl.Positions()
 	grad := make([]float64, len(x))
@@ -306,54 +254,52 @@ func TestDeltaEvalActuallyShortCircuits(t *testing.T) {
 // evaluation at the major point: at seeded random positions, the gradWL,
 // gradD and overflow it yields match the full-recompute reference bit for
 // bit, whether it computes them (a point the engine has not evaluated in
-// full) or replays them (the last full evaluation's point), serially and on
-// a pool. A computed one must leave the record of the last full evaluation
-// and its component gradients untouched, since a later replay reads them.
+// full) or replays them (the last full evaluation's point). A computed one
+// must leave the record of the last full evaluation and its component
+// gradients untouched, since a later replay reads them.
 func TestRenormEvalMatchesFull(t *testing.T) {
 	for _, mode := range []Mode{ModeQplacer, ModeClassic} {
-		for _, workers := range []int{1, 3} {
-			label := fmt.Sprintf("%v/workers=%d", mode, workers)
-			e, ref := exactnessEngines(t, "falcon", mode, workers)
-			rng := rand.New(rand.NewSource(41))
-			r := e.region
-			xy := make([]float64, 2*len(e.nl.Instances))
-			grad := make([]float64, len(xy))
-			for trial := 0; trial < 4; trial++ {
-				for i := 0; i < len(xy); i += 2 {
-					xy[i] = r.Lo.X + rng.Float64()*r.W()
-					xy[i+1] = r.Lo.Y + rng.Float64()*r.H()
-				}
-				want := referenceEval(ref, e, xy)
+		label := mode.String()
+		e, ref := exactnessEngines(t, "falcon", mode)
+		rng := rand.New(rand.NewSource(41))
+		r := e.region
+		xy := make([]float64, 2*len(e.nl.Instances))
+		grad := make([]float64, len(xy))
+		for trial := 0; trial < 4; trial++ {
+			for i := 0; i < len(xy); i += 2 {
+				xy[i] = r.Lo.X + rng.Float64()*r.W()
+				xy[i+1] = r.Lo.Y + rng.Float64()*r.H()
+			}
+			want := referenceEval(ref, e, xy)
 
-				// Computed: the engine has never evaluated xy in full.
-				record := append([]float64(nil), e.last.xy...)
-				wl := append([]float64(nil), e.gradWL...)
-				d := append([]float64(nil), e.gradD...)
-				renorms := e.renormEvals
-				gradWL, gradD := e.evalRenorm(xy)
-				requireRenorm(t, label+" computed", e, gradWL, gradD, want)
-				if e.renormEvals != renorms+1 {
-					t.Fatalf("%s: a new point was not computed", label)
-				}
-				if !bitsEqual(e.last.xy, record) || !bitsEqual(e.gradWL, wl) || !bitsEqual(e.gradD, d) {
-					t.Fatalf("%s: a renorm-only evaluation overwrote the last full evaluation", label)
-				}
+			// Computed: the engine has never evaluated xy in full.
+			record := append([]float64(nil), e.last.xy...)
+			wl := append([]float64(nil), e.gradWL...)
+			d := append([]float64(nil), e.gradD...)
+			renorms := e.renormEvals
+			gradWL, gradD := e.evalRenorm(xy)
+			requireRenorm(t, label+" computed", e, gradWL, gradD, want)
+			if e.renormEvals != renorms+1 {
+				t.Fatalf("%s: a new point was not computed", label)
+			}
+			if !bitsEqual(e.last.xy, record) || !bitsEqual(e.gradWL, wl) || !bitsEqual(e.gradD, d) {
+				t.Fatalf("%s: a renorm-only evaluation overwrote the last full evaluation", label)
+			}
 
-				// Replayed: the last full evaluation was at xy.
-				e.gradient(xy, grad)
-				e.overflow = -1
-				renorms, replays := e.renormEvals, e.replays
-				gradWL, gradD = e.evalRenorm(xy)
-				requireRenorm(t, label+" replayed", e, gradWL, gradD, want)
-				if e.renormEvals != renorms || e.replays != replays+1 {
-					t.Fatalf("%s: the last full evaluation's point was not replayed", label)
-				}
+			// Replayed: the last full evaluation was at xy.
+			e.gradient(xy, grad)
+			e.overflow = -1
+			renorms, replays := e.renormEvals, e.replays
+			gradWL, gradD = e.evalRenorm(xy)
+			requireRenorm(t, label+" replayed", e, gradWL, gradD, want)
+			if e.renormEvals != renorms || e.replays != replays+1 {
+				t.Fatalf("%s: the last full evaluation's point was not replayed", label)
 			}
 		}
 	}
 }
 
-// TestWorkCountsFalconSerial pins the work of a serial falcon seed-1 Qplacer
+// TestWorkCountsFalconSerial pins the work of a falcon seed-1 Qplacer
 // placement as its trace notes report it: how many evaluations were full,
 // renorm-only and replayed, how many Poisson solves synthesized ψ, and each
 // Verlet list's size and rebuilds. The counts are exact per seed, so a
@@ -362,7 +308,6 @@ func TestRenormEvalMatchesFull(t *testing.T) {
 func TestWorkCountsFalconSerial(t *testing.T) {
 	nl, cm := placeProblem(t, "falcon")
 	cfg := DefaultConfig()
-	cfg.Workers = 1
 	cfg.Span = obs.NewSpan("place")
 	if _, err := PlaceCtx(context.Background(), nl, cm, cfg); err != nil {
 		t.Fatal(err)

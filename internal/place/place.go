@@ -29,7 +29,6 @@ import (
 	"qplacer/internal/geom"
 	"qplacer/internal/obs"
 	"qplacer/internal/optim"
-	"qplacer/internal/parallel"
 	"qplacer/internal/poisson"
 )
 
@@ -94,24 +93,6 @@ type Config struct {
 	// Seed drives the deterministic initial-placement jitter.
 	Seed int64
 
-	// Workers bounds the worker pool the per-iteration gradient evaluation
-	// fans out on (wirelength, density rasterization, the spectral Poisson
-	// solve, frequency/chain pair repulsion, walls). 0 or 1 runs the serial
-	// path. Parallel runs are bit-identical to serial ones at every worker
-	// count: work is statically partitioned and every output index is
-	// accumulated by exactly one worker in the serial visit order, so this
-	// knob trades wall-clock for cores, never results.
-	Workers int
-
-	// Cutoffs gates each parallel stage by problem size: stages below their
-	// cutoff run serially, so small problems stop paying fork-join dispatch
-	// overhead that exceeds the parallel saving. nil auto-calibrates once
-	// per process (parallel.AutoCutoffs); a pointer to the zero value
-	// disables gating (every stage always fans out, the pre-adaptive
-	// behaviour). Gating selects between bit-identical implementations, so
-	// it never changes results. Ignored when Workers <= 1.
-	Cutoffs *parallel.Cutoffs
-
 	// Progress, when non-nil, is called once per completed iteration with
 	// the 1-based iteration count and the current density overflow. It rides
 	// on values the loop computes anyway, so it adds no work; it must be
@@ -120,9 +101,9 @@ type Config struct {
 
 	// Span, when non-nil, receives the run's timing breakdown: the gradient
 	// components (wirelength, density with its rasterize/poisson/field
-	// phases, frequency, chain, boundary), the owner-computes reductions,
-	// the per-coordinate combine, and per-worker busy attribution. These are
-	// wall-only aggregating sub-spans, cheap enough for the iteration loop.
+	// phases, frequency, chain, boundary) and the per-coordinate combine.
+	// These are wall-only aggregating sub-spans, cheap enough for the
+	// iteration loop.
 	Span *obs.Span
 }
 
@@ -195,28 +176,6 @@ type engine struct {
 	chainR0                        float64
 	qubitPairs, segPairs           [][2]int // collision map split by kind
 
-	// Parallel state (nil/empty when Workers <= 1). The incidence
-	// structures drive owner-computes accumulation: instNets[i] (ascending
-	// net indices) and each Verlet list's CSR incidence (ascending pair
-	// indices) let the worker that owns instance i fold exactly the
-	// serial-order contributions into grad[2i], grad[2i+1]. The contrib
-	// buffers collect per-net / per-pair scalar terms, reduced serially in
-	// index order so objective values keep their serial bits too.
-	pool        *parallel.Pool
-	instNets    [][]int32
-	netContrib  []float64
-	pairContrib []float64
-	rasterLo    []int32 // per-instance clamped bin-row span, refreshed
-	rasterHi    []int32 // each densityGrad so workers skip cheaply
-
-	// Adaptive granularity: per-stage gated views of pool (nil = run that
-	// stage serially because its problem size is below the cutoff). The
-	// pair kernels gate dynamically per call instead, since delta eval
-	// shrinks their live problem size between rebuilds.
-	cut                           parallel.Cutoffs
-	poolWL, poolRaster, poolPoint *parallel.Pool
-	poolSolve                     *parallel.Pool
-
 	// Delta evaluation: the last full evaluation's record and one Verlet
 	// active list per pair family. evalRenorm computes into renormWL and
 	// renormD, so only a full evaluation writes the component gradients and
@@ -232,20 +191,7 @@ type engine struct {
 	// Aggregating trace sub-spans of cfg.Span (all nil when untraced).
 	spWL, spDen, spRaster, spField *obs.Span
 	spFreq, spChain, spWall        *obs.Span
-	spCombine, spReduce            *obs.Span
-}
-
-// incidenceCSR is a Verlet active list inverted into compressed-sparse-row
-// form: instance i's incident half-edges occupy entries
-// start[i]..start[i+1], in ascending pair order (the serial visit order).
-// Each entry stores the opposite instance and, when i is the pair's first
-// endpoint, the pair index to write the scalar contribution to (-1
-// otherwise). The flat layout keeps the hot loop streaming instead of
-// chasing [][2]int at random.
-type incidenceCSR struct {
-	start      []int32
-	other      []int32
-	contribIdx []int32
+	spCombine                      *obs.Span
 }
 
 // PlaceCtx runs global placement on the netlist, mutating instance
@@ -265,7 +211,6 @@ func PlaceCtx(ctx context.Context, nl *component.Netlist, cm *frequency.Collisio
 	}
 
 	e := newEngine(nl, cm, cfg)
-	defer e.close()
 
 	// Penalty control: instead of multiplying λ unboundedly (which lets the
 	// density term outgrow the wirelength term by orders of magnitude and
@@ -366,7 +311,6 @@ func PlaceCtx(ctx context.Context, nl *component.Netlist, cm *frequency.Collisio
 	final := append([]float64(nil), opt.X()...)
 	e.clampInto(final)
 	nl.SetPositions(final)
-	cfg.Span.SetWorkers(e.pool.WorkerBusy())
 	e.annotateSpan()
 
 	elapsed := time.Since(start)
@@ -382,9 +326,7 @@ func PlaceCtx(ctx context.Context, nl *component.Netlist, cm *frequency.Collisio
 }
 
 // newEngine builds the per-run state: region and bins, seeded initial
-// positions, gradient scratch, the pair structures, and (when cfg.Workers
-// asks for it) the worker pool plus owner-computes incidence lists. Callers
-// must release the pool with close.
+// positions, gradient scratch and the pair structures.
 func newEngine(nl *component.Netlist, cm *frequency.CollisionMap, cfg Config) *engine {
 	e := &engine{cfg: cfg, nl: nl, cm: cm}
 	e.setupRegion()
@@ -403,13 +345,9 @@ func newEngine(nl *component.Netlist, cm *frequency.CollisionMap, cfg Config) *e
 	e.renormD = make([]float64, 2*n)
 	e.setupChainPairs()
 	e.splitCollisionPairs()
-	e.setupParallel()
 	e.setupDelta()
 	return e
 }
-
-// close releases the engine's worker pool (a no-op for serial runs).
-func (e *engine) close() { e.pool.Close() }
 
 // setupTrace caches the gradient sub-span pointers so the iteration loop
 // never takes the span's child-lookup lock. With cfg.Span nil every pointer
@@ -425,7 +363,6 @@ func (e *engine) setupTrace() {
 	e.spChain = sp.Child("chain")
 	e.spWall = sp.Child("boundary")
 	e.spCombine = sp.Child("combine")
-	e.spReduce = sp.Child("reduce")
 }
 
 func (e *engine) setupRegion() {
@@ -529,49 +466,15 @@ func (e *engine) setupChainPairs() {
 	}
 }
 
-// setupParallel builds the worker pool and the owner-computes incidence
-// structures when the config asks for more than one worker. The pool is
-// closed by PlaceCtx when the run ends.
-func (e *engine) setupParallel() {
-	e.pool = parallel.New(e.cfg.Workers)
-	if e.pool == nil {
-		return
-	}
-	e.cut = parallel.Resolve(e.cfg.Cutoffs, e.pool)
-	n := len(e.nl.Instances)
-	cells := e.solver.NX * e.solver.NY
-	e.poolWL = parallel.Gate(e.pool, n, e.cut.WirelengthItems)
-	e.poolRaster = parallel.Gate(e.pool, cells, e.cut.RasterCells)
-	e.poolPoint = parallel.Gate(e.pool, n, e.cut.PointItems)
-	e.poolSolve = parallel.Gate(e.pool, cells, e.cut.SolveCells)
-	e.solver.Parallelize(e.poolSolve)
-	e.instNets = incidence(n, e.nl.Nets)
-	e.netContrib = make([]float64, len(e.nl.Nets))
-	maxPairs := len(e.qubitPairs)
-	if len(e.segPairs) > maxPairs {
-		maxPairs = len(e.segPairs)
-	}
-	if len(e.chainPairs) > maxPairs {
-		maxPairs = len(e.chainPairs)
-	}
-	e.pairContrib = make([]float64, maxPairs)
-	e.rasterLo = make([]int32, n)
-	e.rasterHi = make([]int32, n)
-}
-
-// setupDelta builds one Verlet active list per pair family. The filtered
-// owner-computes incidence buffers are only allocated when a pool exists to
-// use them.
+// setupDelta builds one Verlet active list per pair family.
 func (e *engine) setupDelta() {
-	n := len(e.nl.Instances)
-	withInc := e.pool != nil
-	e.vlQ = newVerlet(n, e.qubitPairs, FreqCutoffMM, withInc)
-	e.vlS = newVerlet(n, e.segPairs, FreqCutoffSegMM, withInc)
-	e.vlC = newVerlet(n, e.chainPairs, e.chainR0, withInc)
+	e.vlQ = newVerlet(e.qubitPairs, FreqCutoffMM)
+	e.vlS = newVerlet(e.segPairs, FreqCutoffSegMM)
+	e.vlC = newVerlet(e.chainPairs, e.chainR0)
 }
 
-// annotateSpan records the run's delta-eval and granularity outcomes on the
-// trace span, making the optimization visible in the exported timings.
+// annotateSpan records the run's delta-eval outcomes on the trace span,
+// making the optimization visible in the exported timings.
 func (e *engine) annotateSpan() {
 	sp := e.cfg.Span
 	if sp == nil {
@@ -590,39 +493,6 @@ func (e *engine) annotateSpan() {
 		sp.Note(fmt.Sprintf("verlet %s pairs: %d total, %d active on average, %d rebuilds over %d evaluations",
 			f.name, len(f.vl.pairs), f.vl.activeSum/int64(f.vl.evals), f.vl.rebuilds, f.vl.evals))
 	}
-	if e.pool != nil {
-		mode := func(p *parallel.Pool) string {
-			if p == nil {
-				return "serial"
-			}
-			return "parallel"
-		}
-		sp.Note(fmt.Sprintf("adaptive granularity: wirelength=%s raster=%s points=%s solve=%s",
-			mode(e.poolWL), mode(e.poolRaster), mode(e.poolPoint), mode(e.poolSolve)))
-	}
-}
-
-// incidence inverts an edge list into per-instance lists of incident edge
-// indices, ascending — the order the serial scatter loops visit them in, so
-// owner-computes accumulation reproduces the serial bits.
-func incidence(n int, edges [][2]int) [][]int32 {
-	deg := make([]int, n)
-	for _, ed := range edges {
-		deg[ed[0]]++
-		deg[ed[1]]++
-	}
-	backing := make([]int32, 2*len(edges))
-	out := make([][]int32, n)
-	pos := 0
-	for i := 0; i < n; i++ {
-		out[i] = backing[pos : pos : pos+deg[i]]
-		pos += deg[i]
-	}
-	for k, ed := range edges {
-		out[ed[0]] = append(out[ed[0]], int32(k))
-		out[ed[1]] = append(out[ed[1]], int32(k))
-	}
-	return out
 }
 
 // chainGrad evaluates the same polynomial contact repulsion over stacked
@@ -635,25 +505,14 @@ func (e *engine) chainGrad(xy []float64) float64 {
 }
 
 // pairForce evaluates one pair family into grad over its Verlet active
-// list: on the owner-computes fan-out when the live pair count clears the
-// adaptive cutoff, with the serial scatter otherwise. Both produce the same
-// bits (the active list is exact, and the owner-computes kernel reproduces
-// the serial accumulation order). A family with no pairs has a zero
-// gradient and potential.
+// list, which is exact, so the result has the bits of a scan over the whole
+// family. A family with no pairs has a zero gradient and potential.
 func (e *engine) pairForce(xy []float64, vl *verlet, grad []float64) float64 {
+	clear(grad)
 	if len(vl.pairs) == 0 {
-		for i := range grad {
-			grad[i] = 0
-		}
 		return 0
 	}
 	vl.ensure(xy)
-	if p := parallel.Gate(e.pool, len(vl.active), e.cut.PairItems); p != nil {
-		return e.pairRepulsionOwner(p, xy, vl, grad)
-	}
-	for i := range grad {
-		grad[i] = 0
-	}
 	return pairRepulsionActive(xy, vl.pairs, vl.active, grad, vl.rcut)
 }
 
@@ -701,19 +560,16 @@ func (e *engine) evalRenorm(xy []float64) (gradWL, gradD []float64) {
 	return e.renormWL, e.renormD
 }
 
-// gradient is the optim.GradFunc: total objective and gradient. The
-// per-coordinate combine is independent across indices, so it fans out.
+// gradient is the optim.GradFunc: total objective and gradient.
 func (e *engine) gradient(xy []float64, grad []float64) float64 {
 	wl, dEnergy, fq, fs, cPot := e.evalComponents(xy)
 	combineTimer := e.spCombine.Start()
 	defer combineTimer.End()
-	e.poolPoint.For(len(grad), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			grad[i] = e.gradWL[i] + e.lambda*e.gradD[i] +
-				e.lambdaFQ*e.gradFQ[i] + e.lambdaFS*e.gradFS[i] +
-				e.lambdaC*e.gradC[i] + e.wall*e.gradWall[i]
-		}
-	})
+	for i := range grad {
+		grad[i] = e.gradWL[i] + e.lambda*e.gradD[i] +
+			e.lambdaFQ*e.gradFQ[i] + e.lambdaFS*e.gradFS[i] +
+			e.lambdaC*e.gradC[i] + e.wall*e.gradWall[i]
+	}
 	return wl + e.lambda*dEnergy + e.lambdaFQ*fq + e.lambdaFS*fs + e.lambdaC*cPot
 }
 
@@ -740,43 +596,6 @@ func (e *engine) wirelengthGrad(xy, grad []float64) float64 {
 	wlTimer := e.spWL.Start()
 	defer wlTimer.End()
 	g2 := e.gamma * e.gamma
-	if e.poolWL != nil {
-		// Owner-computes fan-out: each worker folds its instances' incident
-		// nets (ascending net index, the serial visit order) into their two
-		// coordinates; per-net length terms land in netContrib (written by
-		// the first endpoint's owner) and reduce in serial net order.
-		e.poolWL.For(len(e.nl.Instances), func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				var gx, gy float64
-				for _, k := range e.instNets[i] {
-					net := e.nl.Nets[k]
-					a, b := net[0], net[1]
-					w := e.netWeight(a, b)
-					dx := xy[2*a] - xy[2*b]
-					dy := xy[2*a+1] - xy[2*b+1]
-					sx := math.Sqrt(dx*dx + g2)
-					sy := math.Sqrt(dy*dy + g2)
-					if i == a {
-						gx += w * dx / sx
-						gy += w * dy / sy
-						e.netContrib[k] = w * (sx + sy - 2*e.gamma)
-					} else {
-						gx -= w * dx / sx
-						gy -= w * dy / sy
-					}
-				}
-				grad[2*i] = gx
-				grad[2*i+1] = gy
-			}
-		})
-		reduceTimer := e.spReduce.Start()
-		var total float64
-		for _, c := range e.netContrib {
-			total += c
-		}
-		reduceTimer.End()
-		return total
-	}
 	for i := range grad {
 		grad[i] = 0
 	}
@@ -809,81 +628,48 @@ func (e *engine) densityGrad(xy, grad []float64, withEnergy bool) float64 {
 	nx, ny := s.NX, s.NY
 	rasterTimer := e.spRaster.Start()
 
-	// Rasterization is partitioned by bin row: each worker zeroes and fills
-	// the rows it owns, visiting instances in ascending index order (the
-	// serial accumulation order per bin), with the instance's row span
-	// clipped to the owned band. The serial path is the lo=0, hi=ny case.
-	// When parallel, a per-instance prefilter pins each instance's clamped
-	// row span first, so the per-band sweeps skip non-overlapping instances
-	// with two int compares instead of redoing the bbox float math W times.
 	// The clipping uses the builtin min/max, which compile inline and return
 	// exactly what math.Min/math.Max return for every non-NaN operand,
 	// signed zeros and infinities included (positions are finite here).
-	if e.poolRaster != nil {
-		e.poolRaster.For(len(e.nl.Instances), func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				cy := xy[2*i+1]
-				sh := max(e.chargeH[i], s.HY)
-				y0 := cy - sh/2
-				by0 := int(math.Floor(y0 / s.HY))
-				by1 := int(math.Ceil((y0 + sh) / s.HY))
-				if by0 < 0 {
-					by0 = 0
-				}
-				if by1 > ny {
-					by1 = ny
-				}
-				e.rasterLo[i] = int32(by0)
-				e.rasterHi[i] = int32(by1)
-			}
-		})
-	}
-	e.poolRaster.For(ny, func(_, rowLo, rowHi int) {
-		for i := rowLo * nx; i < rowHi*nx; i++ {
-			s.Density[i] = 0
+	clear(s.Density)
+	for i := range e.nl.Instances {
+		cx, cy := xy[2*i], xy[2*i+1]
+		w, h := e.chargeW[i], e.chargeH[i]
+		// Local smoothing: stretch tiny cells to at least one bin while
+		// conserving charge.
+		sw, sh := max(w, s.HX), max(h, s.HY)
+		scale := (w * h) / (sw * sh)
+		x0 := cx - sw/2
+		y0 := cy - sh/2
+		bx0 := int(math.Floor(x0 / s.HX))
+		by0 := int(math.Floor(y0 / s.HY))
+		bx1 := int(math.Ceil((x0 + sw) / s.HX))
+		by1 := int(math.Ceil((y0 + sh) / s.HY))
+		if by0 < 0 {
+			by0 = 0
 		}
-		for i := range e.nl.Instances {
-			if e.poolRaster != nil && (int(e.rasterLo[i]) >= rowHi || int(e.rasterHi[i]) <= rowLo) {
+		if by1 > ny {
+			by1 = ny
+		}
+		for by := by0; by < by1; by++ {
+			yLo := max(y0, float64(by)*s.HY)
+			yHi := min(y0+sh, float64(by+1)*s.HY)
+			if yHi <= yLo {
 				continue
 			}
-			cx, cy := xy[2*i], xy[2*i+1]
-			w, h := e.chargeW[i], e.chargeH[i]
-			// Local smoothing: stretch tiny cells to at least one bin while
-			// conserving charge.
-			sw, sh := max(w, s.HX), max(h, s.HY)
-			scale := (w * h) / (sw * sh)
-			x0 := cx - sw/2
-			y0 := cy - sh/2
-			bx0 := int(math.Floor(x0 / s.HX))
-			by0 := int(math.Floor(y0 / s.HY))
-			bx1 := int(math.Ceil((x0 + sw) / s.HX))
-			by1 := int(math.Ceil((y0 + sh) / s.HY))
-			if by0 < rowLo {
-				by0 = rowLo
-			}
-			if by1 > rowHi {
-				by1 = rowHi
-			}
-			for by := by0; by < by1; by++ {
-				yLo := max(y0, float64(by)*s.HY)
-				yHi := min(y0+sh, float64(by+1)*s.HY)
-				if yHi <= yLo {
+			for bx := bx0; bx < bx1; bx++ {
+				if bx < 0 || bx >= nx {
 					continue
 				}
-				for bx := bx0; bx < bx1; bx++ {
-					if bx < 0 || bx >= nx {
-						continue
-					}
-					xLo := max(x0, float64(bx)*s.HX)
-					xHi := min(x0+sw, float64(bx+1)*s.HX)
-					if xHi <= xLo {
-						continue
-					}
-					s.Density[by*nx+bx] += (xHi - xLo) * (yHi - yLo) * scale / binArea
+				xLo := max(x0, float64(bx)*s.HX)
+				xHi := min(x0+sw, float64(bx+1)*s.HX)
+				if xHi <= xLo {
+					continue
 				}
+				s.Density[by*nx+bx] += (xHi - xLo) * (yHi - yLo) * scale / binArea
 			}
 		}
-	})
+	}
 
 	// Overflow measures physical overlap: charge density above 1.0 means
 	// instances stacked on top of each other (a cell body alone rasterizes
@@ -902,17 +688,13 @@ func (e *engine) densityGrad(xy, grad []float64, withEnergy bool) float64 {
 	rasterTimer.End()
 
 	s.Solve()
-	// Field sampling writes each instance's own two coordinates from the
-	// read-only solved fields — embarrassingly parallel.
 	fieldTimer := e.spField.Start()
-	e.poolPoint.For(len(e.nl.Instances), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			q := e.chargeW[i] * e.chargeH[i]
-			cx, cy := xy[2*i], xy[2*i+1]
-			grad[2*i] = -q * s.At(s.Ex, cx, cy)
-			grad[2*i+1] = -q * s.At(s.Ey, cx, cy)
-		}
-	})
+	for i := range e.nl.Instances {
+		q := e.chargeW[i] * e.chargeH[i]
+		cx, cy := xy[2*i], xy[2*i+1]
+		grad[2*i] = -q * s.At(s.Ex, cx, cy)
+		grad[2*i+1] = -q * s.At(s.Ey, cx, cy)
+	}
 	fieldTimer.End()
 	if !withEnergy {
 		return 0
@@ -937,59 +719,6 @@ func (e *engine) splitCollisionPairs() {
 	}
 }
 
-// pairRepulsionOwner is pairRepulsionActive fanned out over the pool with
-// owner-computes accumulation: each worker owns a contiguous instance range
-// and folds that range's incident active pairs (vl.inc, ascending pair
-// index — the serial visit order) into its own gradient entries, so no two
-// workers touch one coordinate and the sums keep their serial bits. The
-// loop is role-free: with Δ measured from the owner (dx = x_i − x_j), IEEE
-// negation symmetry (fl(−t) = −fl(t) for subtraction and multiplication,
-// g + (−u) ≡ g − u) makes "gx −= scale·dx" reproduce the serial bits for
-// both pair endpoints. Per-pair potential terms land in e.pairContrib
-// (written by the owner of the pair's first instance, contribIdx >= 0) and
-// reduce to the total over the active list in serial pair order;
-// out-of-range pairs record an exact 0, which leaves the running float sum
-// untouched.
-func (e *engine) pairRepulsionOwner(p *parallel.Pool, xy []float64, vl *verlet, grad []float64) float64 {
-	r2 := vl.rcut * vl.rcut
-	r3 := r2 * vl.rcut
-	inc, contrib := vl.inc, e.pairContrib
-	p.For(len(grad)/2, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			var gx, gy float64
-			xi, yi := xy[2*i], xy[2*i+1]
-			for m := inc.start[i]; m < inc.start[i+1]; m++ {
-				j := int(inc.other[m])
-				dx := xi - xy[2*j]
-				dy := yi - xy[2*j+1]
-				d2 := dx*dx + dy*dy
-				if d2 >= r2 {
-					if k := inc.contribIdx[m]; k >= 0 {
-						contrib[k] = 0
-					}
-					continue
-				}
-				gap := r2 - d2
-				scale := 4 * gap / r3
-				gx -= scale * dx
-				gy -= scale * dy
-				if k := inc.contribIdx[m]; k >= 0 {
-					contrib[k] = gap * gap / r3
-				}
-			}
-			grad[2*i] = gx
-			grad[2*i+1] = gy
-		}
-	})
-	reduceTimer := e.spReduce.Start()
-	var total float64
-	for _, k := range vl.active {
-		total += contrib[k]
-	}
-	reduceTimer.End()
-	return total
-}
-
 // frequencyGrad evaluates the frequency repulsive potential of Eqs. 9-10,
 // split into qubit and segment components.
 func (e *engine) frequencyGrad(xy []float64) (fq, fs float64) {
@@ -1008,33 +737,30 @@ func (e *engine) frequencyGrad(xy []float64) (fq, fs float64) {
 }
 
 // wallGrad adds a quadratic boundary spring pulling instances back into the
-// region (smooth substitute for hard clamping during optimization). Each
-// instance owns its two coordinates, so the fan-out preserves bits.
+// region (smooth substitute for hard clamping during optimization).
 func (e *engine) wallGrad(xy []float64) {
 	wallTimer := e.spWall.Start()
 	defer wallTimer.End()
 	r := e.region
-	e.poolPoint.For(len(e.nl.Instances), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			e.gradWall[2*i] = 0
-			e.gradWall[2*i+1] = 0
-			hw := e.chargeW[i] / 2
-			hh := e.chargeH[i] / 2
-			x, y := xy[2*i], xy[2*i+1]
-			if v := x - hw - r.Lo.X; v < 0 {
-				e.gradWall[2*i] += 2 * v
-			}
-			if v := x + hw - r.Hi.X; v > 0 {
-				e.gradWall[2*i] += 2 * v
-			}
-			if v := y - hh - r.Lo.Y; v < 0 {
-				e.gradWall[2*i+1] += 2 * v
-			}
-			if v := y + hh - r.Hi.Y; v > 0 {
-				e.gradWall[2*i+1] += 2 * v
-			}
+	for i := range e.nl.Instances {
+		e.gradWall[2*i] = 0
+		e.gradWall[2*i+1] = 0
+		hw := e.chargeW[i] / 2
+		hh := e.chargeH[i] / 2
+		x, y := xy[2*i], xy[2*i+1]
+		if v := x - hw - r.Lo.X; v < 0 {
+			e.gradWall[2*i] += 2 * v
 		}
-	})
+		if v := x + hw - r.Hi.X; v > 0 {
+			e.gradWall[2*i] += 2 * v
+		}
+		if v := y - hh - r.Lo.Y; v < 0 {
+			e.gradWall[2*i+1] += 2 * v
+		}
+		if v := y + hh - r.Hi.Y; v > 0 {
+			e.gradWall[2*i+1] += 2 * v
+		}
+	}
 }
 
 func (e *engine) clampInto(xy []float64) {

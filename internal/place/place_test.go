@@ -24,6 +24,35 @@ func buildProblem(t *testing.T, dev *topology.Device) (*component.Netlist, *freq
 	return nl, cm
 }
 
+// placeProblem builds the netlist + collision map for a named topology.
+func placeProblem(tb testing.TB, topo string) (*component.Netlist, *frequency.CollisionMap) {
+	tb.Helper()
+	dev, err := topology.ByName(topo)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	a := frequency.Assign(dev, physics.DetuneThresholdGHz)
+	nl, err := component.Build(dev, a.QubitFreq, a.ResFreq, component.DefaultConfig())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return nl, frequency.BuildCollisionMap(nl, physics.DetuneThresholdGHz)
+}
+
+// BenchmarkGradient times one full gradient evaluation (all components +
+// combine) on the falcon problem.
+func BenchmarkGradient(b *testing.B) {
+	nl, cm := placeProblem(b, "falcon")
+	e := newEngine(nl, cm, DefaultConfig())
+	x := nl.Positions()
+	grad := make([]float64, len(x))
+	e.gradient(x, grad) // warm scratch and solver state
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.gradient(x, grad)
+	}
+}
+
 func fastConfig(mode Mode) Config {
 	cfg := DefaultConfig()
 	cfg.Mode = mode

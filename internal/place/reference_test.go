@@ -2,8 +2,7 @@ package place
 
 // pairRepulsion is the full-scan pair kernel: pairRepulsionActive's
 // arithmetic over every pair of the family, in pair order. It is the
-// reference the Verlet active lists and the owner-computes kernel are held
-// to.
+// reference the Verlet active lists are held to.
 func pairRepulsion(xy []float64, pairs [][2]int, grad []float64, rcut float64) float64 {
 	var total float64
 	r2 := rcut * rcut
@@ -40,7 +39,7 @@ type refEval struct {
 }
 
 // referenceEval evaluates the objective at xy by full recompute on ref, a
-// serial engine built for the same problem, and combines it with the
+// second engine built for the same problem, and combines it with the
 // weights of e exactly as engine.gradient does. Every component is computed
 // (nothing is replayed) and every pair family is scanned in full with
 // pairRepulsion (no Verlet list), so it is what the delta evaluation must

@@ -17,7 +17,6 @@ import (
 
 	"qplacer/internal/fft"
 	"qplacer/internal/obs"
-	"qplacer/internal/parallel"
 )
 
 // Solver holds the grid geometry, the input density and the solution fields.
@@ -34,7 +33,6 @@ type Solver struct {
 	Ex, Ey []float64 // field components E = −∇ψ
 
 	grid     *fft.Grid2D
-	pool     *parallel.Pool
 	wx       []float64 // w_u = πu/(NX·HX)
 	wy       []float64 // w_v = πv/(NY·HY)
 	psiReady bool      // Psi holds ψ (not its coefficients)
@@ -78,15 +76,6 @@ func NewSolver(nx, ny int, hx, hy float64) *Solver {
 	return s
 }
 
-// Parallelize runs subsequent Solves on the pool: the grid's independent
-// row/column transforms and the per-row coefficient scaling fan out, so the
-// solution is bit-identical at every pool size. The pool is borrowed, not
-// owned: the caller closes it. nil restores the serial path.
-func (s *Solver) Parallelize(p *parallel.Pool) {
-	s.pool = p
-	s.grid.Parallelize(p)
-}
-
 // SetSpan attaches a trace span to the solver: subsequent Solves fold their
 // timing into it, broken into "fft" (forward DCT + field synthesis) and
 // "spectral" (eigenvalue scaling); Energy's ψ synthesis, which runs outside
@@ -106,7 +95,7 @@ func (s *Solver) Annotate() {
 
 // Solve computes Ex and Ey from the current Density and leaves ψ's scaled
 // coefficients in Psi for Energy to synthesize on demand. It allocates
-// nothing on the serial path.
+// nothing.
 func (s *Solver) Solve() {
 	solveTimer := s.spanSolve.Start()
 	defer solveTimer.End()
@@ -118,11 +107,7 @@ func (s *Solver) Solve() {
 	fwdTimer.End()
 
 	specTimer := s.spanSpec.Start()
-	if s.pool == nil {
-		s.scaleRows(0, 0, s.NY)
-	} else {
-		s.pool.For(s.NY, s.scaleRows)
-	}
+	s.scale()
 	specTimer.End()
 
 	synthTimer := s.spanFFT.Start()
@@ -131,15 +116,14 @@ func (s *Solver) Solve() {
 	synthTimer.End()
 }
 
-// scaleRows normalizes the analysis coefficients of rows [lo, hi) in Psi so
-// that SynthCosCos (with its halved u=0 / v=0 terms) reconstructs the
-// input exactly, divides them by the Laplacian eigenvalues, and writes the
-// field spectra into Ex and Ey. Rows are independent (owner-computes), so
-// the fan-out preserves bits.
-func (s *Solver) scaleRows(_, lo, hi int) {
+// scale normalizes the analysis coefficients in Psi so that SynthCosCos
+// (with its halved u=0 / v=0 terms) reconstructs the input exactly, divides
+// them by the Laplacian eigenvalues, and writes the field spectra into Ex
+// and Ey.
+func (s *Solver) scale() {
 	nx := s.NX
 	norm := 4 / float64(nx*s.NY)
-	for v := lo; v < hi; v++ {
+	for v := 0; v < s.NY; v++ {
 		for u := 0; u < nx; u++ {
 			i := v*nx + u
 			if u == 0 && v == 0 {

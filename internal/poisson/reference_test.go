@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"qplacer/internal/fft"
-	"qplacer/internal/parallel"
 )
 
 // refSolve is the solve as it stood before ψ became lazy: the scaled
@@ -83,30 +82,25 @@ func requireSameBits(t *testing.T, label string, got, want []float64) {
 }
 
 // TestSolveMatchesReference holds Solve followed by Energy to the eager
-// reference solve, bit for bit, on the fields and the energy, serially and
-// on a 3-worker pool, across repeated solves on one solver.
+// reference solve, bit for bit, on the fields and the energy, across
+// repeated solves on one solver.
 func TestSolveMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	pool := parallel.New(3)
-	t.Cleanup(pool.Close)
 	for _, g := range []struct {
 		nx, ny int
 		hx, hy float64
 	}{{32, 32, 0.4, 0.4}, {16, 8, 0.5, 0.25}, {128, 128, 0.17, 0.17}} {
-		for _, p := range []*parallel.Pool{nil, pool} {
-			s := NewSolver(g.nx, g.ny, g.hx, g.hy)
-			s.Parallelize(p)
-			for trial := 0; trial < 3; trial++ {
-				chargeDensity(s.Density, rng)
-				psi, ex, ey, energy := refSolve(g.nx, g.ny, g.hx, g.hy, s.Density)
-				s.Solve()
-				requireSameBits(t, "Ex", s.Ex, ex)
-				requireSameBits(t, "Ey", s.Ey, ey)
-				e := s.Energy()
-				requireSameBits(t, "Psi", s.Psi, psi)
-				if math.Float64bits(e) != math.Float64bits(energy) {
-					t.Fatalf("%dx%d: Energy = %v, reference %v (bitwise)", g.nx, g.ny, e, energy)
-				}
+		s := NewSolver(g.nx, g.ny, g.hx, g.hy)
+		for trial := 0; trial < 3; trial++ {
+			chargeDensity(s.Density, rng)
+			psi, ex, ey, energy := refSolve(g.nx, g.ny, g.hx, g.hy, s.Density)
+			s.Solve()
+			requireSameBits(t, "Ex", s.Ex, ex)
+			requireSameBits(t, "Ey", s.Ey, ey)
+			e := s.Energy()
+			requireSameBits(t, "Psi", s.Psi, psi)
+			if math.Float64bits(e) != math.Float64bits(energy) {
+				t.Fatalf("%dx%d: Energy = %v, reference %v (bitwise)", g.nx, g.ny, e, energy)
 			}
 		}
 	}
@@ -130,7 +124,7 @@ func TestEnergyIsIdempotent(t *testing.T) {
 	}
 }
 
-// TestSolveDoesNotAllocate pins the serial solve's buffer reuse: no
+// TestSolveDoesNotAllocate pins the solve's buffer reuse: no
 // scratch copies, no closures.
 func TestSolveDoesNotAllocate(t *testing.T) {
 	s := NewSolver(32, 32, 0.5, 0.5)

@@ -143,22 +143,20 @@ func (o Options) normalized() (Options, error) {
 
 // settings is the merged engine + per-call configuration that functional
 // options operate on. Knobs that change results live in Options (the cache
-// key); knobs that only change how results are computed — worker counts,
-// observers, validation — live beside it.
+// key); knobs that only change how results are computed — the EvaluateAll
+// worker count, observers, validation — live beside it.
 type settings struct {
-	opts        Options
-	workers     int
-	parallelism int
-	observer    Observer
-	validation  ValidationMode
-	tracing     bool
+	opts       Options
+	workers    int
+	observer   Observer
+	validation ValidationMode
+	tracing    bool
 }
 
 func defaultSettings() settings {
 	return settings{
-		workers:     runtime.GOMAXPROCS(0),
-		parallelism: runtime.GOMAXPROCS(0),
-		tracing:     true,
+		workers: runtime.GOMAXPROCS(0),
+		tracing: true,
 	}
 }
 
@@ -241,8 +239,8 @@ func WithValidation(mode ValidationMode) Option {
 // WithTracing toggles the span tracer (default on). Traced plans carry a
 // per-stage timing breakdown in PlanResult.Timings; untraced plans run the
 // exact same code with a nil span, leave Timings nil, and pay nothing
-// beyond a pointer test per instrumented site. Like parallelism, tracing
-// never changes placement results and is not part of the cache key — but
+// beyond a pointer test per instrumented site. Tracing never changes
+// placement results and is not part of the cache key — but
 // note the cache stores whatever the first (cold) run produced, so a warm
 // hit may carry timings even when the hitting call disabled tracing.
 func WithTracing(enabled bool) Option {
@@ -256,8 +254,8 @@ func WithOptions(o Options) Option {
 }
 
 // WithWorkers bounds the EvaluateAll worker pool (default GOMAXPROCS). It
-// controls how many benchmarks are evaluated concurrently; for the worker
-// pool inside a single placement, see WithParallelism.
+// controls how many benchmarks are evaluated concurrently; a single
+// placement always runs on the calling goroutine.
 func WithWorkers(n int) Option {
 	return func(s *settings) {
 		if n > 0 {
@@ -266,33 +264,13 @@ func WithWorkers(n int) Option {
 	}
 }
 
-// WithParallelism bounds the worker pool a single placement's hot path fans
-// out on — the per-iteration gradient components of global placement
-// (wirelength, density bins and the spectral Poisson solve, frequency and
-// chain pair repulsion). Legalization and detailed placement are sequential
-// and ignore it. The default is GOMAXPROCS; 1 restores
-// the serial path; n <= 0 resets to the default. A request above GOMAXPROCS
-// is clamped at plan time — oversubscribing the scheduler only adds context
-// switches to a CPU-bound hot path — and the clamp is noted on the plan's
-// root timing span.
+// WithParallelism is a no-op kept so existing callers compile; it ignores
+// its argument.
 //
-// Parallelism never changes results: work is statically partitioned and
-// accumulated owner-computes, so placements are bit-identical at every
-// worker count. It is therefore deliberately NOT part of Options and never
-// enters the plan-cache key — plans computed at different parallelism are
-// interchangeable cache hits. As an engine option it applies to every plan;
-// as a per-call option to that call only.
-//
-// Each parallel stage additionally falls back to its serial kernel when the
-// stage's problem size is below an auto-calibrated cutoff — fan-out dispatch
-// costs more than it saves on small problems. Gating only selects between
-// bit-identical implementations, so it never changes results either.
-func WithParallelism(n int) Option {
-	return func(s *settings) {
-		if n > 0 {
-			s.parallelism = n
-		} else {
-			s.parallelism = runtime.GOMAXPROCS(0)
-		}
-	}
+// Deprecated: a placement always runs serially. Measured on 1- and 2-CPU
+// hosts, fanning one placement out over worker goroutines was slower than
+// the serial path, so the intra-plan worker pool is gone. Concurrency
+// across plans remains: see WithWorkers and EvaluateAll.
+func WithParallelism(int) Option {
+	return func(*settings) {}
 }

@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"runtime"
 	"sort"
 	"strconv"
 	"sync"
@@ -49,7 +48,7 @@ var (
 // Config sizes the job manager.
 type Config struct {
 	// Workers is the number of jobs placed/evaluated concurrently
-	// (default 2).
+	// (default 2). Each placement runs on its job's worker goroutine.
 	Workers int
 	// EnginePool is the number of shared engines the workers draw from
 	// (default 1: every request shares one stage cache).
@@ -79,12 +78,6 @@ type Config struct {
 	QuotaPerClient int
 	// EngineOptions are forwarded to every engine in the pool.
 	EngineOptions []qplacer.Option
-	// Parallelism bounds the worker pool inside each placement run
-	// (qplacer.WithParallelism). The default (0) sizes it to
-	// max(1, GOMAXPROCS / Workers): jobs already run concurrently, so
-	// Workers × Parallelism ≈ GOMAXPROCS keeps jobs from fighting for
-	// cores. Parallelism never changes results, only wall-clock.
-	Parallelism int
 	// DefaultPlacer, DefaultLegalizer, and DefaultDetailedPlacer fill
 	// requests that leave the backend unset, before normalization ("" keeps
 	// the package defaults, "nesterov"/"shelf"/"none"). Requests naming a
@@ -141,12 +134,6 @@ func (c Config) withDefaults() Config {
 		}
 		if c.sweepEvery > 5*time.Second {
 			c.sweepEvery = 5 * time.Second
-		}
-	}
-	if c.Parallelism <= 0 {
-		c.Parallelism = runtime.GOMAXPROCS(0) / c.Workers
-		if c.Parallelism < 1 {
-			c.Parallelism = 1
 		}
 	}
 	if c.Logger == nil {
@@ -223,10 +210,8 @@ func NewManager(cfg Config) *Manager {
 	}
 	m.cond = sync.NewCond(&m.st.mu)
 	m.log = cfg.Logger
-	engOpts := append(append([]qplacer.Option(nil), cfg.EngineOptions...),
-		qplacer.WithParallelism(cfg.Parallelism))
 	for i := 0; i < cfg.EnginePool; i++ {
-		m.engines = append(m.engines, qplacer.New(engOpts...))
+		m.engines = append(m.engines, qplacer.New(cfg.EngineOptions...))
 	}
 	m.metrics = newServiceMetrics(m)
 	// A store that can report fsync latency (the journal) feeds the

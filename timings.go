@@ -10,18 +10,15 @@ import (
 // form of the tracer's aggregated span tree. Wall and CPU are cumulative
 // across the Count start/end cycles the node folded together (so an inner
 // gradient sub-span reports the total across all iterations, with Count the
-// iteration count). WorkerMS, present only on spans that ran on the
-// parallel pool, attributes busy time per worker (index = worker id, 0 the
-// dispatching goroutine).
+// iteration count).
 type SpanTiming struct {
-	Name     string    `json:"name"`
-	Count    int64     `json:"count,omitempty"`
-	WallMS   float64   `json:"wall_ms"`
-	CPUMS    float64   `json:"cpu_ms,omitempty"`
-	WorkerMS []float64 `json:"worker_ms,omitempty"`
-	// Notes carries the span's free-form annotations — parallelism clamps,
-	// delta-eval hit rates, adaptive-granularity decisions — in insertion
-	// order.
+	Name   string  `json:"name"`
+	Count  int64   `json:"count,omitempty"`
+	WallMS float64 `json:"wall_ms"`
+	CPUMS  float64 `json:"cpu_ms,omitempty"`
+	// Notes carries the span's free-form annotations — delta-eval hit
+	// rates, the legalizer's search work and self-reported failures — in
+	// insertion order.
 	Notes    []string      `json:"notes,omitempty"`
 	Children []*SpanTiming `json:"children,omitempty"`
 }
@@ -60,9 +57,6 @@ func spanTiming(n *obs.Node) *SpanTiming {
 		Count:  n.Count,
 		WallMS: durMS(n.Wall),
 		CPUMS:  durMS(n.CPU),
-	}
-	for _, d := range n.Workers {
-		out.WorkerMS = append(out.WorkerMS, durMS(d))
 	}
 	out.Notes = append(out.Notes, n.Notes...)
 	for _, c := range n.Children {

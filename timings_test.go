@@ -3,7 +3,14 @@ package qplacer
 import (
 	"context"
 	"encoding/json"
+	"slices"
 	"testing"
+
+	"qplacer/internal/component"
+	"qplacer/internal/frequency"
+	"qplacer/internal/geom"
+	"qplacer/internal/legal"
+	"qplacer/internal/obs"
 )
 
 // timingOptions is a fast traced run used across the timings tests: the
@@ -197,5 +204,33 @@ func TestSpanTimingFind(t *testing.T) {
 	var nilT *SpanTiming
 	if got := nilT.Find("x"); got != nil {
 		t.Fatal("nil.Find should be nil")
+	}
+}
+
+// TestLegalizeNotesSelfReport reads the legalizer's self-reported failures
+// back from a grid plan's timings: both built-in legalizers note their guard
+// fallbacks and spot failures on the legalize span (none on grid). A stub
+// run then shows the note carries the counts legal.Result reports.
+func TestLegalizeNotesSelfReport(t *testing.T) {
+	const clean = "0 guard fallbacks, 0 spot failures"
+	for _, legalizer := range []string{"shelf", "greedy"} {
+		plan, err := New().Plan(context.Background(), append(timingOptions(), WithLegalizer(legalizer))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if notes := plan.Timings.Find("legalize").Notes; !slices.Equal(notes, []string{clean}) {
+			t.Errorf("%s: legalize notes = %q, want [%q]", legalizer, notes, clean)
+		}
+	}
+
+	stub := legalBackend{name: "stub", run: func(context.Context, *component.Netlist, geom.Rect, *frequency.CollisionMap, legal.Config) (*legal.Result, error) {
+		return &legal.Result{GuardFallbacks: 3, SpotFailures: 1}, nil
+	}}
+	span := obs.NewSpan("legalize")
+	if _, err := stub.Legalize(obs.ContextWithSpan(context.Background(), span), &StageState{}, geom.Rect{}, nopObserver{}); err != nil {
+		t.Fatal(err)
+	}
+	if notes, want := span.Snapshot().Notes, []string{"3 guard fallbacks, 1 spot failures"}; !slices.Equal(notes, want) {
+		t.Errorf("stub legalize notes = %q, want %q", notes, want)
 	}
 }
