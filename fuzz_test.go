@@ -7,18 +7,27 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"qplacer/internal/component"
 )
 
-// validNumeric is the admission rule Normalized applies to lb and delta_c:
-// finite and ≥ 0, where 0 selects the default.
+// validNumeric is the admission rule Normalized applies to delta_c: finite
+// and ≥ 0, where 0 selects the default.
 func validNumeric(v float64) bool {
 	return !math.IsNaN(v) && !math.IsInf(v, 0) && v >= 0
+}
+
+// validLB is the admission rule Normalized applies to lb: 0, which selects
+// the default, or finite and at least component.MinSegmentSizeMM.
+func validLB(v float64) bool {
+	return v == 0 || validNumeric(v) && v >= component.MinSegmentSizeMM
 }
 
 // TestNormalizedRejectsNonFinite pins the deterministic contract the fuzz
 // target relies on: NaN/Inf numerics fail normalization with the typed
 // sentinel instead of slipping past the <= 0 guards into cache keys, and so
-// do negative ones, which no downstream stage reads consistently.
+// do negative ones, which no downstream stage reads consistently, and an lb
+// below the minimum, whose netlist would grow as 1/lb².
 func TestNormalizedRejectsNonFinite(t *testing.T) {
 	for _, o := range []Options{
 		{LB: math.NaN()},
@@ -28,6 +37,8 @@ func TestNormalizedRejectsNonFinite(t *testing.T) {
 		{LB: -0.3},
 		{DeltaC: -0.1},
 		{LB: 0.3, DeltaC: -1e-9},
+		{LB: 1e-6},
+		{LB: math.Nextafter(component.MinSegmentSizeMM, 0)},
 	} {
 		if _, err := o.Normalized(); !errors.Is(err, ErrInvalidOptions) {
 			t.Fatalf("Normalized(%+v) err = %v, want ErrInvalidOptions", o, err)
@@ -80,6 +91,7 @@ func FuzzValidateOptions(f *testing.F) {
 	f.Add("grid", "nesterov", "shelf", "swap", 0, int64(1), math.NaN(), 0.1, 0)
 	f.Add("grid", "nesterov", "shelf", "warp-drive", 0, int64(1), 0.3, math.Inf(1), 0)
 	f.Add("grid", "nesterov", "shelf", "nesterov", 0, int64(1), 0.3, 0.1, 0)
+	f.Add("grid", "nesterov", "shelf", "", 0, int64(1), 1e-6, 0.1, 0)
 	f.Fuzz(func(t *testing.T, topo, placer, legalizer, detailed string, scheme int, seed int64, lb, deltaC float64, maxIters int) {
 		o := Options{
 			Topology:       topo,
@@ -98,8 +110,8 @@ func FuzzValidateOptions(f *testing.F) {
 			// sentinels, matching the field that actually failed.
 			switch {
 			case errors.Is(err, ErrInvalidOptions):
-				if validNumeric(lb) && validNumeric(deltaC) {
-					t.Fatalf("finite, non-negative options rejected as invalid: %v", err)
+				if validLB(lb) && validNumeric(deltaC) {
+					t.Fatalf("admissible lb and delta_c rejected as invalid: %v", err)
 				}
 			case errors.Is(err, ErrUnknownScheme):
 				if s := Scheme(scheme); s == SchemeQplacer || s == SchemeClassic || s == SchemeHuman {
@@ -127,7 +139,7 @@ func FuzzValidateOptions(f *testing.F) {
 		if norm.Topology == "" || norm.Seed == 0 {
 			t.Fatalf("defaults not filled: %+v", norm)
 		}
-		if !(norm.LB > 0) || !(norm.DeltaC > 0) || !validNumeric(lb) || !validNumeric(deltaC) {
+		if !(norm.LB >= component.MinSegmentSizeMM) || !(norm.DeltaC > 0) || !validLB(lb) || !validNumeric(deltaC) {
 			t.Fatalf("lb %v / delta_c %v accepted as %v / %v", lb, deltaC, norm.LB, norm.DeltaC)
 		}
 		if _, err := PlacerByName(norm.Placer); err != nil {
@@ -176,9 +188,10 @@ func FuzzTopologyName(f *testing.F) {
 // WriteJSON and reloads to an equal suite with identical bytes. The seed
 // corpus under testdata/fuzz/FuzzLoadSuite holds the suite generated from
 // testdata/gen-random16.spec.json, a truncated copy, copies with a tampered
-// spec_hash and a dangling collision-map index, and a copy whose lb_mm
-// differs from its spec's, which once made the validating netlist rebuild
-// size itself from the unhashed value.
+// spec_hash and a dangling collision-map index, a copy whose lb_mm differs
+// from its spec's, which once made the validating netlist rebuild size
+// itself from the unhashed value, and a copy whose spec asks for lb 1e-6 mm
+// under a recomputed spec_hash, which once made it build ~10¹² instances.
 func FuzzLoadSuite(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := LoadSuite(bytes.NewReader(data))

@@ -185,15 +185,25 @@ func (a *annealer) setup(cm *frequency.CollisionMap) {
 
 	a.freqPairs = make([][]int, n)
 	if cm != nil {
-		for pi, p := range cm.Pairs {
-			a.pairOther = append(a.pairOther, int32(p[0]), int32(p[1]))
+		// Pair indices in ascending (i, j) order, so each instance's list
+		// is ascending in partner ID.
+		np := cm.NumPairs()
+		a.pairOther = make([]int32, 0, 2*np)
+		a.pairCut = make([]float64, 0, np)
+		for i := range a.freqPairs {
+			a.freqPairs[i] = make([]int, 0, cm.Degree(i))
+		}
+		pi := 0
+		for i, j := range cm.AllPairs() {
+			a.pairOther = append(a.pairOther, int32(i), int32(j))
 			cut := place.FreqCutoffSegMM
-			if a.nl.Instances[p[0]].Kind == component.KindQubit {
+			if a.nl.Instances[i].Kind == component.KindQubit {
 				cut = place.FreqCutoffMM
 			}
 			a.pairCut = append(a.pairCut, cut)
-			a.freqPairs[p[0]] = append(a.freqPairs[p[0]], pi)
-			a.freqPairs[p[1]] = append(a.freqPairs[p[1]], pi)
+			a.freqPairs[i] = append(a.freqPairs[i], pi)
+			a.freqPairs[j] = append(a.freqPairs[j], pi)
+			pi++
 		}
 	}
 }

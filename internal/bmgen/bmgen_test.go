@@ -221,6 +221,7 @@ func TestNormalizeRejects(t *testing.T) {
 		{Name: "x", Family: FamilyGrid, Qubits: 9, FreqScheme: "rainbow"},
 		{Name: "x", Family: FamilyGrid, Qubits: 9, DeltaC: -1},
 		{Name: "x", Family: FamilyGrid, Qubits: 9, LB: -1},
+		{Name: "x", Family: FamilyGrid, Qubits: 9, LB: 1e-6},
 		{Name: "x", Family: FamilyGrid, Qubits: 9, AreaMM: [2]float64{10, 0}},
 	}
 	for i, spec := range bad {

@@ -75,7 +75,7 @@ func Generate(spec Spec) (*Suite, error) {
 		Collisions: Collisions{
 			LBmm:         norm.LB,
 			NumInstances: len(nl.Instances),
-			Pairs:        append([][2]int{}, cm.Pairs...),
+			Pairs:        collisionPairs(cm),
 		},
 		AreaMM: area,
 	}

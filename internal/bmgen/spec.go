@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 
+	"qplacer/internal/component"
 	"qplacer/internal/physics"
 )
 
@@ -183,8 +184,8 @@ func (s Spec) Normalize() (Spec, error) {
 	if s.LB == 0 {
 		s.LB = 0.3
 	}
-	if s.LB < 0 {
-		return s, fmt.Errorf("%w: negative lb", ErrInvalidSpec)
+	if s.LB < component.MinSegmentSizeMM {
+		return s, fmt.Errorf("%w: lb %v mm is below the %v mm minimum", ErrInvalidSpec, s.LB, component.MinSegmentSizeMM)
 	}
 	if s.Seed == 0 {
 		s.Seed = 1

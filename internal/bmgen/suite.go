@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"reflect"
+	"slices"
 
 	"qplacer/internal/component"
 	"qplacer/internal/frequency"
@@ -188,14 +188,12 @@ func (s *Suite) Validate() error {
 		return fmt.Errorf("%w: %d instances recorded, %d derived",
 			ErrInvalidSuite, s.Collisions.NumInstances, len(nl.Instances))
 	}
+	// nil and [] compare equal here: that is an encoding artifact, not a
+	// mismatch.
 	cm := frequency.BuildCollisionMap(nl, f.DeltaCGHz)
-	want := cm.Pairs
-	got := s.Collisions.Pairs
-	if len(want) == 0 && len(got) == 0 {
-		// both empty: nil vs [] is an encoding artifact, not a mismatch
-	} else if !reflect.DeepEqual(got, want) {
+	if got := s.Collisions.Pairs; !slices.Equal(got, collisionPairs(cm)) {
 		return fmt.Errorf("%w: collision map disagrees with recomputation (%d recorded, %d derived pairs)",
-			ErrInvalidSuite, len(got), len(want))
+			ErrInvalidSuite, len(got), cm.NumPairs())
 	}
 
 	if s.AreaMM[0] <= 0 || s.AreaMM[1] <= 0 ||
@@ -241,4 +239,13 @@ func inBand(freqs []float64, band frequency.Spectrum, what string) error {
 		}
 	}
 	return nil
+}
+
+// collisionPairs lists the map's pairs as the suite records them.
+func collisionPairs(cm *frequency.CollisionMap) [][2]int {
+	pairs := make([][2]int, 0, cm.NumPairs())
+	for i, j := range cm.AllPairs() {
+		pairs = append(pairs, [2]int{i, j})
+	}
+	return pairs
 }

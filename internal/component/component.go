@@ -80,6 +80,12 @@ type Config struct {
 	RibbonWidth  float64 // resonator ribbon width for area accounting
 }
 
+// MinSegmentSizeMM is the smallest segment size l_b a request or a suite
+// spec may ask for. A resonator of length L splits into ⌈L·w/l_b²⌉ blocks,
+// so the netlist grows as 1/l_b²: at 1e-6 mm it would hold ~10¹² instances.
+// The paper sweeps 0.2–0.4 mm.
+const MinSegmentSizeMM = 0.1
+
 // DefaultConfig returns the paper's experimental constants with the optimal
 // segment size l_b = 0.3 mm.
 func DefaultConfig() Config {

@@ -141,7 +141,7 @@ func penaltyAt(cm *frequency.CollisionMap, nl *component.Netlist, id int, p geom
 		return 0
 	}
 	var sum float64
-	for _, q := range cm.ByInst[id] {
+	for q := range cm.Partners(id) {
 		if d := cheby(p, nl.Instances[q].Pos); d < radius {
 			sum += radius - d
 		}
@@ -175,7 +175,7 @@ func independentSet(nl *component.Netlist, cm *frequency.CollisionMap, inc [][]i
 			}
 		}
 		if ok && cm != nil {
-			for _, q := range cm.ByInst[id] {
+			for q := range cm.Partners(id) {
 				if selected[q] {
 					ok = false
 					break
@@ -431,14 +431,14 @@ func swapDeltaPenalty(cm *frequency.CollisionMap, nl *component.Netlist, a, b in
 		}
 		return 0
 	}
-	for _, q := range cm.ByInst[a] {
+	for q := range cm.Partners(a) {
 		if q == b {
 			continue
 		}
 		qp := nl.Instances[q].Pos
 		delta += term(pb, qp) - term(pa, qp)
 	}
-	for _, q := range cm.ByInst[b] {
+	for q := range cm.Partners(b) {
 		if q == a {
 			continue
 		}

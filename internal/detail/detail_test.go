@@ -88,7 +88,7 @@ func TestIndependentSetIsIndependent(t *testing.T) {
 						t.Fatalf("round %d: net partners %d and %d both selected", round, id, other)
 					}
 				}
-				for _, q := range cm.ByInst[id] {
+				for q := range cm.Partners(id) {
 					if in[q] {
 						t.Fatalf("round %d: collision partners %d and %d both selected", round, id, q)
 					}

@@ -16,6 +16,7 @@ import (
 
 	"qplacer/internal/component"
 	"qplacer/internal/frequency"
+	"qplacer/internal/geom"
 	"qplacer/internal/mapper"
 	"qplacer/internal/physics"
 )
@@ -144,10 +145,22 @@ func resonatorByEdge(nl *component.Netlist, e [2]int) int {
 	return -1
 }
 
+// adjacencyGap is the edge-to-edge gap (mm) up to which two segments run
+// close enough to count toward parallel-run adjacency (~0.12 mm); beyond
+// it the exponential Cp decay makes the contribution negligible.
+const adjacencyGap = 0.12
+
 // resonatorProximity returns the minimum edge-to-edge gap between two
-// resonators' wire blocks and the total adjacency length (segment side per
-// close block pair within maxGap).
+// resonators' segments and the total parallel-run length of segment pairs
+// within adjacencyGap. A pair of resonators whose core-rect bounding boxes
+// lie more than adjacencyGap apart along an axis returns (0, 0) without
+// visiting the segment pairs: each pair's Gap is at least its per-axis
+// separation, which is at least the boxes' (the rounded differences are
+// monotone), so adjLen would be 0 and the caller skips the pair either way.
 func resonatorProximity(nl *component.Netlist, ra, rb *component.Resonator, maxGap float64) (minGap, adjLen float64) {
+	if ba, bb := coreBounds(nl, ra), coreBounds(nl, rb); max(ba.Lo.X-bb.Hi.X, bb.Lo.X-ba.Hi.X, ba.Lo.Y-bb.Hi.Y, bb.Lo.Y-ba.Hi.Y) > adjacencyGap {
+		return 0, 0
+	}
 	minGap = math.Inf(1)
 	for _, sa := range ra.Segments {
 		ia := nl.Instances[sa]
@@ -158,10 +171,7 @@ func resonatorProximity(nl *component.Netlist, ra, rb *component.Resonator, maxG
 			if gap < minGap {
 				minGap = gap
 			}
-			// Parallel-run adjacency only counts at near-contact gaps
-			// (~0.12 mm); beyond that the exponential Cp decay makes the
-			// contribution negligible.
-			if gap <= 0.12 {
+			if gap <= adjacencyGap {
 				adjLen += ia.W
 			}
 		}
@@ -173,4 +183,19 @@ func resonatorProximity(nl *component.Netlist, ra, rb *component.Resonator, maxG
 		minGap = 0
 	}
 	return minGap, adjLen
+}
+
+// coreBounds returns the bounding box of a resonator's segment core rects.
+// A NaN coordinate makes the box NaN, which no prefilter test passes.
+func coreBounds(nl *component.Netlist, r *component.Resonator) geom.Rect {
+	b := geom.Rect{
+		Lo: geom.Point{X: math.Inf(1), Y: math.Inf(1)},
+		Hi: geom.Point{X: math.Inf(-1), Y: math.Inf(-1)},
+	}
+	for _, s := range r.Segments {
+		c := nl.Instances[s].CoreRect()
+		b.Lo.X, b.Lo.Y = min(b.Lo.X, c.Lo.X), min(b.Lo.Y, c.Lo.Y)
+		b.Hi.X, b.Hi.Y = max(b.Hi.X, c.Hi.X), max(b.Hi.Y, c.Hi.Y)
+	}
+	return b
 }

@@ -14,8 +14,11 @@
 package frequency
 
 import (
+	"cmp"
 	"fmt"
+	"iter"
 	"math"
+	"slices"
 
 	"qplacer/internal/component"
 	"qplacer/internal/graph"
@@ -254,37 +257,252 @@ func GuardMM(kind component.Kind) float64 {
 	return 0.65
 }
 
-// CollisionMap lists, per instance, the near-resonant partner instances the
+// CollisionMap answers which instance pairs are near-resonant: the pairs the
 // frequency force must repel (Eq. 9), excluding pairs from the same
 // resonator (the Kronecker-delta factor of Eq. 10). It is the one place the
 // pipeline works out which pairs are near-resonant: placement, both
-// legalizers and the detailed placers all read it, and none mutates it.
+// legalizers and the detailed placers all read it, and none mutates it, so
+// one map is safe to share across concurrent plans.
+//
+// The map stores no pair list. NearResonant reads only an instance's kind,
+// exact frequency and resonator, so instances fall into frequency classes —
+// one per (kind, exact FreqGHz) — and a pair is near-resonant when its
+// classes resonate and its instances are not segments of one resonator. The
+// assigner puts every qubit on one of 4 levels and every resonator on one of
+// 8, so a device has at most a dozen classes however many pairs they imply
+// (Eagle: 7 classes, 531,276 pairs).
 type CollisionMap struct {
 	DeltaC float64
-	Pairs  [][2]int // i < j instance-ID pairs, ascending
-	ByInst [][]int  // partner list per instance ID, ascending
+
+	class  []int32 // instance ID → class
+	group  []int   // instance ID → resonator for segments, the ID otherwise
+	degree []int32 // instance ID → number of partners
+
+	// Class c's members, ascending, are members[start[c]:start[c+1]].
+	members []int32
+	start   []int32
+
+	// The classes sorted by (kind, frequency). Resonance within one kind is
+	// an interval of frequencies, so the classes class c resonates with are
+	// byFreq[lo[c]:hi[c]]; rank[c] is c's own position in byFreq.
+	byFreq, rank, lo, hi []int32
 }
 
-// BuildCollisionMap scans the netlist for NearResonant instance pairs.
+// classKey identifies a frequency class. Frequencies are keyed by their
+// bits, so two members of a class resonate with exactly the same instances.
+type classKey struct {
+	kind component.Kind
+	freq uint64
+}
+
+// BuildCollisionMap groups the netlist's instances into frequency classes
+// and works out which classes resonate. It runs in O(n log n) for n
+// instances, plus the sizes of the resonance windows.
 func BuildCollisionMap(nl *component.Netlist, deltaC float64) *CollisionMap {
 	if deltaC <= 0 {
 		deltaC = physics.DetuneThresholdGHz
 	}
+	n := len(nl.Instances)
 	cm := &CollisionMap{
 		DeltaC: deltaC,
-		ByInst: make([][]int, len(nl.Instances)),
+		class:  make([]int32, n),
+		group:  make([]int, n),
+		degree: make([]int32, n),
 	}
-	n := len(nl.Instances)
-	for i := 0; i < n; i++ {
-		a := nl.Instances[i]
-		for j := i + 1; j < n; j++ {
-			if !NearResonant(a, nl.Instances[j], deltaC) {
-				continue
+
+	// Classes in order of first appearance, and their member lists by a
+	// counting sort, which keeps each list in ascending ID order.
+	ids := map[classKey]int32{}
+	var keys []classKey
+	for i, in := range nl.Instances {
+		k := classKey{in.Kind, math.Float64bits(in.FreqGHz)}
+		c, ok := ids[k]
+		if !ok {
+			c = int32(len(keys))
+			ids[k] = c
+			keys = append(keys, k)
+		}
+		cm.class[i] = c
+		cm.group[i] = i
+		if in.Kind == component.KindSegment {
+			cm.group[i] = in.Resonator
+		}
+	}
+	k := len(keys)
+	cm.start = make([]int32, k+1)
+	for _, c := range cm.class {
+		cm.start[c+1]++
+	}
+	for c := range k {
+		cm.start[c+1] += cm.start[c]
+	}
+	cm.members = make([]int32, n)
+	fill := slices.Clone(cm.start[:k])
+	for i, c := range cm.class {
+		cm.members[fill[c]] = int32(i)
+		fill[c]++
+	}
+
+	// Resonance windows. For a fixed finite f1, |f1 − f2| ≤ Δc holds on an
+	// interval of f2 (the rounded difference is monotone in f2), and it
+	// holds at f2 = f1, so each window grows outward from the class itself
+	// over its own kind. A NaN or infinite frequency resonates with nothing,
+	// itself included: its window is empty.
+	freq := func(c int32) float64 { return math.Float64frombits(keys[c].freq) }
+	cm.byFreq = make([]int32, k)
+	for c := range cm.byFreq {
+		cm.byFreq[c] = int32(c)
+	}
+	slices.SortFunc(cm.byFreq, func(a, b int32) int {
+		if keys[a].kind != keys[b].kind {
+			return cmp.Compare(keys[a].kind, keys[b].kind)
+		}
+		return cmp.Compare(freq(a), freq(b))
+	})
+	cm.rank = make([]int32, k)
+	cm.lo = make([]int32, k)
+	cm.hi = make([]int32, k)
+	for r, c := range cm.byFreq {
+		cm.rank[c] = int32(r)
+	}
+	resonant := func(a, b int32) bool {
+		return keys[a].kind == keys[b].kind && Resonant(freq(a), freq(b), deltaC)
+	}
+	for r, c := range cm.byFreq {
+		lo, hi := r, r
+		if resonant(c, c) {
+			for hi = r + 1; hi < k && resonant(c, cm.byFreq[hi]); hi++ {
 			}
-			cm.Pairs = append(cm.Pairs, [2]int{i, j})
-			cm.ByInst[i] = append(cm.ByInst[i], j)
-			cm.ByInst[j] = append(cm.ByInst[j], i)
+			for lo > 0 && resonant(c, cm.byFreq[lo-1]) {
+				lo--
+			}
+		}
+		cm.lo[c], cm.hi[c] = int32(lo), int32(hi)
+	}
+
+	// Degrees: the sizes of the resonant classes, less the instance's own
+	// group (itself, or its resonator's segments) within them.
+	inGroup := map[[2]int]int32{} // (group, class) → members, segments only
+	for i, in := range nl.Instances {
+		if in.Kind == component.KindSegment {
+			inGroup[[2]int{cm.group[i], int(cm.class[i])}]++
+		}
+	}
+	for i, in := range nl.Instances {
+		for _, c := range cm.window(cm.class[i]) {
+			size := cm.start[c+1] - cm.start[c]
+			switch {
+			case in.Kind == component.KindSegment:
+				size -= inGroup[[2]int{cm.group[i], int(c)}]
+			case c == cm.class[i]:
+				size-- // the instance itself
+			}
+			cm.degree[i] += size
 		}
 	}
 	return cm
+}
+
+// window returns the classes that class c resonates with, c itself
+// included unless its frequency is not finite.
+func (cm *CollisionMap) window(c int32) []int32 {
+	return cm.byFreq[cm.lo[c]:cm.hi[c]]
+}
+
+// classMembers returns class c's members in ascending ID order.
+func (cm *CollisionMap) classMembers(c int32) []int32 {
+	return cm.members[cm.start[c]:cm.start[c+1]]
+}
+
+// Class returns the frequency class of instance i.
+func (cm *CollisionMap) Class(i int) int { return int(cm.class[i]) }
+
+// ResonantClasses yields the classes that class c resonates with, c itself
+// included unless its frequency is not finite.
+func (cm *CollisionMap) ResonantClasses(c int) iter.Seq[int] {
+	return func(yield func(int) bool) {
+		for _, r := range cm.window(int32(c)) {
+			if !yield(int(r)) {
+				return
+			}
+		}
+	}
+}
+
+// Len returns the number of instances the map describes.
+func (cm *CollisionMap) Len() int { return len(cm.class) }
+
+// NearResonant reports whether instances i and j form a collision pair, in
+// O(1). It agrees with the package-level NearResonant on their instances.
+func (cm *CollisionMap) NearResonant(i, j int) bool {
+	ci, r := cm.class[i], cm.rank[cm.class[j]]
+	return cm.lo[ci] <= r && r < cm.hi[ci] && cm.group[i] != cm.group[j]
+}
+
+// Degree returns the number of partners of instance i.
+func (cm *CollisionMap) Degree(i int) int { return int(cm.degree[i]) }
+
+// NumPairs returns the number of collision pairs.
+func (cm *CollisionMap) NumPairs() int {
+	var sum int
+	for _, d := range cm.degree {
+		sum += int(d)
+	}
+	return sum / 2
+}
+
+// Partners yields the near-resonant partners of instance i in ascending ID
+// order. When i's class resonates only with itself — always, for
+// frequencies the assigner chose, whose levels sit more than Δc apart — it
+// walks that class's members; otherwise it merges the resonant classes'
+// member lists, which costs one comparison per class per partner.
+func (cm *CollisionMap) Partners(i int) iter.Seq[int] {
+	return func(yield func(int) bool) {
+		g := cm.group[i]
+		win := cm.window(cm.class[i])
+		if len(win) == 1 {
+			for _, j := range cm.classMembers(win[0]) {
+				if cm.group[j] != g && !yield(int(j)) {
+					return
+				}
+			}
+			return
+		}
+		lists := make([][]int32, 0, len(win))
+		for _, c := range win {
+			if m := cm.classMembers(c); len(m) > 0 {
+				lists = append(lists, m)
+			}
+		}
+		for len(lists) > 0 {
+			best := 0
+			for l := 1; l < len(lists); l++ {
+				if lists[l][0] < lists[best][0] {
+					best = l
+				}
+			}
+			j := lists[best][0]
+			if lists[best] = lists[best][1:]; len(lists[best]) == 0 {
+				lists[best] = lists[len(lists)-1]
+				lists = lists[:len(lists)-1]
+			}
+			if cm.group[j] != g && !yield(int(j)) {
+				return
+			}
+		}
+	}
+}
+
+// AllPairs yields every collision pair (i, j), i < j, in ascending
+// lexicographic order.
+func (cm *CollisionMap) AllPairs() iter.Seq2[int, int] {
+	return func(yield func(int, int) bool) {
+		for i := range cm.class {
+			for j := range cm.Partners(i) {
+				if j > i && !yield(i, j) {
+					return
+				}
+			}
+		}
+	}
 }

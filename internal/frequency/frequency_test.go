@@ -2,6 +2,7 @@ package frequency
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"qplacer/internal/component"
@@ -141,17 +142,17 @@ func buildNetlist(t *testing.T, dev *topology.Device) (*component.Netlist, *Assi
 func TestCollisionMapExcludesSameResonator(t *testing.T) {
 	nl, _ := buildNetlist(t, topology.Grid25())
 	cm := BuildCollisionMap(nl, physics.DetuneThresholdGHz)
-	for _, p := range cm.Pairs {
-		a, b := nl.Instances[p[0]], nl.Instances[p[1]]
+	for i, j := range cm.AllPairs() {
+		a, b := nl.Instances[i], nl.Instances[j]
 		if a.Kind == component.KindSegment && b.Kind == component.KindSegment &&
 			a.Resonator == b.Resonator {
-			t.Fatalf("pair %v from the same resonator", p)
+			t.Fatalf("pair (%d, %d) from the same resonator", i, j)
 		}
 		if a.Kind != b.Kind {
-			t.Fatalf("cross-kind pair %v cannot be resonant", p)
+			t.Fatalf("cross-kind pair (%d, %d) cannot be resonant", i, j)
 		}
 		if !Resonant(a.FreqGHz, b.FreqGHz, cm.DeltaC) {
-			t.Fatalf("non-resonant pair %v in map", p)
+			t.Fatalf("non-resonant pair (%d, %d) in map", i, j)
 		}
 	}
 }
@@ -160,23 +161,21 @@ func TestCollisionMapSymmetricIndex(t *testing.T) {
 	nl, _ := buildNetlist(t, topology.Falcon27())
 	cm := BuildCollisionMap(nl, physics.DetuneThresholdGHz)
 	count := 0
-	for i, partners := range cm.ByInst {
-		for _, j := range partners {
-			found := false
-			for _, k := range cm.ByInst[j] {
-				if k == i {
-					found = true
-					break
-				}
-			}
-			if !found {
+	for i := range nl.Instances {
+		degree := 0
+		for j := range cm.Partners(i) {
+			if !cm.NearResonant(j, i) || !slices.Contains(slices.Collect(cm.Partners(j)), i) {
 				t.Fatalf("asymmetric collision entry (%d, %d)", i, j)
 			}
-			count++
+			degree++
 		}
+		if degree != cm.Degree(i) {
+			t.Fatalf("instance %d: %d partners, Degree %d", i, degree, cm.Degree(i))
+		}
+		count += degree
 	}
-	if count != 2*len(cm.Pairs) {
-		t.Fatalf("ByInst entries = %d, want 2×%d", count, len(cm.Pairs))
+	if count != 2*cm.NumPairs() {
+		t.Fatalf("partner entries = %d, want 2×%d", count, cm.NumPairs())
 	}
 }
 
@@ -185,7 +184,7 @@ func TestCollisionMapNonEmptyOnRealDevices(t *testing.T) {
 	for _, dev := range topology.All() {
 		nl, _ := buildNetlist(t, dev)
 		cm := BuildCollisionMap(nl, physics.DetuneThresholdGHz)
-		if len(cm.Pairs) == 0 {
+		if cm.NumPairs() == 0 {
 			t.Errorf("%s: empty collision map — frequency crowding missing", dev.Name)
 		}
 	}

@@ -137,19 +137,17 @@ func TestOverlapsPlacedMatchesBruteForce(t *testing.T) {
 func TestGuardOKMatchesBruteForce(t *testing.T) {
 	const n = 120
 	nl := &component.Netlist{}
-	cm := &frequency.CollisionMap{ByInst: make([][]int, n)}
 	for i := 0; i < n; i++ {
-		kind := component.KindSegment
+		kind, res := component.KindSegment, i
 		if i%5 == 0 {
-			kind = component.KindQubit
+			kind, res = component.KindQubit, -1
 		}
-		nl.Instances = append(nl.Instances, &component.Instance{ID: i, Kind: kind, W: 0.3, H: 0.3, Pad: 0.1})
-		for j := i % 3; j < n; j += 3 {
-			if j != i {
-				cm.ByInst[i] = append(cm.ByInst[i], j)
-			}
-		}
+		nl.Instances = append(nl.Instances, &component.Instance{
+			ID: i, Kind: kind, Resonator: res, W: 0.3, H: 0.3, Pad: 0.1,
+			FreqGHz: 6 + 0.5*float64(i%3),
+		})
 	}
+	cm := frequency.BuildCollisionMap(nl, physics.DetuneThresholdGHz)
 	region := geom.Rect{Hi: geom.Point{X: 30, Y: 30}}
 	lg, err := newLegalizer(context.Background(), nl, region, cm, DefaultConfig())
 	if err != nil {

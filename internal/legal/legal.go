@@ -117,6 +117,8 @@ type legalizer struct {
 	nx, ny  int
 	buckets [][]int // bucket y*nx+x → placed indices
 
+	clusters clusterCounter // scratch of the cluster counts
+
 	stats *Result    // live statistics sink
 	work  workCounts // search work so far, noted on each pass span
 
@@ -331,7 +333,7 @@ func newLegalizer(ctx context.Context, nl *component.Netlist, region geom.Rect, 
 
 // checkCollisionMap rejects a collision map that cannot describe nl.
 func checkCollisionMap(nl *component.Netlist, cm *frequency.CollisionMap) error {
-	if cm == nil || len(cm.ByInst) != len(nl.Instances) {
+	if cm == nil || cm.Len() != len(nl.Instances) {
 		return fmt.Errorf("legal: collision map does not cover the %d-instance netlist", len(nl.Instances))
 	}
 	return nil
@@ -405,7 +407,7 @@ func (lg *legalizer) guardOK(in *component.Instance, c geom.Point) bool {
 		lg.work.guardHits++
 		return false
 	}
-	for _, pid := range lg.cm.ByInst[in.ID] {
+	for pid := range lg.cm.Partners(in.ID) {
 		if lg.slot[pid] < 0 {
 			continue
 		}
@@ -710,7 +712,7 @@ func (lg *legalizer) legalizeSegments(res *Result) error {
 		order[i] = i
 		for _, sid := range r.Segments {
 			meanX[i] += lg.nl.Instances[sid].Pos.X
-			crowd[i] += len(lg.cm.ByInst[sid])
+			crowd[i] += lg.cm.Degree(sid)
 		}
 		meanX[i] /= float64(len(r.Segments))
 	}
@@ -756,34 +758,19 @@ func (lg *legalizer) legalizeSegments(res *Result) error {
 
 // ResonatorClusters partitions a resonator's segments into contiguity
 // clusters (edge-to-edge legal-rect gap ≤ clusterGap), largest cluster
-// first. One cluster means the resonator is integrated.
+// first. One cluster means the resonator is integrated. A caller that needs
+// only the number of clusters uses a clusterCounter, which builds nothing.
 func ResonatorClusters(nl *component.Netlist, resIdx int) [][]int {
 	segs := nl.Resonators[resIdx].Segments
 	n := len(segs)
-	// Union-find over positions in segs. size[root] counts the root's
-	// members until the groups are carved, then holds its index in out.
-	parent, size := make([]int, n), make([]int, n)
-	rects := make([]geom.Rect, n)
-	for i, s := range segs {
-		parent[i] = i
-		rects[i] = LegalRect(nl.Instances[s])
-	}
-	find := func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
+	// The counter's union-find forest over positions in segs gives the
+	// groups. size[root] counts the root's members until the groups are
+	// carved, then holds its index in out.
+	var cc clusterCounter
+	cc.count(nl, resIdx)
+	size := make([]int, n)
 	for i := range segs {
-		for j := i + 1; j < n; j++ {
-			if rects[i].Gap(rects[j]) <= clusterGap {
-				parent[find(i)] = find(j)
-			}
-		}
-	}
-	for i := range segs {
-		size[find(i)]++
+		size[cc.find(i)]++
 	}
 	// Carve the groups out of one array. Each is capped at its own length,
 	// so a caller appending to one group never writes into the next.
@@ -797,7 +784,7 @@ func ResonatorClusters(nl *component.Netlist, resIdx int) [][]int {
 		}
 	}
 	for i, s := range segs {
-		g := size[find(i)]
+		g := size[cc.find(i)]
 		out[g] = append(out[g], s)
 	}
 	for _, g := range out {
@@ -810,6 +797,48 @@ func ResonatorClusters(nl *component.Netlist, resIdx int) [][]int {
 		return a[0] - b[0]
 	})
 	return out
+}
+
+// clusterCounter counts a resonator's contiguity clusters, as
+// len(ResonatorClusters) would, in scratch it reuses across calls.
+type clusterCounter struct {
+	parent []int
+	rects  []geom.Rect
+}
+
+// count unites the segments of resonator resIdx that lie within clusterGap
+// of each other and returns the number of clusters. Afterwards parent holds
+// the union-find forest over positions in the segment list.
+func (cc *clusterCounter) count(nl *component.Netlist, resIdx int) int {
+	segs := nl.Resonators[resIdx].Segments
+	n := len(segs)
+	cc.parent = slices.Grow(cc.parent[:0], n)[:n]
+	cc.rects = slices.Grow(cc.rects[:0], n)[:n]
+	for i, s := range segs {
+		cc.parent[i] = i
+		cc.rects[i] = LegalRect(nl.Instances[s])
+	}
+	clusters := n
+	for i := range n {
+		for j := i + 1; j < n; j++ {
+			if cc.rects[i].Gap(cc.rects[j]) <= clusterGap {
+				if ri, rj := cc.find(i), cc.find(j); ri != rj {
+					cc.parent[ri] = rj
+					clusters--
+				}
+			}
+		}
+	}
+	return clusters
+}
+
+// find returns the root of x, halving the path on the way.
+func (cc *clusterCounter) find(x int) int {
+	for cc.parent[x] != x {
+		cc.parent[x] = cc.parent[cc.parent[x]]
+		x = cc.parent[x]
+	}
+	return x
 }
 
 // integrate runs the resonator-integrity stage of Algorithm 1: resonators
@@ -825,10 +854,10 @@ func (lg *legalizer) integrate(res *Result) error {
 			if err := lg.ctx.Err(); err != nil {
 				return err
 			}
-			cl := ResonatorClusters(lg.nl, rIdx)
-			if len(cl) <= 1 {
+			if lg.clusters.count(lg.nl, rIdx) <= 1 {
 				continue
 			}
+			cl := ResonatorClusters(lg.nl, rIdx)
 			main := cl[0]
 			for _, frag := range cl[1:] {
 				for _, sid := range frag {
@@ -837,7 +866,7 @@ func (lg *legalizer) integrate(res *Result) error {
 					}
 				}
 			}
-			if len(ResonatorClusters(lg.nl, rIdx)) > 1 {
+			if lg.clusters.count(lg.nl, rIdx) > 1 {
 				res.BrokenResonators = append(res.BrokenResonators, rIdx)
 			}
 		}
@@ -889,7 +918,7 @@ func (lg *legalizer) pullIn(sid int, cluster []int, res *Result) bool {
 	// only when it strictly reduces this resonator's cluster count — landing
 	// near an anchor is not enough, the gap must actually close — while the
 	// donor stays in one piece.
-	before := len(ResonatorClusters(lg.nl, in.Resonator))
+	before := lg.clusters.count(lg.nl, in.Resonator)
 	for _, cs := range anchors {
 		anchor := lg.nl.Instances[cs].Pos
 		for _, other := range lg.nl.Instances {
@@ -917,8 +946,8 @@ func (lg *legalizer) pullIn(sid int, cluster []int, res *Result) bool {
 			in.Pos, other.Pos = oldB, oldA
 			lg.fix(sid, LegalRect(in))
 			lg.fix(other.ID, LegalRect(other))
-			if len(ResonatorClusters(lg.nl, other.Resonator)) == 1 &&
-				len(ResonatorClusters(lg.nl, in.Resonator)) <= before &&
+			if lg.clusters.count(lg.nl, other.Resonator) == 1 &&
+				lg.clusters.count(lg.nl, in.Resonator) <= before &&
 				lg.guardOK(in, in.Pos) && lg.guardOK(other, other.Pos) {
 				res.SegmentDisplacement += oldA.Dist(oldB) * 2
 				return true
@@ -999,10 +1028,10 @@ func (lg *legalizer) compact(res *Result) error {
 // of it.
 func (lg *legalizer) compactionSafe(sid int) bool {
 	in := lg.nl.Instances[sid]
-	if len(ResonatorClusters(lg.nl, in.Resonator)) != 1 {
+	if lg.clusters.count(lg.nl, in.Resonator) != 1 {
 		return false
 	}
-	for _, pid := range lg.cm.ByInst[sid] {
+	for pid := range lg.cm.Partners(sid) {
 		if !guardedApart(lg.nl.Instances[pid].Pos, in.Pos, frequency.GuardMM(in.Kind)) {
 			return false
 		}

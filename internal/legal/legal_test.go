@@ -3,6 +3,7 @@ package legal
 import (
 	"context"
 	"math"
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -105,7 +106,7 @@ func TestLegalizeKeepsQubitsApart(t *testing.T) {
 
 func TestLegalizeValidation(t *testing.T) {
 	nl, region, cm := placedNetlist(t, "grid", place.ModeQplacer)
-	short := &frequency.CollisionMap{DeltaC: cm.DeltaC, ByInst: cm.ByInst[1:]}
+	short := frequency.BuildCollisionMap(&component.Netlist{Instances: nl.Instances[1:]}, cm.DeltaC)
 	for _, m := range []*frequency.CollisionMap{nil, short} {
 		if _, err := LegalizeCtx(context.Background(), nl, region, m, DefaultConfig()); err == nil {
 			t.Fatalf("collision map %v must fail", m)
@@ -180,5 +181,51 @@ func TestSharedCollisionMapReadOnly(t *testing.T) {
 		if !reflect.DeepEqual(nls[i].Positions(), nls[i+1].Positions()) {
 			t.Fatalf("runs %d and %d of one legalizer disagree", i, i+1)
 		}
+	}
+}
+
+// TestClusterCountMatchesResonatorClusters holds the allocation-free
+// cluster count to len(ResonatorClusters) for every resonator of a legalized
+// layout (Eagle; falcon under -short) and of seeded perturbations of it
+// that shift, stack and scatter segments, with one counter reused
+// throughout as the legalizer reuses its own.
+func TestClusterCountMatchesResonatorClusters(t *testing.T) {
+	topo := "eagle"
+	if testing.Short() {
+		topo = "falcon"
+	}
+	nl, region, cm := placedNetlist(t, topo, place.ModeQplacer)
+	if _, err := LegalizeCtx(context.Background(), nl, region, cm, DefaultConfig()); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	var cc clusterCounter
+	broken := 0
+	for round := range 6 {
+		for rIdx := range nl.Resonators {
+			want := len(ResonatorClusters(nl, rIdx))
+			if got := cc.count(nl, rIdx); got != want {
+				t.Fatalf("round %d: resonator %d: count %d, ResonatorClusters %d", round, rIdx, got, want)
+			}
+			if want > 1 {
+				broken++
+			}
+		}
+		for _, in := range nl.Instances {
+			if in.Kind != component.KindSegment || rng.Intn(4) != 0 {
+				continue
+			}
+			switch rng.Intn(3) {
+			case 0: // a shift around the cluster gap
+				in.Pos.X += (2*rng.Float64() - 1) * 2 * clusterGap
+			case 1: // stacked on its resonator's first segment
+				in.Pos = nl.Instances[nl.Resonators[in.Resonator].Segments[0]].Pos
+			default: // scattered over the region
+				in.Pos = geom.Point{X: region.Lo.X + rng.Float64()*region.W(), Y: region.Lo.Y + rng.Float64()*region.H()}
+			}
+		}
+	}
+	if broken == 0 {
+		t.Fatal("no perturbation broke a resonator: the check is vacuous")
 	}
 }

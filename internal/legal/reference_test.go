@@ -188,7 +188,7 @@ func refGuardOK(lg *legalizer, in *component.Instance, c geom.Point) bool {
 	if !lg.cfg.FrequencyAware {
 		return true
 	}
-	for _, pid := range lg.cm.ByInst[in.ID] {
+	for pid := range lg.cm.Partners(in.ID) {
 		if lg.slot[pid] >= 0 && !guardedApart(lg.nl.Instances[pid].Pos, c, frequency.GuardMM(in.Kind)) {
 			return false
 		}

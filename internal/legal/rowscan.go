@@ -23,7 +23,7 @@ const maxGuardTries = 400
 // resonator integration comes for free as long as a chain fits on few
 // shelves. With FrequencyAware set, the cursor slides forward past spots that
 // would violate the isolation guard against already-placed collision-map
-// partners (cm.ByInst); residual fallbacks are counted like LegalizeCtx's.
+// partners (cm.Partners); residual fallbacks are counted like LegalizeCtx's.
 //
 // The layout is overlap-free by construction (the cursor only advances and
 // shelves are disjoint bands), at the cost of larger displacement than
@@ -67,7 +67,7 @@ func RowScanCtx(ctx context.Context, nl *component.Netlist, region geom.Rect, cm
 			return true
 		}
 		guard := frequency.GuardMM(in.Kind)
-		for _, pid := range cm.ByInst[in.ID] {
+		for pid := range cm.Partners(in.ID) {
 			if placed[pid] && !guardedApart(nl.Instances[pid].Pos, c, guard) {
 				return false
 			}
@@ -131,8 +131,9 @@ func RowScanCtx(ctx context.Context, nl *component.Netlist, region geom.Rect, cm
 	}
 	scanTimer.End()
 
+	var clusters clusterCounter
 	for rIdx := range nl.Resonators {
-		if len(ResonatorClusters(nl, rIdx)) > 1 {
+		if clusters.count(nl, rIdx) > 1 {
 			res.BrokenResonators = append(res.BrokenResonators, rIdx)
 		}
 	}

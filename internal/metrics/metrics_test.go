@@ -169,10 +169,10 @@ func TestMeasureAgreesWithCollisionMap(t *testing.T) {
 		nl := l.nl(t)
 		cm := frequency.BuildCollisionMap(nl, deltaC)
 		var want [][2]int
-		for _, p := range cm.Pairs {
-			a, b := nl.Instances[p[0]], nl.Instances[p[1]]
+		for i, j := range cm.AllPairs() {
+			a, b := nl.Instances[i], nl.Instances[j]
 			if a.PaddedRect().IntersectionLength(b.PaddedRect()) > 0 {
-				want = append(want, p)
+				want = append(want, [2]int{i, j})
 			}
 		}
 		rep := Measure(nl, deltaC)
@@ -184,15 +184,15 @@ func TestMeasureAgreesWithCollisionMap(t *testing.T) {
 				t.Fatalf("%s: violation %d is pair %d-%d, want %v", l.name, k, v.A, v.B, want[k])
 			}
 		}
-		t.Logf("%s: %d pairs, %d violations", l.name, len(cm.Pairs), len(want))
+		t.Logf("%s: %d pairs, %d violations", l.name, cm.NumPairs(), len(want))
 		if l.name == "stacked" && len(want) == 0 {
 			t.Fatal("stacked layout has no violations: the check is vacuous")
 		}
 
 		for _, kind := range []component.Kind{component.KindQubit, component.KindSegment} {
 			min := math.Inf(1)
-			for _, p := range cm.Pairs {
-				a, b := nl.Instances[p[0]], nl.Instances[p[1]]
+			for i, j := range cm.AllPairs() {
+				a, b := nl.Instances[i], nl.Instances[j]
 				if a.Kind == kind {
 					min = math.Min(min, a.Pos.Dist(b.Pos))
 				}

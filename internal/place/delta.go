@@ -65,25 +65,32 @@ func bitsEqual(a, b []float64) bool {
 	return true
 }
 
-// verlet is one pair family's active-list state.
+// verlet is one pair family's active-list state. The chain family lists
+// its pairs explicitly; a frequency family finds its collision pairs within
+// reach through a pairGrid at each rebuild, since its pairs are the
+// collision map's, too many to list (Eagle's segments make 529,263).
 type verlet struct {
-	pairs  [][2]int
+	pairs  [][2]int  // the chain family's pairs, ascending; nil for a frequency family
+	grid   *pairGrid // a frequency family's candidate search; nil for the chain family
+	total  int       // pairs in the family
 	rcut   float64
 	margin float64
 
 	refXY []float64 // positions at the last rebuild
-	// active holds the ascending pair indices within rcut+margin at the
-	// last rebuild. It starts empty and grows on demand: the live list is a
-	// small fraction of the family (about 2k of Eagle's 529k segment pairs).
-	active []int32
+	// active holds the (i, j), i < j, pairs within rcut+margin at the last
+	// rebuild, ascending: the order of a scan over the whole family. It
+	// starts empty and grows on demand: the live list is a small fraction
+	// of the family (about 2k of Eagle's 529k segment pairs).
+	active [][2]int32
 
 	evals, rebuilds int
 	activeSum       int64
 }
 
-// newVerlet returns the active-list state for one family.
+// newVerlet returns the active-list state of the chain family, whose pairs
+// are listed.
 func newVerlet(pairs [][2]int, rcut float64) *verlet {
-	return &verlet{pairs: pairs, rcut: rcut, margin: rcut / 2}
+	return &verlet{pairs: pairs, total: len(pairs), rcut: rcut, margin: rcut / 2}
 }
 
 // ensure refreshes the active list when positions have drifted past the
@@ -116,12 +123,16 @@ func (v *verlet) rebuild(xy []float64) {
 	copy(v.refXY, xy)
 	reach := v.rcut + v.margin
 	r2 := reach * reach
+	if v.grid != nil {
+		v.active = v.grid.within(xy, r2, v.active[:0])
+		return
+	}
 	v.active = v.active[:0]
-	for k, p := range v.pairs {
+	for _, p := range v.pairs {
 		dx := xy[2*p[0]] - xy[2*p[1]]
 		dy := xy[2*p[0]+1] - xy[2*p[1]+1]
 		if dx*dx+dy*dy < r2 {
-			v.active = append(v.active, int32(k))
+			v.active = append(v.active, [2]int32{int32(p[0]), int32(p[1])})
 		}
 	}
 }
@@ -141,12 +152,11 @@ func (v *verlet) rebuild(xy []float64) {
 // contribute exactly nothing (they are beyond rcut by the verlet
 // guarantee), so the scatter and the running potential sum keep the bits of
 // a scan over the whole family.
-func pairRepulsionActive(xy []float64, pairs [][2]int, active []int32, grad []float64, rcut float64) float64 {
+func pairRepulsionActive(xy []float64, active [][2]int32, grad []float64, rcut float64) float64 {
 	var total float64
 	r2 := rcut * rcut
 	r3 := r2 * rcut
-	for _, k := range active {
-		p := pairs[k]
+	for _, p := range active {
 		i, j := p[0], p[1]
 		dx := xy[2*i] - xy[2*j]
 		dy := xy[2*i+1] - xy[2*j+1]

@@ -102,7 +102,7 @@ func evaluatedFamilies(e *engine) []*verlet {
 	}
 	var fams []*verlet
 	for _, v := range all {
-		if len(v.pairs) > 0 {
+		if v.total > 0 {
 			fams = append(fams, v)
 		}
 	}
@@ -180,7 +180,7 @@ func walkExact(t *testing.T, topo string, mode Mode) {
 		}
 	}
 	// The walk must exercise every evaluated pair kernel, not just zeros.
-	if cPot == 0 && len(e.vlC.pairs) > 0 || mode == ModeQplacer && (fq == 0 && len(e.vlQ.pairs) > 0 || fs == 0 && len(e.vlS.pairs) > 0) {
+	if cPot == 0 && e.vlC.total > 0 || mode == ModeQplacer && (fq == 0 && e.vlQ.total > 0 || fs == 0 && e.vlS.total > 0) {
 		t.Fatalf("%s/%v: a pair family never interacted along the walk (fq=%g fs=%g chain=%g)", topo, mode, fq, fs, cPot)
 	}
 }
@@ -240,8 +240,8 @@ func TestDeltaEvalActuallyShortCircuits(t *testing.T) {
 	if vs.rebuilds != rebuilds {
 		t.Fatalf("small drift triggered a Verlet rebuild (%d -> %d)", rebuilds, vs.rebuilds)
 	}
-	if len(vs.active) >= len(vs.pairs) {
-		t.Fatalf("the segment active list holds all %d pairs: nothing is skipped", len(vs.pairs))
+	if len(vs.active) >= vs.total {
+		t.Fatalf("the segment active list holds all %d pairs: nothing is skipped", vs.total)
 	}
 	z := drift(rng, y, vs.margin)
 	requireEval(t, "large drift", e, e.gradient(z, grad), grad, referenceEval(ref, e, z))

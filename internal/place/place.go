@@ -174,7 +174,6 @@ type engine struct {
 	lambdaC                        float64 // chain-spacing weight
 	chainPairs                     [][2]int
 	chainR0                        float64
-	qubitPairs, segPairs           [][2]int // collision map split by kind
 
 	// Delta evaluation: the last full evaluation's record and one Verlet
 	// active list per pair family. evalRenorm computes into renormWL and
@@ -344,7 +343,6 @@ func newEngine(nl *component.Netlist, cm *frequency.CollisionMap, cfg Config) *e
 	e.renormWL = make([]float64, 2*n)
 	e.renormD = make([]float64, 2*n)
 	e.setupChainPairs()
-	e.splitCollisionPairs()
 	e.setupDelta()
 	return e
 }
@@ -466,11 +464,34 @@ func (e *engine) setupChainPairs() {
 	}
 }
 
-// setupDelta builds one Verlet active list per pair family.
+// setupDelta builds one Verlet active list per pair family. The collision
+// map's pairs split by kind into the qubit and segment families: they get
+// independently normalized repulsion weights, so the handful of resonant
+// qubit pairs is never drowned out by the thousands of segment pairs.
 func (e *engine) setupDelta() {
-	e.vlQ = newVerlet(e.qubitPairs, FreqCutoffMM)
-	e.vlS = newVerlet(e.segPairs, FreqCutoffSegMM)
+	e.vlQ = e.frequencyFamily(true, FreqCutoffMM)
+	e.vlS = e.frequencyFamily(false, FreqCutoffSegMM)
 	e.vlC = newVerlet(e.chainPairs, e.chainR0)
+}
+
+// frequencyFamily returns the Verlet state of the collision pairs between
+// qubits, or between the other instances, found through a pairGrid. Without
+// a collision map the family is empty.
+func (e *engine) frequencyFamily(qubits bool, rcut float64) *verlet {
+	v := newVerlet(nil, rcut)
+	if e.cm == nil {
+		return v
+	}
+	var ids []int32
+	for i, in := range e.nl.Instances {
+		if (in.Kind == component.KindQubit) == qubits {
+			ids = append(ids, int32(i))
+			v.total += e.cm.Degree(i)
+		}
+	}
+	v.total /= 2
+	v.grid = newPairGrid(e.cm, ids, e.region, rcut+v.margin)
+	return v
 }
 
 // annotateSpan records the run's delta-eval outcomes on the trace span,
@@ -491,7 +512,7 @@ func (e *engine) annotateSpan() {
 			continue
 		}
 		sp.Note(fmt.Sprintf("verlet %s pairs: %d total, %d active on average, %d rebuilds over %d evaluations",
-			f.name, len(f.vl.pairs), f.vl.activeSum/int64(f.vl.evals), f.vl.rebuilds, f.vl.evals))
+			f.name, f.vl.total, f.vl.activeSum/int64(f.vl.evals), f.vl.rebuilds, f.vl.evals))
 	}
 }
 
@@ -509,11 +530,11 @@ func (e *engine) chainGrad(xy []float64) float64 {
 // family. A family with no pairs has a zero gradient and potential.
 func (e *engine) pairForce(xy []float64, vl *verlet, grad []float64) float64 {
 	clear(grad)
-	if len(vl.pairs) == 0 {
+	if vl.total == 0 {
 		return 0
 	}
 	vl.ensure(xy)
-	return pairRepulsionActive(xy, vl.pairs, vl.active, grad, vl.rcut)
+	return pairRepulsionActive(xy, vl.active, grad, vl.rcut)
 }
 
 // evalComponents fills the component gradients for the positions xy and
@@ -700,23 +721,6 @@ func (e *engine) densityGrad(xy, grad []float64, withEnergy bool) float64 {
 		return 0
 	}
 	return s.Energy()
-}
-
-// splitCollisionPairs partitions the collision map by kind: qubit-qubit
-// pairs and segment-segment pairs get independently normalized repulsion
-// weights, so the handful of resonant qubit pairs is never drowned out by
-// the thousands of segment pairs.
-func (e *engine) splitCollisionPairs() {
-	if e.cm == nil {
-		return
-	}
-	for _, p := range e.cm.Pairs {
-		if e.nl.Instances[p[0]].Kind == component.KindQubit {
-			e.qubitPairs = append(e.qubitPairs, p)
-		} else {
-			e.segPairs = append(e.segPairs, p)
-		}
-	}
 }
 
 // frequencyGrad evaluates the frequency repulsive potential of Eqs. 9-10,

@@ -99,8 +99,8 @@ func TestFrequencyForceSeparatesResonantPairs(t *testing.T) {
 		}
 		minResDist := func(nl *component.Netlist) float64 {
 			min := math.Inf(1)
-			for _, p := range cm.Pairs {
-				a, b := nl.Instances[p[0]], nl.Instances[p[1]]
+			for i, j := range cm.AllPairs() {
+				a, b := nl.Instances[i], nl.Instances[j]
 				if a.Kind != component.KindQubit {
 					continue // qubit pairs are the strongest signal
 				}

@@ -1,5 +1,20 @@
 package place
 
+import "qplacer/internal/component"
+
+// collisionFamilies lists e's collision pairs, ascending, split into the
+// qubit and segment families the engine evaluates separately.
+func collisionFamilies(e *engine) (qubitPairs, segPairs [][2]int) {
+	for i, j := range e.cm.AllPairs() {
+		if e.nl.Instances[i].Kind == component.KindQubit {
+			qubitPairs = append(qubitPairs, [2]int{i, j})
+		} else {
+			segPairs = append(segPairs, [2]int{i, j})
+		}
+	}
+	return qubitPairs, segPairs
+}
+
 // pairRepulsion is the full-scan pair kernel: pairRepulsionActive's
 // arithmetic over every pair of the family, in pair order. It is the
 // reference the Verlet active lists are held to.
@@ -52,8 +67,9 @@ func referenceEval(ref, e *engine, xy []float64) refEval {
 	}
 	var r refEval
 	if ref.cm != nil && ref.cfg.Mode == ModeQplacer {
-		r.fq = pairRepulsion(xy, ref.qubitPairs, ref.gradFQ, FreqCutoffMM)
-		r.fs = pairRepulsion(xy, ref.segPairs, ref.gradFS, FreqCutoffSegMM)
+		qubitPairs, segPairs := collisionFamilies(ref)
+		r.fq = pairRepulsion(xy, qubitPairs, ref.gradFQ, FreqCutoffMM)
+		r.fs = pairRepulsion(xy, segPairs, ref.gradFS, FreqCutoffSegMM)
 	}
 	r.cPot = pairRepulsion(xy, ref.chainPairs, ref.gradC, ref.chainR0)
 	ref.wallGrad(xy)

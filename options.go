@@ -5,6 +5,7 @@ import (
 	"math"
 	"runtime"
 
+	"qplacer/internal/component"
 	"qplacer/internal/physics"
 )
 
@@ -105,6 +106,9 @@ func (o Options) normalized() (Options, error) {
 	}
 	if o.LB == 0 {
 		o.LB = 0.3
+	}
+	if o.LB < component.MinSegmentSizeMM {
+		return o, fmt.Errorf("%w: lb %v mm is below the %v mm minimum", ErrInvalidOptions, o.LB, component.MinSegmentSizeMM)
 	}
 	if o.DeltaC == 0 {
 		o.DeltaC = physics.DetuneThresholdGHz

@@ -200,6 +200,7 @@ func TestSubmitValidation(t *testing.T) {
 		{"unknown detailed placer", `{"topology":"grid","detailed_placer":"ouija"}`, http.StatusBadRequest, "unknown_detailed_placer"},
 		{"negative delta_c", `{"topology":"grid","delta_c":-0.1}`, http.StatusBadRequest, "invalid_options"},
 		{"negative lb", `{"topology":"grid","lb":-0.3}`, http.StatusBadRequest, "invalid_options"},
+		{"tiny lb", `{"topology":"grid","lb":1e-6}`, http.StatusBadRequest, "invalid_options"},
 		{"malformed JSON", `{"topology":`, http.StatusBadRequest, "bad_request"},
 		{"malformed parametric name", `{"topology":"grid-0"}`, http.StatusNotFound, "unknown_topology"},
 		{"out-of-series xtree", `{"topology":"xtree-21"}`, http.StatusNotFound, "unknown_topology"},
