@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"qplacer/internal/component"
@@ -26,6 +27,7 @@ import (
 	"qplacer/internal/geom"
 	"qplacer/internal/obs"
 	"qplacer/internal/place"
+	"qplacer/internal/spatial"
 )
 
 // overlapWeight scales the pairwise charge-rect overlap penalty.
@@ -76,20 +78,25 @@ type Result struct {
 // annealer carries per-run state.
 type annealer struct {
 	nl     *component.Netlist
+	cm     *frequency.CollisionMap // nil for a frequency-oblivious run
 	region geom.Rect
 	rng    *rand.Rand
 
 	xy           []float64 // working positions (2 per instance)
 	halfW, halfH []float64 // charge-rect half extents
 	nets         [][]int   // instance -> incident net indices
-	freqPairs    [][]int   // instance -> collision pair indices
-	pairOther    []int32   // pair index*2 -> both endpoints (flattened)
-	pairCut      []float64 // pair index -> cutoff radius
-	cell         float64   // uniform grid cell (≥ max charge extent)
-	grid         map[[2]int][]int
-	gridKey      [][2]int // instance -> current bucket
-	totalCost    float64
-	accepted     int
+
+	// The overlap grid files instances by centre in cells of side cell (≥
+	// max charge extent) from the origin, covering the region so that no
+	// instance is clamped. freqGrid[c] files class c's members in cells at
+	// least the cutoff wide; cand holds one query's in-cutoff partners.
+	cell     float64
+	grid     *spatial.Grid
+	freqGrid []*spatial.Grid
+	cand     []int32
+
+	totalCost float64
+	accepted  int
 }
 
 // Place runs the annealer on the netlist, mutating instance positions. The
@@ -110,7 +117,7 @@ func Place(ctx context.Context, nl *component.Netlist, cm *frequency.CollisionMa
 	setupTimer := cfg.Span.Child("setup").Start()
 	a.setup(cm)
 	a.initialPositions()
-	a.buildGrid()
+	a.fillGrids()
 	a.totalCost = a.fullCost()
 	setupTimer.End()
 
@@ -156,10 +163,10 @@ func Place(ctx context.Context, nl *component.Netlist, cm *frequency.CollisionMa
 	}, nil
 }
 
-// setup precomputes per-instance geometry, net incidence, and collision-pair
-// incidence.
+// setup precomputes per-instance geometry and net incidence.
 func (a *annealer) setup(cm *frequency.CollisionMap) {
 	n := len(a.nl.Instances)
+	a.cm = cm
 	a.halfW = make([]float64, n)
 	a.halfH = make([]float64, n)
 	maxExtent := 0.0
@@ -183,29 +190,14 @@ func (a *annealer) setup(cm *frequency.CollisionMap) {
 		a.nets[net[1]] = append(a.nets[net[1]], ni)
 	}
 
-	a.freqPairs = make([][]int, n)
-	if cm != nil {
-		// Pair indices in ascending (i, j) order, so each instance's list
-		// is ascending in partner ID.
-		np := cm.NumPairs()
-		a.pairOther = make([]int32, 0, 2*np)
-		a.pairCut = make([]float64, 0, np)
-		for i := range a.freqPairs {
-			a.freqPairs[i] = make([]int, 0, cm.Degree(i))
-		}
-		pi := 0
-		for i, j := range cm.AllPairs() {
-			a.pairOther = append(a.pairOther, int32(i), int32(j))
-			cut := place.FreqCutoffSegMM
-			if a.nl.Instances[i].Kind == component.KindQubit {
-				cut = place.FreqCutoffMM
-			}
-			a.pairCut = append(a.pairCut, cut)
-			a.freqPairs[i] = append(a.freqPairs[i], pi)
-			a.freqPairs[j] = append(a.freqPairs[j], pi)
-			pi++
-		}
+}
+
+// cutoff is the frequency term's radius for instance i's kind.
+func (a *annealer) cutoff(i int) float64 {
+	if a.nl.Instances[i].Kind == component.KindQubit {
+		return place.FreqCutoffMM
 	}
+	return place.FreqCutoffSegMM
 }
 
 // initialPositions seeds qubits at their scaled canonical coordinates and
@@ -252,39 +244,50 @@ func (a *annealer) clamp(i int) {
 	a.xy[2*i+1] = math.Min(math.Max(a.xy[2*i+1], r.Lo.Y+a.halfH[i]), r.Hi.Y-a.halfH[i])
 }
 
-func (a *annealer) bucketOf(i int) [2]int {
-	return [2]int{
-		int(math.Floor(a.xy[2*i] / a.cell)),
-		int(math.Floor(a.xy[2*i+1] / a.cell)),
+// fillGrids files every instance, in ascending ID order, at its centre: in
+// the overlap grid and, with a collision map, in its frequency class's
+// grid. Those cells are at least the class kind's cutoff wide (the slack
+// absorbs the rounding of the cell arithmetic), so a partner within the
+// cutoff along both axes sits in a neighbouring cell.
+func (a *annealer) fillGrids() {
+	a.grid = spatial.New(a.region, a.cell)
+	if a.cm != nil {
+		a.freqGrid = make([]*spatial.Grid, a.cm.NumClasses())
 	}
-}
-
-func (a *annealer) buildGrid() {
-	a.grid = make(map[[2]int][]int)
-	a.gridKey = make([][2]int, len(a.nl.Instances))
 	for i := range a.nl.Instances {
-		k := a.bucketOf(i)
-		a.gridKey[i] = k
-		a.grid[k] = append(a.grid[k], i)
+		r := geom.RectAt(geom.Point{X: a.xy[2*i], Y: a.xy[2*i+1]}, 0, 0)
+		a.grid.Add(int32(i), r)
+		if a.cm == nil {
+			continue
+		}
+		c := a.cm.Class(i)
+		if a.freqGrid[c] == nil {
+			a.freqGrid[c] = spatial.New(a.region, a.cutoff(i)*(1+1e-9))
+		}
+		a.freqGrid[c].Add(int32(i), r)
 	}
 }
 
-func (a *annealer) gridMove(i int) {
-	k := a.bucketOf(i)
-	old := a.gridKey[i]
-	if k == old {
-		return
+// moveTo moves instance i to (x, y), re-filing it in each grid whose cell
+// for it changes. Instances that stay in their cell keep their place in its
+// bucket, so the overlap sum's order follows the accepted moves alone.
+func (a *annealer) moveTo(i int, x, y float64) {
+	from, to := geom.Point{X: a.xy[2*i], Y: a.xy[2*i+1]}, geom.Point{X: x, Y: y}
+	a.xy[2*i], a.xy[2*i+1] = x, y
+	refile(a.grid, int32(i), from, to)
+	if a.cm != nil {
+		refile(a.freqGrid[a.cm.Class(i)], int32(i), from, to)
 	}
-	list := a.grid[old]
-	for idx, v := range list {
-		if v == i {
-			list[idx] = list[len(list)-1]
-			a.grid[old] = list[:len(list)-1]
-			break
-		}
+}
+
+// refile moves id from point from to point to in g unless both share a
+// cell.
+func refile(g *spatial.Grid, id int32, from, to geom.Point) {
+	fx, fy := g.Cell(from)
+	if tx, ty := g.Cell(to); fx != tx || fy != ty {
+		g.Remove(id, geom.RectAt(from, 0, 0))
+		g.Add(id, geom.RectAt(to, 0, 0))
 	}
-	a.gridKey[i] = k
-	a.grid[k] = append(a.grid[k], i)
 }
 
 // instCost is the cost mass attached to instance i at position (x, y): its
@@ -301,12 +304,14 @@ func (a *annealer) instCost(i int, x, y float64) float64 {
 		}
 		cost += math.Abs(x-a.xy[2*o]) + math.Abs(y-a.xy[2*o+1])
 	}
+	// A probe off the grid (probeScale does not clamp) meets no overlap:
+	// only cells on the grid hold instances.
 	bx := int(math.Floor(x / a.cell))
 	by := int(math.Floor(y / a.cell))
 	for dy := -1; dy <= 1; dy++ {
 		for dx := -1; dx <= 1; dx++ {
-			for _, j := range a.grid[[2]int{bx + dx, by + dy}] {
-				if j == i {
+			for _, j := range a.grid.Bucket(bx+dx, by+dy) {
+				if int(j) == i {
 					continue
 				}
 				ox := math.Min(x+a.halfW[i], a.xy[2*j]+a.halfW[j]) - math.Max(x-a.halfW[i], a.xy[2*j]-a.halfW[j])
@@ -321,20 +326,32 @@ func (a *annealer) instCost(i int, x, y float64) float64 {
 			}
 		}
 	}
-	for _, pi := range a.freqPairs[i] {
-		o := int(a.pairOther[2*pi])
-		if o == i {
-			o = int(a.pairOther[2*pi+1])
+	if a.cm == nil {
+		return cost
+	}
+	// Only partners within the cutoff along both axes can add a term:
+	// Hypot(dx, dy) ≥ max(|dx|, |dy|), and a NaN offset fails every test.
+	// The terms are summed in ascending partner ID, so the sum does not
+	// depend on the order of the grids' buckets.
+	cut := a.cutoff(i)
+	p := geom.Point{X: x, Y: y}
+	a.cand = a.cand[:0]
+	for c := range a.cm.ResonantClasses(a.cm.Class(i)) {
+		g := a.freqGrid[c]
+		cx, cy := g.Cell(p)
+		for gy := cy - 1; gy <= cy+1; gy++ {
+			for gx := cx - 1; gx <= cx+1; gx++ {
+				for _, j := range g.Bucket(gx, gy) {
+					if math.Abs(x-a.xy[2*j]) < cut && math.Abs(y-a.xy[2*j+1]) < cut && a.cm.NearResonant(i, int(j)) {
+						a.cand = append(a.cand, j)
+					}
+				}
+			}
 		}
-		cut := a.pairCut[pi]
-		dx, dy := x-a.xy[2*o], y-a.xy[2*o+1]
-		// Hypot(dx, dy) = p·√(1+q²) ≥ p = max(|dx|, |dy|), so a partner
-		// this far out along either axis fails d < cut: skip its Hypot. A
-		// NaN fails both tests and reaches d < cut, which rejects it.
-		if math.Abs(dx) >= cut || math.Abs(dy) >= cut {
-			continue
-		}
-		d := math.Hypot(dx, dy)
+	}
+	slices.Sort(a.cand)
+	for _, j := range a.cand {
+		d := math.Hypot(x-a.xy[2*j], y-a.xy[2*j+1])
 		if d < cut {
 			gap := cut - d
 			cost += gap * gap / cut
@@ -386,8 +403,7 @@ func (a *annealer) tryMove(i int, step, temp float64) {
 	if delta > 0 && a.rng.Float64() >= math.Exp(-delta/temp) {
 		return
 	}
-	a.xy[2*i], a.xy[2*i+1] = nx, ny
-	a.gridMove(i)
+	a.moveTo(i, nx, ny)
 	a.totalCost += delta
 	a.accepted++
 }

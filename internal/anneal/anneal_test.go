@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -171,10 +172,78 @@ func TestAvgIterMSKeepsFractions(t *testing.T) {
 	}
 }
 
-// hypotOnlyInstCost is instCost as it was before the axis prefilter: every
-// frequency partner goes through math.Hypot. TestInstCostPrefilterExact
-// holds instCost to it bit for bit.
-func (a *annealer) hypotOnlyInstCost(i int, x, y float64) float64 {
+// reference is the annealer's neighbour search as it was before the
+// annealer moved onto internal/spatial: an overlap grid keyed by a map,
+// whose buckets are swap-removed as instances move, and a walk over every
+// collision pair of the moved instance through per-pair arrays built from
+// the collision map's pair list. It reads the annealer's positions, and
+// gridMove must follow every move the annealer makes.
+type reference struct {
+	a         *annealer
+	grid      map[[2]int][]int
+	gridKey   [][2]int  // instance -> current bucket
+	freqPairs [][]int   // instance -> collision pair indices
+	pairOther []int32   // pair index*2 -> both endpoints (flattened)
+	pairCut   []float64 // pair index -> cutoff radius
+}
+
+func newReference(a *annealer, cm *frequency.CollisionMap) *reference {
+	r := &reference{a: a, grid: map[[2]int][]int{}}
+	n := len(a.nl.Instances)
+	r.gridKey = make([][2]int, n)
+	for i := range n {
+		k := r.bucketOf(i)
+		r.gridKey[i] = k
+		r.grid[k] = append(r.grid[k], i)
+	}
+	// Pair indices in ascending (i, j) order, so each instance's list is
+	// ascending in partner ID.
+	r.freqPairs = make([][]int, n)
+	pi := 0
+	for i, j := range cm.AllPairs() {
+		r.pairOther = append(r.pairOther, int32(i), int32(j))
+		cut := place.FreqCutoffSegMM
+		if a.nl.Instances[i].Kind == component.KindQubit {
+			cut = place.FreqCutoffMM
+		}
+		r.pairCut = append(r.pairCut, cut)
+		r.freqPairs[i] = append(r.freqPairs[i], pi)
+		r.freqPairs[j] = append(r.freqPairs[j], pi)
+		pi++
+	}
+	return r
+}
+
+func (r *reference) bucketOf(i int) [2]int {
+	return [2]int{
+		int(math.Floor(r.a.xy[2*i] / r.a.cell)),
+		int(math.Floor(r.a.xy[2*i+1] / r.a.cell)),
+	}
+}
+
+func (r *reference) gridMove(i int) {
+	k := r.bucketOf(i)
+	old := r.gridKey[i]
+	if k == old {
+		return
+	}
+	list := r.grid[old]
+	for idx, v := range list {
+		if v == i {
+			list[idx] = list[len(list)-1]
+			r.grid[old] = list[:len(list)-1]
+			break
+		}
+	}
+	r.gridKey[i] = k
+	r.grid[k] = append(r.grid[k], i)
+}
+
+// instCost is the annealer's instCost as it was before internal/spatial.
+// With prefilter false, every frequency partner goes through math.Hypot,
+// as before the axis prefilter.
+func (r *reference) instCost(i int, x, y float64, prefilter bool) float64 {
+	a := r.a
 	var cost float64
 	for _, ni := range a.nets[i] {
 		net := a.nl.Nets[ni]
@@ -188,7 +257,7 @@ func (a *annealer) hypotOnlyInstCost(i int, x, y float64) float64 {
 	by := int(math.Floor(y / a.cell))
 	for dy := -1; dy <= 1; dy++ {
 		for dx := -1; dx <= 1; dx++ {
-			for _, j := range a.grid[[2]int{bx + dx, by + dy}] {
+			for _, j := range r.grid[[2]int{bx + dx, by + dy}] {
 				if j == i {
 					continue
 				}
@@ -204,13 +273,17 @@ func (a *annealer) hypotOnlyInstCost(i int, x, y float64) float64 {
 			}
 		}
 	}
-	for _, pi := range a.freqPairs[i] {
-		o := int(a.pairOther[2*pi])
+	for _, pi := range r.freqPairs[i] {
+		o := int(r.pairOther[2*pi])
 		if o == i {
-			o = int(a.pairOther[2*pi+1])
+			o = int(r.pairOther[2*pi+1])
 		}
-		cut := a.pairCut[pi]
-		d := math.Hypot(x-a.xy[2*o], y-a.xy[2*o+1])
+		cut := r.pairCut[pi]
+		dx, dy := x-a.xy[2*o], y-a.xy[2*o+1]
+		if prefilter && (math.Abs(dx) >= cut || math.Abs(dy) >= cut) {
+			continue
+		}
+		d := math.Hypot(dx, dy)
 		if d < cut {
 			gap := cut - d
 			cost += gap * gap / cut
@@ -219,45 +292,52 @@ func (a *annealer) hypotOnlyInstCost(i int, x, y float64) float64 {
 	return cost
 }
 
-// TestInstCostPrefilterExact holds instCost, which skips a frequency
-// partner whose |dx| or |dy| reaches the cutoff before calling math.Hypot,
-// to the Hypot-only version bit for bit: at random positions across and
-// beyond the region, at exactly |dx| == cut and |dy| == cut from a partner
-// (and one ulp inside), and at NaN coordinates.
-func TestInstCostPrefilterExact(t *testing.T) {
-	nl, cm := buildProblem(t, topology.Falcon27())
+// newTestAnnealer returns an annealer set up as Place sets it up, with its
+// positions and grids filled, and its reference.
+func newTestAnnealer(t *testing.T, dev *topology.Device) (*annealer, *reference) {
+	t.Helper()
+	nl, cm := buildProblem(t, dev)
 	a := &annealer{nl: nl, rng: rand.New(rand.NewSource(5))}
 	side := math.Sqrt(place.TotalChargeArea(nl) / place.TargetDensity)
 	a.region = geom.NewRect(0, 0, side, side)
 	a.setup(cm)
 	a.initialPositions()
-	a.buildGrid()
+	a.fillGrids()
+	return a, newReference(a, cm)
+}
 
+// checkProbes holds a.instCost to want bit for bit: at random positions
+// inside the region and up to 10% beyond it on every side, half of them
+// near a near-resonant partner; at exactly |dx| == cut and |dy| == cut
+// from an instance's first partner, and one ulp inside; and at NaN
+// coordinates.
+func checkProbes(t *testing.T, label string, a *annealer, want func(i int, x, y float64) float64) {
+	t.Helper()
 	same := func(got, want float64) bool {
 		return math.Float64bits(got) == math.Float64bits(want) || math.IsNaN(got) && math.IsNaN(want)
 	}
-	check := func(label string, i int, x, y float64) {
+	check := func(kind string, i int, x, y float64) {
 		t.Helper()
-		if got, want := a.instCost(i, x, y), a.hypotOnlyInstCost(i, x, y); !same(got, want) {
-			t.Fatalf("%s: instCost(%d, %v, %v) = %v, Hypot-only %v", label, i, x, y, got, want)
+		if got, want := a.instCost(i, x, y), want(i, x, y); !same(got, want) {
+			t.Fatalf("%s: %s: instCost(%d, %v, %v) = %v, reference %v", label, kind, i, x, y, got, want)
 		}
+	}
+	partners := make([][]int, len(a.nl.Instances))
+	for i := range partners {
+		partners[i] = slices.Collect(a.cm.Partners(i))
 	}
 
 	rng := rand.New(rand.NewSource(9))
-	n := len(nl.Instances)
+	n := len(a.nl.Instances)
+	side := a.region.W()
 	near := 0
 	for trial := 0; trial < 20000; trial++ {
 		i := rng.Intn(n)
 		x := (1.2*rng.Float64() - 0.1) * side
 		y := (1.2*rng.Float64() - 0.1) * side
-		if len(a.freqPairs[i]) > 0 && trial%2 == 0 {
+		if len(partners[i]) > 0 && trial%2 == 0 {
 			// Half the trials land near a partner, where the penalty bites.
-			pi := a.freqPairs[i][rng.Intn(len(a.freqPairs[i]))]
-			o := int(a.pairOther[2*pi])
-			if o == i {
-				o = int(a.pairOther[2*pi+1])
-			}
-			cut := a.pairCut[pi]
+			o, cut := partners[i][rng.Intn(len(partners[i]))], a.cutoff(i)
 			x = a.xy[2*o] + (2*rng.Float64()-1)*1.5*cut
 			y = a.xy[2*o+1] + (2*rng.Float64()-1)*1.5*cut
 			if math.Hypot(x-a.xy[2*o], y-a.xy[2*o+1]) < cut {
@@ -267,7 +347,7 @@ func TestInstCostPrefilterExact(t *testing.T) {
 		check("random", i, x, y)
 	}
 	if near == 0 {
-		t.Fatal("no trial landed inside a partner's cutoff")
+		t.Fatalf("%s: no trial landed inside a partner's cutoff", label)
 	}
 
 	// offset returns a coordinate c with c − base == d exactly, searching a
@@ -290,16 +370,11 @@ func TestInstCostPrefilterExact(t *testing.T) {
 	// |dy| == cut and one ulp inside; qubit and segment pairs have
 	// different cutoffs.
 	exact := 0
-	for i := range nl.Instances {
-		if len(a.freqPairs[i]) == 0 {
+	for i := range n {
+		if len(partners[i]) == 0 {
 			continue
 		}
-		pi := a.freqPairs[i][0]
-		o := int(a.pairOther[2*pi])
-		if o == i {
-			o = int(a.pairOther[2*pi+1])
-		}
-		cut := a.pairCut[pi]
+		o, cut := partners[i][0], a.cutoff(i)
 		ox, oy := a.xy[2*o], a.xy[2*o+1]
 		for _, d := range []float64{cut, -cut, math.Nextafter(cut, 0), math.Nextafter(-cut, 0)} {
 			if x := offset(ox, d); !math.IsNaN(x) {
@@ -313,8 +388,54 @@ func TestInstCostPrefilterExact(t *testing.T) {
 		}
 		check("NaN x", i, math.NaN(), oy)
 		check("NaN y", i, ox, math.NaN())
+		check("NaN x and y", i, math.NaN(), math.NaN())
 	}
 	if exact == 0 {
-		t.Fatal("no boundary offset was exactly representable")
+		t.Fatalf("%s: no boundary offset was exactly representable", label)
+	}
+}
+
+// TestInstCostPrefilterExact holds instCost, which skips a frequency
+// partner whose |dx| or |dy| reaches the cutoff before calling math.Hypot,
+// to a version that sends every partner through math.Hypot, bit for bit.
+func TestInstCostPrefilterExact(t *testing.T) {
+	a, ref := newTestAnnealer(t, topology.Falcon27())
+	checkProbes(t, "falcon", a, func(i int, x, y float64) float64 {
+		return ref.instCost(i, x, y, false)
+	})
+}
+
+// TestInstCostMatchesReference holds instCost, which finds overlapping
+// neighbours and in-cutoff frequency partners through spatial grids, to
+// the map grid and all-pair walk it replaced, bit for bit: on the initial
+// layout, and again after enough accepted moves that swap-removal has
+// reordered the overlap buckets, whose order the overlap sum follows.
+func TestInstCostMatchesReference(t *testing.T) {
+	devs := []*topology.Device{topology.Falcon27()}
+	if !testing.Short() {
+		devs = append(devs, topology.Eagle127())
+	}
+	for _, dev := range devs {
+		a, ref := newTestAnnealer(t, dev)
+		want := func(i int, x, y float64) float64 { return ref.instCost(i, x, y, true) }
+		checkProbes(t, dev.Name+"/initial", a, want)
+
+		n := len(a.nl.Instances)
+		rng := rand.New(rand.NewSource(11))
+		step := a.region.W() / 2
+		refiled := 0
+		for a.accepted < 2000 {
+			i := rng.Intn(n)
+			before := ref.gridKey[i]
+			a.tryMove(i, step, 1e12)
+			ref.gridMove(i)
+			if ref.gridKey[i] != before {
+				refiled++
+			}
+		}
+		if refiled < 1000 {
+			t.Fatalf("%s: only %d of %d accepted moves changed bucket", dev.Name, refiled, a.accepted)
+		}
+		checkProbes(t, dev.Name+"/moved", a, want)
 	}
 }

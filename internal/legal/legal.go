@@ -20,6 +20,7 @@ import (
 	"qplacer/internal/geom"
 	"qplacer/internal/mcmf"
 	"qplacer/internal/obs"
+	"qplacer/internal/spatial"
 )
 
 // The legalizer's fixed search and repair settings.
@@ -107,15 +108,12 @@ type legalizer struct {
 	blocker                 int
 	guardInst, guardPartner int
 
-	// Spatial hash over placed rects for O(1) neighbourhood queries: a flat
-	// row-major grid of cell-sized buckets over the widest bounds findSpot
-	// searches. Coordinates clamp into the grid, so rects outside it land in
-	// edge buckets; clamping is monotone, so two overlapping rects always
-	// share a bucket.
-	cell    float64
-	gridLo  geom.Point
-	nx, ny  int
-	buckets [][]int // bucket y*nx+x → placed indices
+	// Spatial index of the placed rects (by placed index) over the widest
+	// bounds findSpot searches: nx×ny cells of side cell from gridLo.
+	cell   float64
+	gridLo geom.Point
+	nx, ny int
+	grid   *spatial.Grid
 
 	clusters clusterCounter // scratch of the cluster counts
 
@@ -181,64 +179,8 @@ func (lg *legalizer) setup() {
 	reach := lg.bounds.Inflate(lg.bounds.W() * spotGrowth[len(spotGrowth)-1])
 	lg.cell = max(1.0, max(reach.W(), reach.H())/maxGridCells)
 	lg.gridLo = reach.Lo
-	lg.nx = lg.gridCells(reach.W())
-	lg.ny = lg.gridCells(reach.H())
-	lg.buckets = make([][]int, lg.nx*lg.ny)
-}
-
-// gridCells returns the bucket count that covers extent, at least one.
-func (lg *legalizer) gridCells(extent float64) int {
-	n := math.Floor(extent / lg.cell)
-	if !(n >= 0) {
-		return 1
-	}
-	return int(min(n, maxGridCells)) + 1
-}
-
-// bucketCoord maps coordinate v to its bucket along an axis starting at lo
-// with n buckets, clamped into [0, n-1] (NaN clamps to 0).
-func (lg *legalizer) bucketCoord(v, lo float64, n int) int {
-	f := math.Floor((v - lo) / lg.cell)
-	if !(f > 0) {
-		return 0
-	}
-	if f >= float64(n-1) {
-		return n - 1
-	}
-	return int(f)
-}
-
-func (lg *legalizer) bucketRange(r geom.Rect) (x0, y0, x1, y1 int) {
-	x0 = lg.bucketCoord(r.Lo.X, lg.gridLo.X, lg.nx)
-	y0 = lg.bucketCoord(r.Lo.Y, lg.gridLo.Y, lg.ny)
-	x1 = lg.bucketCoord(r.Hi.X, lg.gridLo.X, lg.nx)
-	y1 = lg.bucketCoord(r.Hi.Y, lg.gridLo.Y, lg.ny)
-	return
-}
-
-func (lg *legalizer) indexAdd(placedIdx int, r geom.Rect) {
-	x0, y0, x1, y1 := lg.bucketRange(r)
-	for y := y0; y <= y1; y++ {
-		for b := y*lg.nx + x0; b <= y*lg.nx+x1; b++ {
-			lg.buckets[b] = append(lg.buckets[b], placedIdx)
-		}
-	}
-}
-
-func (lg *legalizer) indexRemove(placedIdx int, r geom.Rect) {
-	x0, y0, x1, y1 := lg.bucketRange(r)
-	for y := y0; y <= y1; y++ {
-		for b := y*lg.nx + x0; b <= y*lg.nx+x1; b++ {
-			list := lg.buckets[b]
-			for k, v := range list {
-				if v == placedIdx {
-					list[k] = list[len(list)-1]
-					lg.buckets[b] = list[:len(list)-1]
-					break
-				}
-			}
-		}
-	}
+	lg.grid = spatial.New(reach, lg.cell)
+	lg.nx, lg.ny = lg.grid.Size()
 }
 
 // LegalizeCtx snaps the globally placed netlist into an overlap-free
@@ -355,7 +297,7 @@ func overlapsEps(a, b geom.Rect) bool {
 // placed rects are stored pre-shrunk, so only r is shrunk here. The rect
 // that answered the last overlapping query is tested first, since spiral
 // neighbours are usually blocked by the same rect; otherwise the query goes
-// through the spatial hash. Either way the answer is whether some rect
+// through the spatial index. Either way the answer is whether some rect
 // overlaps, and lg.blocker names one that does.
 func (lg *legalizer) overlapsPlaced(r geom.Rect, skip int) bool {
 	r = r.Inflate(-overlapEps / 2)
@@ -364,12 +306,12 @@ func (lg *legalizer) overlapsPlaced(r geom.Rect, skip int) bool {
 		return true
 	}
 	lg.work.scans++
-	x0, y0, x1, y1 := lg.bucketRange(r)
+	x0, y0, x1, y1 := lg.grid.Range(r)
 	for y := y0; y <= y1; y++ {
-		for b := y*lg.nx + x0; b <= y*lg.nx+x1; b++ {
-			for _, idx := range lg.buckets[b] {
+		for x := x0; x <= x1; x++ {
+			for _, idx := range lg.grid.Bucket(x, y) {
 				if lg.order[idx] != skip && r.Overlaps(lg.placed[idx]) {
-					lg.blocker = idx
+					lg.blocker = int(idx)
 					return true
 				}
 			}
@@ -382,16 +324,16 @@ func (lg *legalizer) overlapsPlaced(r geom.Rect, skip int) bool {
 func (lg *legalizer) fix(instID int, r geom.Rect) {
 	r = r.Inflate(-overlapEps / 2)
 	if idx := lg.slot[instID]; idx >= 0 {
-		lg.indexRemove(idx, lg.placed[idx])
+		lg.grid.Remove(int32(idx), lg.placed[idx])
 		lg.placed[idx] = r
-		lg.indexAdd(idx, r)
+		lg.grid.Add(int32(idx), r)
 		return
 	}
 	idx := len(lg.placed)
 	lg.slot[instID] = idx
 	lg.placed = append(lg.placed, r)
 	lg.order = append(lg.order, instID)
-	lg.indexAdd(idx, r)
+	lg.grid.Add(int32(idx), r)
 }
 
 // guardOK reports whether centre c keeps the isolation distance from the

@@ -5,12 +5,14 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
 	"qplacer/internal/component"
 	"qplacer/internal/frequency"
 	"qplacer/internal/geom"
+	"qplacer/internal/obs"
 	"qplacer/internal/physics"
 	"qplacer/internal/place"
 	"qplacer/internal/topology"
@@ -227,5 +229,39 @@ func TestClusterCountMatchesResonatorClusters(t *testing.T) {
 	}
 	if broken == 0 {
 		t.Fatal("no perturbation broke a resonator: the check is vacuous")
+	}
+}
+
+// TestLegalWorkCountsFalcon pins the spot-search work each shelf-legalizer
+// pass notes on its span for a falcon seed-1 placement. The counts are
+// exact, so any change to what the search probes, skips or scans, or to the
+// order in which the bucket grid answers an overlap query (which names the
+// last-blocker witness), shows up here. The refine pass searches no spots
+// and notes nothing.
+func TestLegalWorkCountsFalcon(t *testing.T) {
+	nl, region, cm := placedNetlist(t, "falcon", place.ModeQplacer)
+	cfg := DefaultConfig()
+	cfg.Span = obs.NewSpan("legalize")
+	if _, err := LegalizeCtx(context.Background(), nl, region, cm, cfg); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, c := range cfg.Span.Snapshot().Children {
+		for _, note := range c.Notes {
+			got = append(got, c.Name+": "+note)
+		}
+	}
+	want := []string{
+		"qubits: spot search: 90 probes evaluated, 342 skipped in 47 blocked runs; " +
+			"overlap queries: 62 by bucket scan, 28 by last-blocker witness; 8 guard failures by last-violator witness",
+		"segments: spot search: 265737 probes evaluated, 1355653 skipped in 248884 blocked runs; " +
+			"overlap queries: 238066 by bucket scan, 27671 by last-blocker witness; 2887 guard failures by last-violator witness",
+		"integrate: spot search: 0 probes evaluated, 0 skipped in 0 blocked runs; " +
+			"overlap queries: 12486 by bucket scan, 423 by last-blocker witness; 143 guard failures by last-violator witness",
+		"compact: spot search: 525996 probes evaluated, 2659673 skipped in 494055 blocked runs; " +
+			"overlap queries: 467624 by bucket scan, 58372 by last-blocker witness; 1563 guard failures by last-violator witness",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("legalize pass notes:\n got %q\nwant %q", got, want)
 	}
 }

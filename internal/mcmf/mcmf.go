@@ -6,7 +6,6 @@
 package mcmf
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -33,9 +32,6 @@ func New(n int) *Graph {
 	return &Graph{n: n, adj: make([][]edge, n)}
 }
 
-// N returns the vertex count.
-func (g *Graph) N() int { return g.n }
-
 // AddEdge adds a directed edge u→v with the given capacity and per-unit
 // cost. Costs may be any finite float; negative costs are allowed as long as
 // the network has no negative cycles (the solver runs Bellman–Ford once to
@@ -51,40 +47,39 @@ func (g *Graph) AddEdge(u, v int, cap, cost float64) {
 	g.adj[v] = append(g.adj[v], edge{to: u, cap: 0, cost: -cost, rev: len(g.adj[u]) - 1})
 }
 
-// Flow returns the current flow on the i-th edge added from u (in insertion
-// order, counting only forward edges).
-func (g *Graph) Flow(u, i int) float64 {
-	cnt := 0
-	for _, e := range g.adj[u] {
-		if e.cap > 0 || e.flow > 0 { // forward edges were added with cap > 0
-			if e.cap > 0 {
-				if cnt == i {
-					return e.flow
-				}
-				cnt++
-			}
-		}
-	}
-	panic(fmt.Sprintf("mcmf: vertex %d has no forward edge #%d", u, i))
-}
-
 type pqItem struct {
 	v    int
 	dist float64
 }
 
+// pq is a binary min-heap on dist. push and pop sift exactly as
+// container/heap's Push and Pop do, so equal distances pop in the same
+// order, without boxing each item in an interface.
 type pq []pqItem
 
-func (p pq) Len() int            { return len(p) }
-func (p pq) Less(i, j int) bool  { return p[i].dist < p[j].dist }
-func (p pq) Swap(i, j int)       { p[i], p[j] = p[j], p[i] }
-func (p *pq) Push(x interface{}) { *p = append(*p, x.(pqItem)) }
-func (p *pq) Pop() interface{} {
-	old := *p
-	n := len(old)
-	it := old[n-1]
-	*p = old[:n-1]
-	return it
+func (p *pq) push(it pqItem) {
+	h := append(*p, it)
+	for j := len(h) - 1; j > 0 && h[j].dist < h[(j-1)/2].dist; j = (j - 1) / 2 {
+		h[j], h[(j-1)/2] = h[(j-1)/2], h[j]
+	}
+	*p = h
+}
+
+func (p *pq) pop() pqItem {
+	h := *p
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i, j := 0, 1; j < n; i, j = j, 2*j+1 {
+		if j+1 < n && h[j+1].dist < h[j].dist {
+			j++ // the right child
+		}
+		if !(h[j].dist < h[i].dist) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+	}
+	*p = h[:n]
+	return h[n]
 }
 
 // MinCostFlow pushes up to maxFlow units from s to t, returning the amount
@@ -99,6 +94,7 @@ func (g *Graph) MinCostFlow(s, t int, maxFlow float64) (flow, cost float64) {
 	dist := make([]float64, g.n)
 	prevV := make([]int, g.n)
 	prevE := make([]int, g.n)
+	var h pq // reused across the Dijkstra passes
 
 	for flow+eps < maxFlow {
 		// Dijkstra on reduced costs.
@@ -107,9 +103,9 @@ func (g *Graph) MinCostFlow(s, t int, maxFlow float64) (flow, cost float64) {
 			prevV[i] = -1
 		}
 		dist[s] = 0
-		h := &pq{{s, 0}}
-		for h.Len() > 0 {
-			it := heap.Pop(h).(pqItem)
+		h = append(h[:0], pqItem{s, 0})
+		for len(h) > 0 {
+			it := h.pop()
 			if it.dist > dist[it.v]+eps {
 				continue
 			}
@@ -127,7 +123,7 @@ func (g *Graph) MinCostFlow(s, t int, maxFlow float64) (flow, cost float64) {
 					dist[e.to] = nd
 					prevV[e.to] = it.v
 					prevE[e.to] = ei
-					heap.Push(h, pqItem{e.to, nd})
+					h.push(pqItem{e.to, nd})
 				}
 			}
 		}
@@ -210,7 +206,15 @@ func Assign(costs [][]float64) ([]int, float64) {
 	n := 2 + w + sCount
 	src, snk := 0, n-1
 	g := New(n)
+	// Every node's degree is known, so its adjacency is sized once: the
+	// source and sink meet every worker or site, a worker the source and
+	// every site, a site every worker and the sink.
+	g.adj[src], g.adj[snk] = make([]edge, 0, w), make([]edge, 0, sCount)
+	for j := 0; j < sCount; j++ {
+		g.adj[1+w+j] = make([]edge, 0, w+1)
+	}
 	for i := 0; i < w; i++ {
+		g.adj[1+i] = make([]edge, 0, sCount+1)
 		g.AddEdge(src, 1+i, 1, 0)
 		if len(costs[i]) != sCount {
 			panic("mcmf: ragged cost matrix")

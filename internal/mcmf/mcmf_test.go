@@ -1,6 +1,7 @@
 package mcmf
 
 import (
+	"container/heap"
 	"math"
 	"math/rand"
 	"testing"
@@ -215,5 +216,41 @@ func TestFlowConservationRandom(t *testing.T) {
 				t.Fatalf("trial %d: conservation violated at %d: %v", trial, v, net)
 			}
 		}
+	}
+}
+
+// boxedPQ is the container/heap adapter the typed heap replaced.
+type boxedPQ []pqItem
+
+func (p boxedPQ) Len() int           { return len(p) }
+func (p boxedPQ) Less(i, j int) bool { return p[i].dist < p[j].dist }
+func (p boxedPQ) Swap(i, j int)      { p[i], p[j] = p[j], p[i] }
+func (p *boxedPQ) Push(x any)        { *p = append(*p, x.(pqItem)) }
+func (p *boxedPQ) Pop() any {
+	old := *p
+	it := old[len(old)-1]
+	*p = old[:len(old)-1]
+	return it
+}
+
+// TestHeapMatchesContainerHeap holds the typed heap to container/heap
+// along random push/pop sequences with many equal distances: every pop must
+// return the same item, so the Dijkstra passes, and with them every
+// assignment, keep their tie order.
+func TestHeapMatchesContainerHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var got pq
+	want := &boxedPQ{}
+	for step := 0; step < 20000; step++ {
+		if len(got) > 0 && rng.Intn(5) < 2 {
+			g, w := got.pop(), heap.Pop(want).(pqItem)
+			if g != w {
+				t.Fatalf("step %d: pop = %+v, container/heap %+v", step, g, w)
+			}
+			continue
+		}
+		it := pqItem{v: step, dist: float64(rng.Intn(8))}
+		got.push(it)
+		heap.Push(want, it)
 	}
 }

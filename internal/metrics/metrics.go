@@ -64,9 +64,9 @@ func Measure(nl *component.Netlist, deltaC float64) *Report {
 		rep.Utilization = rep.Apoly / rep.Amer
 	}
 
-	// Hotspots: near-resonant pairs whose padded polygons overlap. The pairs
-	// are found in the scan itself rather than through a CollisionMap, which
-	// on large devices would allocate the whole pair list per call.
+	// Hotspots: near-resonant pairs whose padded polygons overlap, found by
+	// applying the collision map's pair rule (frequency.NearResonant) in the
+	// scan itself, so a report needs no CollisionMap.
 	var num float64
 	n := len(nl.Instances)
 	impacted := map[int]bool{}
