@@ -10,12 +10,15 @@ package validate
 
 import (
 	"fmt"
+	"iter"
 	"math"
+	"slices"
 
 	"qplacer/internal/component"
 	"qplacer/internal/geom"
 	"qplacer/internal/metrics"
 	"qplacer/internal/physics"
+	"qplacer/internal/spatial"
 )
 
 // Severity ranks a violation. Errors make a placement invalid (a correct
@@ -186,6 +189,90 @@ func midpoint(a, b *component.Instance) geom.Point {
 	return geom.Point{X: (a.Pos.X + b.Pos.X) / 2, Y: (a.Pos.Y + b.Pos.Y) / 2}
 }
 
+// reach is the bounding box of an instance's claim and keep-out footprints.
+// Every pairwise predicate below needs two of those footprints to overlap,
+// and then the two boxes overlap too.
+func reach(in *component.Instance) geom.Rect {
+	return keepOutRect(in).Union(claimRect(in))
+}
+
+// pairGrid proposes the instance pairs the pairwise checks visit. It files
+// every finite instance under its reach in a spatial grid; the grid's
+// clamped coordinate map is monotone, so two overlapping reaches always
+// share a cell. The checks keep every predicate of their own: the grid only
+// skips pairs that cannot overlap or collide.
+type pairGrid struct {
+	nl     *component.Netlist
+	broken []bool
+	grid   *spatial.Grid
+	mark   []int // mark[j] == stamp once j is a candidate of the current i
+	stamp  int
+	near   []int32
+}
+
+func newPairGrid(nl *component.Netlist, broken []bool) *pairGrid {
+	var box geom.Rect
+	cell, k := 0.0, 0
+	for i, in := range nl.Instances {
+		if broken[i] {
+			continue
+		}
+		r := reach(in)
+		cell = max(cell, r.W(), r.H())
+		if p := (geom.Rect{Lo: in.Pos, Hi: in.Pos}); k == 0 {
+			box = p
+		} else {
+			box = box.Union(p)
+		}
+		k++
+	}
+	// Cells at least the widest reach put each instance in at most 2×2
+	// cells; cells at least 1/√k of the layout's side keep the grid near k
+	// cells when an instance lies far out.
+	cell = max(cell, max(box.W(), box.H())/math.Sqrt(float64(k)))
+	if !(cell > 0) {
+		cell = 1
+	}
+	pg := &pairGrid{nl: nl, broken: broken, grid: spatial.New(box, cell), mark: make([]int, len(nl.Instances))}
+	for i, in := range nl.Instances {
+		if !broken[i] {
+			pg.grid.Add(int32(i), reach(in))
+		}
+	}
+	return pg
+}
+
+// pairs yields every finite pair i < j whose reaches share a cell, in
+// ascending (i, j) order: the order of the full O(n²) sweep, so the checks
+// append their violations and sum P_h in that order.
+func (pg *pairGrid) pairs(yield func(i, j int) bool) {
+	for i, in := range pg.nl.Instances {
+		if pg.broken[i] {
+			continue
+		}
+		pg.stamp++
+		near := pg.near[:0]
+		x0, y0, x1, y1 := pg.grid.Range(reach(in))
+		for y := y0; y <= y1; y++ {
+			for x := x0; x <= x1; x++ {
+				for _, j := range pg.grid.Bucket(x, y) {
+					if int(j) > i && pg.mark[j] != pg.stamp {
+						pg.mark[j] = pg.stamp
+						near = append(near, j)
+					}
+				}
+			}
+		}
+		slices.Sort(near)
+		pg.near = near
+		for _, j := range near {
+			if !yield(i, int(j)) {
+				return
+			}
+		}
+	}
+}
+
 // Check verifies one placed layout against every constraint and returns the
 // full violation report. It never mutates the netlist. The only error is
 // misuse (nil or empty netlist); violations are data, not errors.
@@ -207,6 +294,7 @@ func Check(in Input) (*Report, error) {
 		die = in.Region.Inflate(boundsSlack * math.Max(in.Region.W(), in.Region.H()))
 	}
 	broken := make([]bool, len(nl.Instances)) // non-finite: skip pair checks
+	intact := 0
 	for i, inst := range nl.Instances {
 		if !finite(inst) {
 			broken[i] = true
@@ -220,6 +308,7 @@ func Check(in Input) (*Report, error) {
 			})
 			continue
 		}
+		intact++
 		if checkBounds && !die.ContainsRect(claimRect(inst)) {
 			rep.Violations = append(rep.Violations, Violation{
 				Code:     CodeOutOfBounds,
@@ -234,64 +323,53 @@ func Check(in Input) (*Report, error) {
 	}
 
 	// Pairwise checks: geometric overlap of claim footprints (error) and
-	// frequency collisions within the interaction radius (warning). One
-	// O(n²) sweep covers both; the engine's own pipeline already runs
-	// same-order sweeps, so verification is never the bottleneck.
-	n := len(nl.Instances)
-	for i := 0; i < n; i++ {
-		if broken[i] {
-			continue
-		}
-		a := nl.Instances[i]
-		ca, ka := claimRect(a), keepOutRect(a)
-		for j := i + 1; j < n; j++ {
-			if broken[j] {
-				continue
-			}
-			b := nl.Instances[j]
-			rep.PairsChecked++
-
-			if depth := penetration(ca, claimRect(b)); depth > overlapEps {
-				rep.Violations = append(rep.Violations, Violation{
-					Code:     CodeOverlap,
-					Severity: SeverityError,
-					A:        a.ID,
-					B:        b.ID,
-					Pos:      midpoint(a, b),
-					Detail: fmt.Sprintf("%s and %s interpenetrate by %.4g mm",
-						describe(a), describe(b), depth),
-				})
-			}
-
-			// Frequency collisions: same-kind pairs only (the qubit and
-			// resonator bands never approach within Δc), and segments of one
-			// resonator are exempt (the Kronecker delta of Eq. 10).
-			if a.Kind != b.Kind {
-				continue
-			}
-			if a.Kind == component.KindSegment && a.Resonator == b.Resonator {
-				continue
-			}
-			if !resonant(a.FreqGHz, b.FreqGHz, deltaC) {
-				continue
-			}
-			if penetration(ka, keepOutRect(b)) <= 0 {
-				continue
-			}
+	// frequency collisions within the interaction radius (warning), over the
+	// pairs the grid proposes. Every intact pair counts as checked: a pair
+	// the grid skips is one whose footprints lie apart.
+	rep.PairsChecked = intact * (intact - 1) / 2
+	pg := newPairGrid(nl, broken)
+	for i, j := range pg.pairs {
+		a, b := nl.Instances[i], nl.Instances[j]
+		if depth := penetration(claimRect(a), claimRect(b)); depth > overlapEps {
 			rep.Violations = append(rep.Violations, Violation{
-				Code:     CodeFrequencyCollision,
-				Severity: SeverityWarning,
+				Code:     CodeOverlap,
+				Severity: SeverityError,
 				A:        a.ID,
 				B:        b.ID,
 				Pos:      midpoint(a, b),
-				Detail: fmt.Sprintf("%s (%.3f GHz) and %s (%.3f GHz) are within Δc=%.3g GHz and their keep-outs intersect",
-					describe(a), a.FreqGHz, describe(b), b.FreqGHz, deltaC),
+				Detail: fmt.Sprintf("%s and %s interpenetrate by %.4g mm",
+					describe(a), describe(b), depth),
 			})
 		}
+
+		// Frequency collisions: same-kind pairs only (the qubit and
+		// resonator bands never approach within Δc), and segments of one
+		// resonator are exempt (the Kronecker delta of Eq. 10).
+		if a.Kind != b.Kind {
+			continue
+		}
+		if a.Kind == component.KindSegment && a.Resonator == b.Resonator {
+			continue
+		}
+		if !resonant(a.FreqGHz, b.FreqGHz, deltaC) {
+			continue
+		}
+		if penetration(keepOutRect(a), keepOutRect(b)) <= 0 {
+			continue
+		}
+		rep.Violations = append(rep.Violations, Violation{
+			Code:     CodeFrequencyCollision,
+			Severity: SeverityWarning,
+			A:        a.ID,
+			B:        b.ID,
+			Pos:      midpoint(a, b),
+			Detail: fmt.Sprintf("%s (%.3f GHz) and %s (%.3f GHz) are within Δc=%.3g GHz and their keep-outs intersect",
+				describe(a), a.FreqGHz, describe(b), b.FreqGHz, deltaC),
+		})
 	}
 
 	if in.Metrics != nil {
-		checkMetrics(nl, deltaC, in.Metrics, rep)
+		checkMetrics(nl, deltaC, in.Metrics, rep, pg.pairs)
 	}
 	return rep, nil
 }
@@ -307,7 +385,7 @@ func describe(in *component.Instance) string {
 // checkMetrics recomputes the §V-C layout metrics from the placed netlist —
 // a second, independent derivation of Eq. 17/18 — and flags any claimed
 // figure that disagrees beyond tolerance.
-func checkMetrics(nl *component.Netlist, deltaC float64, claimed *metrics.Report, rep *Report) {
+func checkMetrics(nl *component.Netlist, deltaC float64, claimed *metrics.Report, rep *Report, pairs iter.Seq2[int, int]) {
 	// A_mer: minimum enclosing rectangle over the padded footprints.
 	// A_poly: padded cells for qubits (the keep-out belongs to the
 	// component), bare wire blocks for segments.
@@ -332,39 +410,7 @@ func checkMetrics(nl *component.Netlist, deltaC float64, claimed *metrics.Report
 		util = apoly / amerArea
 	}
 
-	// P_h (Eq. 18): Σ over violating pairs of intersection length × centroid
-	// distance, normalized by A_poly; and the violating-pair count itself.
-	var num float64
-	hotspots := 0
-	n := len(nl.Instances)
-	for i := 0; i < n; i++ {
-		a := nl.Instances[i]
-		if !finite(a) {
-			continue
-		}
-		for j := i + 1; j < n; j++ {
-			b := nl.Instances[j]
-			if !finite(b) || a.Kind != b.Kind {
-				continue
-			}
-			if a.Kind == component.KindSegment && a.Resonator == b.Resonator {
-				continue
-			}
-			if !resonant(a.FreqGHz, b.FreqGHz, deltaC) {
-				continue
-			}
-			ov, ok := keepOutRect(a).Intersect(keepOutRect(b))
-			if !ok {
-				continue
-			}
-			length := math.Max(ov.W(), ov.H())
-			if length <= 0 {
-				continue
-			}
-			num += length * a.Pos.Dist(b.Pos)
-			hotspots++
-		}
-	}
+	num, hotspots := hotspotSum(nl, deltaC, pairs)
 	ph := 0.0
 	if apoly > 0 {
 		ph = 100 * num / apoly
@@ -398,4 +444,33 @@ func checkMetrics(nl *component.Netlist, deltaC float64, claimed *metrics.Report
 	if len(claimed.Violations) != hotspots {
 		mismatch("violation count", float64(len(claimed.Violations)), float64(hotspots))
 	}
+}
+
+// hotspotSum is the numerator of P_h (Eq. 18) and the violating-pair count:
+// Σ over near-resonant pairs with intersecting keep-outs of the intersection
+// length × the centroid distance, summed over pairs in the order given.
+func hotspotSum(nl *component.Netlist, deltaC float64, pairs iter.Seq2[int, int]) (num float64, hotspots int) {
+	for i, j := range pairs {
+		a, b := nl.Instances[i], nl.Instances[j]
+		if a.Kind != b.Kind {
+			continue
+		}
+		if a.Kind == component.KindSegment && a.Resonator == b.Resonator {
+			continue
+		}
+		if !resonant(a.FreqGHz, b.FreqGHz, deltaC) {
+			continue
+		}
+		ov, ok := keepOutRect(a).Intersect(keepOutRect(b))
+		if !ok {
+			continue
+		}
+		length := math.Max(ov.W(), ov.H())
+		if length <= 0 {
+			continue
+		}
+		num += length * a.Pos.Dist(b.Pos)
+		hotspots++
+	}
+	return num, hotspots
 }

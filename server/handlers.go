@@ -132,9 +132,7 @@ func sentinelForCode(code string) error {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v) // the status line is already gone; nothing to recover
+	_ = json.NewEncoder(w).Encode(v) // the status line is already gone; nothing to recover
 }
 
 func writeError(w http.ResponseWriter, err error) {
@@ -264,15 +262,23 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, view)
 }
 
+// handleResult writes the stored result bytes as they are, the document
+// the durable store persists, plus the newline json.Encoder would append.
+// The slice is shared with the manager, so the newline is a second write,
+// never an append.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	// Serve the serialized form: it is identical for jobs computed this
-	// process and jobs recovered from the durable store.
 	raw, err := s.mgr.ResultJSON(r.PathValue("id"))
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, raw)
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(raw)+1))
+	w.WriteHeader(http.StatusOK)
+	if _, err := w.Write(raw); err == nil {
+		_, _ = io.WriteString(w, "\n") // the client is gone on error; nothing to recover
+	}
 }
 
 // JobsResponse is the body of GET /v1/jobs: one page of jobs in submission

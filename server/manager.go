@@ -546,32 +546,11 @@ func (m *Manager) Events(id string, after uint64) ([]Event, bool, <-chan struct{
 	return evs, job.state.terminal(), job.notify, nil
 }
 
-// Result returns the finished job's result document. Unfinished jobs report
-// ErrJobNotDone; failed and cancelled jobs report their terminal error. A
-// job recovered from a durable store only has its serialized form — use
-// ResultJSON for those (the HTTP layer always does).
-func (m *Manager) Result(id string) (*qplacer.ResultDocument, error) {
-	m.st.mu.Lock()
-	defer m.st.mu.Unlock()
-	job, ok := m.st.jobs[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownJob, id)
-	}
-	switch job.state {
-	case StateDone:
-		if job.result == nil {
-			return nil, fmt.Errorf("server: job %s was recovered from the durable store; its result is only available serialized (use ResultJSON)", id)
-		}
-		return job.result, nil
-	case StateFailed, StateCancelled:
-		return nil, job.err
-	default:
-		return nil, fmt.Errorf("%w: %s is %s", ErrJobNotDone, id, job.state)
-	}
-}
-
-// ResultJSON returns the finished job's result document in serialized form,
-// whether it was computed this process or recovered from the store.
+// ResultJSON returns the finished job's result document in the serialized
+// form the store persists, whether it was computed this process or recovered
+// from the store. Unfinished jobs report ErrJobNotDone; failed and cancelled
+// jobs report their terminal error. The returned slice is shared: callers
+// must not modify it.
 func (m *Manager) ResultJSON(id string) (json.RawMessage, error) {
 	m.st.mu.Lock()
 	defer m.st.mu.Unlock()
@@ -909,7 +888,6 @@ func (m *Manager) finish(job *Job, epoch uint64, doc *qplacer.ResultDocument, er
 		raw, err = json.Marshal(doc)
 		if err != nil {
 			err = fmt.Errorf("server: serializing result: %w", err)
-			doc = nil
 		}
 	}
 	m.st.mu.Lock()
@@ -924,7 +902,6 @@ func (m *Manager) finish(job *Job, epoch uint64, doc *qplacer.ResultDocument, er
 	switch {
 	case err == nil:
 		job.state = StateDone
-		job.result = doc
 		job.resultRaw = raw
 		m.metrics.done.Inc()
 		m.persistJob(job)

@@ -648,8 +648,12 @@ func TestManagerConcurrentSubmitStress(t *testing.T) {
 
 	// Every job is done and serves the same result on repeated fetches.
 	for id := range ids {
-		doc, err := mgr.Result(id)
-		if err != nil || doc.Plan == nil || doc.Batch == nil {
+		raw, err := mgr.ResultJSON(id)
+		if err != nil {
+			t.Fatalf("result %s: %v", id, err)
+		}
+		var doc resultDoc
+		if err := json.Unmarshal(raw, &doc); err != nil || len(doc.Plan.Placement) == 0 || doc.Batch == nil {
 			t.Fatalf("result %s: %v %+v", id, err, doc)
 		}
 	}

@@ -255,8 +255,7 @@ type Job struct {
 	phase     string // "placing" | "evaluating" | "cancelling" while running
 	progress  *ProgressView
 	err       error
-	result    *qplacer.ResultDocument
-	resultRaw json.RawMessage // serialized result; the only form after recovery
+	resultRaw json.RawMessage // serialized result, as the Store persists it
 	created   time.Time
 	started   time.Time
 	finished  time.Time
