@@ -342,6 +342,10 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	keep := time.NewTicker(s.mgr.cfg.sseKeepalive)
 	defer keep.Stop()
 	started := false
+	// Each frame is built in this one buffer and written with one Write, as
+	// Fprintf did; a whole batch is not gathered, so the buffer stays the
+	// size of the largest frame. A progress frame is about 200 bytes.
+	frame := make([]byte, 0, 256)
 	for {
 		evs, terminal, notify, err := s.mgr.Events(id, after)
 		if err != nil {
@@ -358,12 +362,18 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			w.WriteHeader(http.StatusOK)
 			started = true
 		}
-		for _, ev := range evs {
-			data, err := json.Marshal(ev)
-			if err != nil {
+		for i := range evs {
+			ev := &evs[i]
+			frame = append(frame[:0], "id: "...)
+			frame = strconv.AppendUint(frame, ev.Seq, 10)
+			frame = append(frame, "\nevent: "...)
+			frame = append(frame, ev.Type...)
+			frame = append(frame, "\ndata: "...)
+			if frame, err = appendEventJSON(frame, ev); err != nil {
 				return
 			}
-			if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, data); err != nil {
+			frame = append(frame, "\n\n"...)
+			if _, err := w.Write(frame); err != nil {
 				return
 			}
 			after = ev.Seq

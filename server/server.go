@@ -22,7 +22,7 @@ import (
 //	GET    /v1/legalizers       registered legalization backends
 //	GET    /v1/detailed-placers registered detailed-placement backends
 //	GET    /healthz             liveness + build info
-//	GET    /metrics             service counters (JSON, or Prometheus text via Accept)
+//	GET    /metrics             service counters (Prometheus text)
 //
 // Every request passes through the observability middleware: an
 // X-Request-ID is propagated (or generated) and echoed, an access-log line
