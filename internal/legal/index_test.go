@@ -189,69 +189,6 @@ func TestGuardOKMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestBlockedRunEndIsExact checks the blocked-run skip against a walk that
-// tests every offset. The blocking rect's far edge is made to coincide
-// exactly with a probe's edge, where a closed-form estimate rounds either
-// way, so the skip must lean on its exact verification: it may stop short
-// of the run's end, never past it.
-func TestBlockedRunEndIsExact(t *testing.T) {
-	nl := &component.Netlist{Instances: []*component.Instance{{Kind: component.KindSegment}}}
-	lg := newTestLegalizer(t, nl, geom.Rect{Hi: geom.Point{X: 10, Y: 10}})
-	lg.placed, lg.order, lg.blocker = make([]geom.Rect, 1), []int{0}, 0
-	rng := rand.New(rand.NewSource(3))
-	exact, short := 0, 0
-	for trial := 0; trial < 20000; trial++ {
-		lg.pitch = 0.05 + 0.25*rng.Float64()
-		s := spiralSearch{
-			lg:   lg,
-			want: geom.Point{X: 100 * (rng.Float64() - 0.5), Y: 100 * (rng.Float64() - 0.5)},
-			w:    0.2 + 1.3*rng.Float64(),
-			h:    0.2 + 1.3*rng.Float64(),
-		}
-		horizontal, fixed := rng.Intn(2) == 0, rng.Intn(11)-5
-		v, dir, m := rng.Intn(21)-10, 1-2*rng.Intn(2), 1+rng.Intn(8)
-		to := v + 20*dir
-		probe := func(u int) geom.Rect {
-			return geom.RectAt(s.center(horizontal, fixed, u), s.w, s.h).Inflate(-overlapEps / 2)
-		}
-		// B covers probe v and ends exactly on the near edge of probe
-		// v+m·dir, which it touches without overlapping.
-		at, end := probe(v), probe(v+m*dir)
-		b := at.Inflate(0.1)
-		switch {
-		case horizontal && dir > 0:
-			b.Hi.X = end.Lo.X
-		case horizontal:
-			b.Lo.X = end.Hi.X
-		case dir > 0:
-			b.Hi.Y = end.Lo.Y
-		default:
-			b.Lo.Y = end.Hi.Y
-		}
-		lg.placed[0] = b
-		if !probe(v).Overlaps(b) {
-			t.Fatalf("trial %d: B %v does not block probe %v", trial, b, probe(v))
-		}
-		last := v
-		for probe(last + dir).Overlaps(b) {
-			last += dir
-		}
-		got := s.blockedRunEnd(horizontal, fixed, v, to, dir)
-		if (got-v)*dir < 0 || (last-got)*dir < 0 {
-			t.Fatalf("trial %d: run from %d (dir %d) skipped to %d; B blocks through %d", trial, v, dir, got, last)
-		}
-		if got == last {
-			exact++
-		} else {
-			short++
-		}
-	}
-	t.Logf("%d runs skipped to their end, %d stopped short", exact, short)
-	if exact < (exact+short)/2 || short == 0 {
-		t.Fatalf("%d runs skipped to their end, %d stopped short: the cases are too one-sided", exact, short)
-	}
-}
-
 // TestPullInPrefilterIsExact checks the claim pullIn's Chebyshev prefilter
 // rests on: whenever max(|dx|, |dy|) exceeds a limit, so does Hypot(dx, dy),
 // for random offsets, offsets that sit on the limit, and special values.
@@ -302,11 +239,12 @@ func TestFindSpotDoesNotAllocate(t *testing.T) {
 
 // BenchmarkLegalizeEagle times the shelf legalizer on an Eagle global
 // placement, made once outside the timing, and reports its allocations and
-// the spot-search probes it evaluates, an exact count.
+// the spot search's exact work per op: the probes it evaluates, the mask
+// bits its walks test, and the rects and grid queries that build the masks.
 func BenchmarkLegalizeEagle(b *testing.B) {
 	base, region, cm := placedNetlist(b, "eagle", place.ModeQplacer)
 	b.ReportAllocs()
-	probes, runs := 0, 0
+	var work workCounts // the same every op: the counts are exact
 	for b.Loop() {
 		lg, err := newLegalizer(context.Background(), base.Clone(), region, cm, DefaultConfig())
 		if err != nil {
@@ -315,10 +253,12 @@ func BenchmarkLegalizeEagle(b *testing.B) {
 		if _, err := lg.run(); err != nil {
 			b.Fatal(err)
 		}
-		probes += lg.work.probes
-		runs++
+		work = lg.work
 	}
-	b.ReportMetric(float64(probes)/float64(runs), "probes/op")
+	b.ReportMetric(float64(work.probes), "probes/op")
+	b.ReportMetric(float64(work.bits), "bits/op")
+	b.ReportMetric(float64(work.rasterized), "rects/op")
+	b.ReportMetric(float64(work.queries), "queries/op")
 }
 
 // TestResonatorClustersOrder pins the cluster order the integration stage

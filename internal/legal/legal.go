@@ -115,6 +115,8 @@ type legalizer struct {
 	nx, ny int
 	grid   *spatial.Grid
 
+	mask blockMask // the blocked offsets of the current findSpot call
+
 	clusters clusterCounter // scratch of the cluster counts
 
 	stats *Result    // live statistics sink
@@ -128,19 +130,21 @@ type legalizer struct {
 // workCounts tallies what the spot search did. The counts are exact per
 // seed, so they pin the search's cost where wall time is too noisy.
 type workCounts struct {
-	probes      int // spiral offsets evaluated
-	skipped     int // offsets skipped inside runs blocked by one rect
-	runs        int // blocked-run skips taken
-	scans       int // overlap queries that scanned buckets
-	blockerHits int // overlap queries answered by the last blocker
+	probes      int // free offsets evaluated (bounds and guard checks)
+	bits        int // mask bits tested: one per offset the spiral walk visits
+	rasterized  int // placed rects whose blocked offsets went into a mask
+	queries     int // grid queries that widened a mask's covered rings
+	scans       int // overlapsPlaced queries that scanned buckets
+	blockerHits int // overlapsPlaced queries answered by the last blocker
 	guardHits   int // failed guard checks answered by the last violator
 }
 
 func (w workCounts) since(before workCounts) workCounts {
 	return workCounts{
 		probes:      w.probes - before.probes,
-		skipped:     w.skipped - before.skipped,
-		runs:        w.runs - before.runs,
+		bits:        w.bits - before.bits,
+		rasterized:  w.rasterized - before.rasterized,
+		queries:     w.queries - before.queries,
 		scans:       w.scans - before.scans,
 		blockerHits: w.blockerHits - before.blockerHits,
 		guardHits:   w.guardHits - before.guardHits,
@@ -148,9 +152,10 @@ func (w workCounts) since(before workCounts) workCounts {
 }
 
 func (w workCounts) String() string {
-	return fmt.Sprintf("spot search: %d probes evaluated, %d skipped in %d blocked runs; "+
+	return fmt.Sprintf("spot search: %d probes evaluated, %d mask bits tested; "+
+		"mask: %d rects rasterized in %d grid queries; "+
 		"overlap queries: %d by bucket scan, %d by last-blocker witness; %d guard failures by last-violator witness",
-		w.probes, w.skipped, w.runs, w.scans, w.blockerHits, w.guardHits)
+		w.probes, w.bits, w.rasterized, w.queries, w.scans, w.blockerHits, w.guardHits)
 }
 
 // guardedApart reports whether centres a and b keep the guard distance.
@@ -172,15 +177,24 @@ const maxGridCells = 512
 
 func (lg *legalizer) setup() {
 	lg.blocker, lg.guardInst, lg.guardPartner = -1, -1, -1
-	lg.slot = make([]int, len(lg.nl.Instances))
+	n := len(lg.nl.Instances)
+	lg.slot = make([]int, n)
 	for i := range lg.slot {
 		lg.slot[i] = -1
 	}
+	// Every instance is placed once, so placed and order reach n.
+	lg.placed, lg.order = make([]geom.Rect, 0, n), make([]int, 0, n)
 	reach := lg.bounds.Inflate(lg.bounds.W() * spotGrowth[len(spotGrowth)-1])
 	lg.cell = max(1.0, max(reach.W(), reach.H())/maxGridCells)
 	lg.gridLo = reach.Lo
 	lg.grid = spatial.New(reach, lg.cell)
 	lg.nx, lg.ny = lg.grid.Size()
+	lg.mask = blockMask{
+		rows:    make([]uint64, maskSpan*maskWords),
+		cols:    make([]uint64, maskSpan*maskWords),
+		stamp:   make([]uint32, n),
+		covered: -1,
+	}
 }
 
 // LegalizeCtx snaps the globally placed netlist into an overlap-free
@@ -295,10 +309,11 @@ func overlapsEps(a, b geom.Rect) bool {
 // overlapsPlaced reports whether r overlaps any fixed legal rect, except
 // instance skip's own (-1 skips nothing), by exactly the overlapsEps test:
 // placed rects are stored pre-shrunk, so only r is shrunk here. The rect
-// that answered the last overlapping query is tested first, since spiral
-// neighbours are usually blocked by the same rect; otherwise the query goes
+// that answered the last overlapping query is tested first, since nearby
+// queries are usually blocked by the same rect; otherwise the query goes
 // through the spatial index. Either way the answer is whether some rect
-// overlaps, and lg.blocker names one that does.
+// overlaps, and lg.blocker names one that does. The spiral search asks its
+// blocked-offset mask instead; this serves the integration pass.
 func (lg *legalizer) overlapsPlaced(r geom.Rect, skip int) bool {
 	r = r.Inflate(-overlapEps / 2)
 	if b := lg.blocker; b >= 0 && lg.order[b] != skip && r.Overlaps(lg.placed[b]) {
@@ -382,6 +397,11 @@ func (lg *legalizer) findSpot(in *component.Instance, want geom.Point, skip int)
 	// nearby. Only when no guarded spot exists at any escalation level does
 	// the nearest free-but-unguarded spot get used; those fallbacks are the
 	// residual hotspots P_h measures.
+	base := LegalRect(in)
+	w, h := base.W(), base.H()
+	// The placed rects do not change during the call, so every level reads
+	// one mask.
+	lg.beginMask(want, skip, w, h)
 	fallback := geom.Point{}
 	haveFallback := false
 	for level, grow := range spotGrowth {
@@ -389,7 +409,7 @@ func (lg *legalizer) findSpot(in *component.Instance, want geom.Point, skip int)
 		if grow > 0 {
 			bounds = bounds.Inflate(bounds.W() * grow)
 		}
-		out := lg.findSpotIn(in, want, skip, bounds)
+		out := lg.findSpotIn(in, bounds)
 		if lg.levelHook != nil {
 			lg.levelHook(in, want, skip, level, bounds, out)
 		}
@@ -419,34 +439,36 @@ func (lg *legalizer) findSpot(in *component.Instance, want geom.Point, skip int)
 // to maxRings. The first probe whose rect lies in bounds, overlaps no placed
 // rect and keeps the guards wins.
 //
-// Three cuts skip probes whose outcome is already known, so the result is
-// the full walk's: the walk visits only the offset box outside which no
-// probe rect fits in bounds; a probe blocked by placed rect B jumps to the
-// last offset along its side that B still blocks; and the witnesses in
-// overlapsPlaced and guardOK answer from the last blocker and violator.
+// Two cuts skip work whose outcome is already known, so the result is the
+// full walk's: the walk visits only the offset box outside which no probe
+// rect fits in bounds, and it reads the offsets whose probes placed rects
+// block from the call's blocked-offset mask, a word of them at a time (a
+// blocked probe records no fallback and checks no guard). The guard
+// witness in guardOK answers from the last violator.
 type spiralSearch struct {
 	lg     *legalizer
 	in     *component.Instance
-	want   geom.Point
-	skip   int
 	bounds geom.Rect
-	w, h   float64 // the instance's legal rect
 	out    spotOutcome
 }
 
-// findSpotIn runs one escalation level of findSpot within bounds.
-func (lg *legalizer) findSpotIn(in *component.Instance, want geom.Point, skip int, bounds geom.Rect) spotOutcome {
-	base := LegalRect(in)
-	s := spiralSearch{lg: lg, in: in, want: want, skip: skip, bounds: bounds, w: base.W(), h: base.H()}
-	s.out.spot = want
-	x0, x1 := lg.fitRange(want.X, s.w, bounds.Lo.X, bounds.Hi.X)
-	y0, y1 := lg.fitRange(want.Y, s.h, bounds.Lo.Y, bounds.Hi.Y)
+// findSpotIn runs one escalation level of findSpot within bounds, for the
+// target, skip and size lg.mask was begun with.
+func (lg *legalizer) findSpotIn(in *component.Instance, bounds geom.Rect) spotOutcome {
+	m := &lg.mask
+	s := spiralSearch{lg: lg, in: in, bounds: bounds}
+	s.out.spot = m.want
+	x0, x1 := lg.fitRange(m.want.X, m.w, bounds.Lo.X, bounds.Hi.X)
+	y0, y1 := lg.fitRange(m.want.Y, m.h, bounds.Lo.Y, bounds.Hi.Y)
 	if x0 > x1 || y0 > y1 {
 		return s.out
 	}
 	// The box's rings run from its Chebyshev distance to the origin out to
 	// its farthest corner; fitRange keeps both within maxRings.
 	for k := max(0, x0, -x1, y0, -y1); k <= max(-x0, x1, -y0, y1); k++ {
+		if k > m.covered {
+			lg.coverRings(k)
+		}
 		if s.ring(k, x0, x1, y0, y1) {
 			break
 		}
@@ -501,18 +523,20 @@ func (s *spiralSearch) ring(k, x0, x1, y0, y1 int) bool {
 // row at y = fixed when horizontal, else a column at x = fixed. It reports
 // whether a guarded spot was found.
 func (s *spiralSearch) side(horizontal bool, fixed, from, to, dir int) bool {
-	for v := from; (to-v)*dir >= 0; v += dir {
-		c := s.center(horizontal, fixed, v)
-		r := geom.RectAt(c, s.w, s.h)
-		s.lg.work.probes++
-		if !s.bounds.ContainsRect(r) {
+	lg, m := s.lg, &s.lg.mask
+	line := m.line(horizontal, fixed)
+	for v := nextFree(line, from, to, dir); (to-v)*dir >= 0; v = nextFree(line, v+dir, to, dir) {
+		x, y := v, fixed
+		if !horizontal {
+			x, y = fixed, v
+		}
+		c := geom.Point{X: lg.coord(m.want.X, x), Y: lg.coord(m.want.Y, y)}
+		lg.work.probes++
+		if !s.bounds.ContainsRect(geom.RectAt(c, m.w, m.h)) {
 			continue
 		}
-		if s.lg.overlapsPlaced(r, s.skip) {
-			v = s.blockedRunEnd(horizontal, fixed, v, to, dir)
-			continue
-		}
-		if s.lg.guardOK(s.in, c) {
+		if lg.guardOK(s.in, c) {
+			lg.work.bits += (v-from)*dir + 1
 			s.out.spot, s.out.ok = c, true
 			return true
 		}
@@ -520,55 +544,8 @@ func (s *spiralSearch) side(horizontal bool, fixed, from, to, dir int) bool {
 			s.out.fallback, s.out.haveFallback = c, true
 		}
 	}
+	lg.work.bits += (to-from)*dir + 1
 	return false
-}
-
-// center is the probe centre at offset v along a side.
-func (s *spiralSearch) center(horizontal bool, fixed, v int) geom.Point {
-	x, y := v, fixed
-	if !horizontal {
-		x, y = fixed, v
-	}
-	return geom.Point{X: s.lg.coord(s.want.X, x), Y: s.lg.coord(s.want.Y, y)}
-}
-
-// blockedRunEnd is called when the probe at offset v along a side was
-// blocked by placed rect B = lg.placed[lg.blocker]. It returns the last
-// offset from v toward to whose probe B still blocks, or v itself.
-//
-// Along a side only one axis of the probe rect moves, and both of its edges
-// are monotone in the offset, so the probes B overlaps are contiguous: if B
-// blocks v and the returned offset, it blocks every probe between them. A
-// blocked probe does nothing (no fallback, no guard check), so skipping the
-// run changes no outcome. The end is estimated in closed form and then
-// verified with the exact overlap test the probe would run; an estimate
-// that rounding put past the run fails verification and skips nothing.
-func (s *spiralSearch) blockedRunEnd(horizontal bool, fixed, v, to, dir int) int {
-	b := s.lg.placed[s.lg.blocker]
-	want, size, bLo, bHi := s.want.X, s.w, b.Lo.X, b.Hi.X
-	if !horizontal {
-		want, size, bLo, bHi = s.want.Y, s.h, b.Lo.Y, b.Hi.Y
-	}
-	// The shrunk probe spans coord ± (size-overlapEps)/2 along the axis; B
-	// blocks until the probe's trailing edge passes B's far edge.
-	var end float64
-	if dir > 0 {
-		end = math.Ceil((bHi+(size-overlapEps)/2-want)/s.lg.pitch) - 1
-		end = min(end, float64(to))
-	} else {
-		end = math.Floor((bLo-(size-overlapEps)/2-want)/s.lg.pitch) + 1
-		end = max(end, float64(to))
-	}
-	if !((end-float64(v))*float64(dir) > 0) { // also catches NaN
-		return v
-	}
-	e := int(end)
-	if !geom.RectAt(s.center(horizontal, fixed, e), s.w, s.h).Inflate(-overlapEps / 2).Overlaps(b) {
-		return v
-	}
-	s.lg.work.runs++
-	s.lg.work.skipped += (e - v) * dir
-	return e
 }
 
 // legalizeQubits runs the greedy spiral pass over qubits (densest first:

@@ -232,14 +232,11 @@ func TestClusterCountMatchesResonatorClusters(t *testing.T) {
 	}
 }
 
-// TestLegalWorkCountsFalcon pins the spot-search work each shelf-legalizer
-// pass notes on its span for a falcon seed-1 placement. The counts are
-// exact, so any change to what the search probes, skips or scans, or to the
-// order in which the bucket grid answers an overlap query (which names the
-// last-blocker witness), shows up here. The refine pass searches no spots
-// and notes nothing.
-func TestLegalWorkCountsFalcon(t *testing.T) {
-	nl, region, cm := placedNetlist(t, "falcon", place.ModeQplacer)
+// passNotes runs the shelf legalizer on a seed-1 global placement of
+// devName and returns the notes its pass spans carry, as "pass: note".
+func passNotes(t *testing.T, devName string) []string {
+	t.Helper()
+	nl, region, cm := placedNetlist(t, devName, place.ModeQplacer)
 	cfg := DefaultConfig()
 	cfg.Span = obs.NewSpan("legalize")
 	if _, err := LegalizeCtx(context.Background(), nl, region, cm, cfg); err != nil {
@@ -251,17 +248,49 @@ func TestLegalWorkCountsFalcon(t *testing.T) {
 			got = append(got, c.Name+": "+note)
 		}
 	}
+	return got
+}
+
+// TestLegalWorkCountsFalcon pins the spot-search work each shelf-legalizer
+// pass notes on its span for a falcon seed-1 placement. The counts are
+// exact, so any change to which offsets the spiral walks, which probes the
+// mask leaves free, which rects it rasterizes and how its radius grows, or
+// to the order in which the bucket grid answers the integration pass's
+// overlap queries (which names the last-blocker witness), shows up here.
+// The refine pass searches no spots and notes nothing.
+func TestLegalWorkCountsFalcon(t *testing.T) {
 	want := []string{
-		"qubits: spot search: 90 probes evaluated, 342 skipped in 47 blocked runs; " +
-			"overlap queries: 62 by bucket scan, 28 by last-blocker witness; 8 guard failures by last-violator witness",
-		"segments: spot search: 265737 probes evaluated, 1355653 skipped in 248884 blocked runs; " +
-			"overlap queries: 238066 by bucket scan, 27671 by last-blocker witness; 2887 guard failures by last-violator witness",
-		"integrate: spot search: 0 probes evaluated, 0 skipped in 0 blocked runs; " +
+		"qubits: spot search: 36 probes evaluated, 432 mask bits tested; mask: 25 rects rasterized in 31 grid queries; " +
+			"overlap queries: 0 by bucket scan, 0 by last-blocker witness; 8 guard failures by last-violator witness",
+		"segments: spot search: 4483 probes evaluated, 1621390 mask bits tested; mask: 46486 rects rasterized in 2656 grid queries; " +
+			"overlap queries: 0 by bucket scan, 0 by last-blocker witness; 2887 guard failures by last-violator witness",
+		"integrate: spot search: 0 probes evaluated, 0 mask bits tested; mask: 0 rects rasterized in 0 grid queries; " +
 			"overlap queries: 12486 by bucket scan, 423 by last-blocker witness; 143 guard failures by last-violator witness",
-		"compact: spot search: 525996 probes evaluated, 2659673 skipped in 494055 blocked runs; " +
-			"overlap queries: 467624 by bucket scan, 58372 by last-blocker witness; 1563 guard failures by last-violator witness",
+		"compact: spot search: 3521 probes evaluated, 3185669 mask bits tested; mask: 122776 rects rasterized in 6289 grid queries; " +
+			"overlap queries: 0 by bucket scan, 0 by last-blocker witness; 1563 guard failures by last-violator witness",
 	}
-	if !slices.Equal(got, want) {
+	if got := passNotes(t, "falcon"); !slices.Equal(got, want) {
+		t.Errorf("legalize pass notes:\n got %q\nwant %q", got, want)
+	}
+}
+
+// TestLegalWorkCountsEagle is TestLegalWorkCountsFalcon on Eagle, where
+// the searches walk deepest and the mask's widening schedule matters most.
+func TestLegalWorkCountsEagle(t *testing.T) {
+	if testing.Short() {
+		t.Skip("Eagle placement is slow")
+	}
+	want := []string{
+		"qubits: spot search: 2301 probes evaluated, 10845 mask bits tested; mask: 163 rects rasterized in 158 grid queries; " +
+			"overlap queries: 0 by bucket scan, 0 by last-blocker witness; 2082 guard failures by last-violator witness",
+		"segments: spot search: 52423 probes evaluated, 12181991 mask bits tested; mask: 387354 rects rasterized in 12254 grid queries; " +
+			"overlap queries: 0 by bucket scan, 0 by last-blocker witness; 34039 guard failures by last-violator witness",
+		"integrate: spot search: 0 probes evaluated, 0 mask bits tested; mask: 0 rects rasterized in 0 grid queries; " +
+			"overlap queries: 57827 by bucket scan, 3835 by last-blocker witness; 228 guard failures by last-violator witness",
+		"compact: spot search: 38528 probes evaluated, 17165096 mask bits tested; mask: 765899 rects rasterized in 33793 grid queries; " +
+			"overlap queries: 0 by bucket scan, 0 by last-blocker witness; 22788 guard failures by last-violator witness",
+	}
+	if got := passNotes(t, "eagle"); !slices.Equal(got, want) {
 		t.Errorf("legalize pass notes:\n got %q\nwant %q", got, want)
 	}
 }

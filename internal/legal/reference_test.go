@@ -291,8 +291,8 @@ func TestFindSpotMatchesReference(t *testing.T) {
 		}
 		d.checkStats(res)
 		w := d.lg.work
-		t.Logf("%s (guards %v): %d levels; %d probes vs %d reference offsets; %d skipped in %d runs; %d bucket scans, %d blocker hits, %d guard hits; %d fallbacks, %d failures",
-			c.dev, c.aware, d.levels, w.probes, d.ref.visited, w.skipped, w.runs, w.scans, w.blockerHits, w.guardHits, d.fallbacks, d.failures)
+		t.Logf("%s (guards %v): %d levels; %d probes and %d mask bits vs %d reference offsets; %d rects rasterized in %d grid queries; %d bucket scans, %d blocker hits, %d guard hits; %d fallbacks, %d failures",
+			c.dev, c.aware, d.levels, w.probes, w.bits, d.ref.visited, w.rasterized, w.queries, w.scans, w.blockerHits, w.guardHits, d.fallbacks, d.failures)
 		if 3*w.probes > d.ref.visited {
 			t.Errorf("%s: %d probes evaluated, more than a third of the reference's %d", c.dev, w.probes, d.ref.visited)
 		}

@@ -3,8 +3,10 @@ package metrics
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
+	"qplacer/internal/anneal"
 	"qplacer/internal/component"
 	"qplacer/internal/frequency"
 	"qplacer/internal/geom"
@@ -201,5 +203,190 @@ func TestMeasureAgreesWithCollisionMap(t *testing.T) {
 				t.Fatalf("%s: MinResonantDistance(kind %v) = %v, want %v", l.name, kind, got, min)
 			}
 		}
+	}
+}
+
+// referenceMeasure is Measure as it was before its hotspot scan went
+// through a spatial grid: the full O(n²) pair sweep.
+func referenceMeasure(nl *component.Netlist, deltaC float64) *Report {
+	rep := &Report{}
+	rects := make([]geom.Rect, len(nl.Instances))
+	for i, in := range nl.Instances {
+		rects[i] = polygonRect(in)
+		rep.Apoly += apolyArea(in)
+	}
+	if enc, ok := geom.EnclosingRect(rects); ok {
+		rep.Amer = enc.Area()
+	}
+	if rep.Amer > 0 {
+		rep.Utilization = rep.Apoly / rep.Amer
+	}
+	var num float64
+	n := len(nl.Instances)
+	impacted := map[int]bool{}
+	for i := 0; i < n; i++ {
+		a := nl.Instances[i]
+		for j := i + 1; j < n; j++ {
+			b := nl.Instances[j]
+			if !frequency.NearResonant(a, b, deltaC) {
+				continue
+			}
+			length := rects[i].IntersectionLength(rects[j])
+			if length <= 0 {
+				continue
+			}
+			dc := a.Pos.Dist(b.Pos)
+			num += length * dc
+			rep.Violations = append(rep.Violations, Violation{A: i, B: j, Length: length, Distance: dc})
+			markImpacted(nl, a, impacted)
+			markImpacted(nl, b, impacted)
+		}
+	}
+	if rep.Apoly > 0 {
+		rep.Ph = 100 * num / rep.Apoly
+	}
+	rep.ImpactedQubits = sortedKeys(impacted)
+	return rep
+}
+
+// layout places topo with placer ("nesterov" or "anneal", seed 1, iters
+// iterations or sweeps; 0 keeps the default) and legalizes it with
+// legalizer ("shelf", "greedy", or "" to keep the overlapping global
+// placement).
+func layout(t *testing.T, topo, placer, legalizer string, iters int) *component.Netlist {
+	t.Helper()
+	ctx := context.Background()
+	dev, err := topology.ByName(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := frequency.Assign(dev, physics.DetuneThresholdGHz)
+	nl, err := component.Build(dev, a.QubitFreq, a.ResFreq, component.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cm := frequency.BuildCollisionMap(nl, physics.DetuneThresholdGHz)
+	var region geom.Rect
+	switch placer {
+	case "nesterov":
+		cfg := place.DefaultConfig()
+		cfg.Seed = 1
+		if iters > 0 {
+			cfg.MaxIters = iters
+		}
+		res, err := place.PlaceCtx(ctx, nl, cm, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		region = res.Region
+	case "anneal":
+		cfg := anneal.DefaultConfig()
+		cfg.Seed = 1
+		if iters > 0 {
+			cfg.Sweeps = iters
+		}
+		res, err := anneal.Place(ctx, nl, cm, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		region = res.Region
+	case "human":
+		region = place.PlaceHuman(nl).Region
+	}
+	switch legalizer {
+	case "shelf":
+		_, err = legal.LegalizeCtx(ctx, nl, region, cm, legal.DefaultConfig())
+	case "greedy":
+		_, err = legal.RowScanCtx(ctx, nl, region, cm, legal.DefaultConfig())
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return nl
+}
+
+// TestMeasureMatchesPairScan holds Measure, whose hotspot scan visits only
+// the pairs a spatial grid proposes, to the full O(n²) sweep: the whole
+// report, areas and P_h bit for bit and every violation in order, on the
+// golden corpus's placer × legalizer layouts of grid and falcon, their
+// overlapping global placements, human layouts, an Eagle shelf plan (not
+// under -short), and layouts with instances far out, non-finite or with
+// footprints that overflow to ±Inf.
+func TestMeasureMatchesPairScan(t *testing.T) {
+	type tc struct {
+		name string
+		nl   *component.Netlist
+	}
+	var cases []tc
+	for _, topo := range []string{"grid", "falcon"} {
+		for _, placer := range []string{"nesterov", "anneal"} {
+			for _, legalizer := range []string{"shelf", "greedy", ""} {
+				cases = append(cases, tc{topo + "_" + placer + "_" + legalizer, layout(t, topo, placer, legalizer, 40)})
+			}
+		}
+	}
+	if !testing.Short() {
+		cases = append(cases, tc{"eagle_nesterov_shelf", layout(t, "eagle", "nesterov", "shelf", 0)})
+	}
+	for _, topo := range []string{"falcon", "eagle"} {
+		cases = append(cases, tc{topo + "_human", layout(t, topo, "human", "", 0)})
+	}
+
+	far := layout(t, "falcon", "nesterov", "shelf", 40)
+	ins := far.Instances
+	ins[3].Pos = geom.Point{X: 1e6, Y: 1e6}
+	ins[4].Pos = ins[3].Pos // overlapping each other, far out
+	ins[40].Pos = geom.Point{X: -1e9, Y: 3}
+	ins[41].Pos = geom.Point{X: 1e300, Y: -1e300}
+	ins[len(ins)-1].Pos = geom.Point{X: -1e300, Y: 1e300}
+	cases = append(cases, tc{"falcon_far_out", far})
+
+	odd := layout(t, "falcon", "nesterov", "", 40)
+	ins = odd.Instances
+	inf := math.Inf(1)
+	ins[0].Pos.X = math.NaN()
+	ins[1].W = inf
+	ins[2].Pad = -inf
+	ins[5].FreqGHz = math.NaN()
+	ins[6].Pos.Y = -inf
+	ins[9].W = -0.5 // an inverted footprint
+	ins[11].Pos, ins[12].Pos = ins[13].Pos, ins[13].Pos
+	ins[14].Pos, ins[15].Pos = ins[0].Pos, ins[1].Pos // beside the NaN and the infinitely wide one
+	cases = append(cases, tc{"falcon_non_finite", odd})
+
+	huge := layout(t, "falcon", "nesterov", "", 40)
+	ins = huge.Instances
+	ins[7].W, ins[7].Pad = 1e308, 1e308
+	ins[8].H, ins[8].Pad = -1e308, -1e308
+	cases = append(cases, tc{"falcon_overflowing_footprints", huge})
+
+	// Numbers agree bit for bit, except that any NaN matches any NaN: which
+	// operand's payload a NaN product carries depends on the operand order
+	// the compiler picks, which Go does not specify.
+	bits := math.Float64bits
+	same := func(a, b float64) bool { return bits(a) == bits(b) || a != a && b != b }
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			got := Measure(c.nl, physics.DetuneThresholdGHz)
+			want := referenceMeasure(c.nl, physics.DetuneThresholdGHz)
+			if !same(got.Amer, want.Amer) || !same(got.Apoly, want.Apoly) ||
+				!same(got.Utilization, want.Utilization) || !same(got.Ph, want.Ph) {
+				t.Fatalf("Amer/Apoly/util/Ph = %v/%v/%v/%v, reference %v/%v/%v/%v",
+					got.Amer, got.Apoly, got.Utilization, got.Ph, want.Amer, want.Apoly, want.Utilization, want.Ph)
+			}
+			if len(got.Violations) != len(want.Violations) {
+				t.Fatalf("%d violations, reference %d", len(got.Violations), len(want.Violations))
+			}
+			for k, g := range got.Violations {
+				w := want.Violations[k]
+				if g.A != w.A || g.B != w.B || !same(g.Length, w.Length) || !same(g.Distance, w.Distance) {
+					t.Fatalf("violation %d = %+v, reference %+v", k, g, w)
+				}
+			}
+			if !slices.Equal(got.ImpactedQubits, want.ImpactedQubits) {
+				t.Fatalf("impacted qubits %v, reference %v", got.ImpactedQubits, want.ImpactedQubits)
+			}
+			t.Logf("%d instances, %d violations, P_h %v", len(c.nl.Instances), len(got.Violations), got.Ph)
+		})
 	}
 }

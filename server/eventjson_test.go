@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"testing"
 	"time"
 
@@ -79,5 +80,24 @@ func TestAppendEventJSONDoesNotAllocate(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("appendEventJSON allocates %v times per progress event, want 0", allocs)
+	}
+}
+
+// TestProgressViewEncodesNonFiniteObjective checks the observer's mapping:
+// a NaN or infinite objective is reported as 0, so the progress event
+// encodes and a durable store can persist it; finite objectives, signed
+// zero included, pass through bit for bit.
+func TestProgressViewEncodesNonFiniteObjective(t *testing.T) {
+	for _, c := range []struct{ in, want float64 }{
+		{math.NaN(), 0}, {math.Inf(1), 0}, {math.Inf(-1), 0},
+		{0.213, 0.213}, {math.Copysign(0, -1), math.Copysign(0, -1)}, {-math.MaxFloat64, -math.MaxFloat64},
+	} {
+		pv := progressView(qplacer.Progress{Stage: qplacer.StagePlace, Backend: "nesterov", Iteration: 7, Objective: c.in})
+		if math.Float64bits(pv.Objective) != math.Float64bits(c.want) || pv.Stage != "place" || pv.Backend != "nesterov" || pv.Iteration != 7 {
+			t.Fatalf("progressView(objective %v) = %+v, want objective %v", c.in, pv, c.want)
+		}
+		if _, err := json.Marshal(Event{Type: EventProgress, Progress: &pv}); err != nil {
+			t.Fatalf("objective %v: the event does not encode: %v", c.in, err)
+		}
 	}
 }

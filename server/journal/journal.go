@@ -266,17 +266,11 @@ func (st *Store) compact() error {
 	return nil
 }
 
-// append writes one op to the log. sync forces it (and everything buffered
-// before it) down to the file; non-sync appends are flushed in batches.
-// Caller holds mu.
-func (st *Store) append(o op, sync bool) error {
-	if st.closed {
-		return os.ErrClosed
-	}
-	raw, err := json.Marshal(o)
-	if err != nil {
-		return err
-	}
+// append writes one encoded op to the log. sync forces it (and everything
+// buffered before it) down to the file; non-sync appends are flushed in
+// batches. Callers encode the op before they change the mirror, so the
+// mirror holds only what the log and a snapshot can hold. Caller holds mu.
+func (st *Store) append(raw []byte, sync bool) error {
 	if _, err := st.w.Write(raw); err != nil {
 		return err
 	}
@@ -315,8 +309,12 @@ func (st *Store) PutJob(rec server.JobRecord) error {
 	if st.closed {
 		return os.ErrClosed
 	}
+	raw, err := json.Marshal(op{Op: "put", Job: &rec})
+	if err != nil {
+		return err
+	}
 	st.jobs[rec.ID] = rec
-	return st.append(op{Op: "put", Job: &rec}, true)
+	return st.append(raw, true)
 }
 
 // DeleteJob implements server.Store.
@@ -326,21 +324,31 @@ func (st *Store) DeleteJob(id string) error {
 	if st.closed {
 		return os.ErrClosed
 	}
+	raw, err := json.Marshal(op{Op: "del", ID: id})
+	if err != nil {
+		return err
+	}
 	delete(st.jobs, id)
 	delete(st.events, id)
-	return st.append(op{Op: "del", ID: id}, true)
+	return st.append(raw, true)
 }
 
 // AppendEvent implements server.Store; events are buffered (they fire from
-// the engines' hot loops) and flushed in batches.
+// the engines' hot loops) and flushed in batches. An event that does not
+// encode (a NaN objective, say) is refused whole: the error is returned and
+// neither the mirror nor the log keeps it.
 func (st *Store) AppendEvent(id string, ev server.Event) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.closed {
 		return os.ErrClosed
 	}
+	raw, err := json.Marshal(op{Op: "ev", ID: id, Event: &ev})
+	if err != nil {
+		return err
+	}
 	st.appendEventLocked(id, ev)
-	return st.append(op{Op: "ev", ID: id, Event: &ev}, false)
+	return st.append(raw, false)
 }
 
 // EventsSince implements server.Store.

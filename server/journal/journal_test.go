@@ -4,8 +4,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -261,4 +263,55 @@ func TestClosedStoreRefusesWrites(t *testing.T) {
 	if err := st.DeleteJob("job-1"); !errors.Is(err, os.ErrClosed) {
 		t.Fatalf("DeleteJob after Close: %v, want os.ErrClosed", err)
 	}
+}
+
+// TestUnencodableEventRefused appends a progress event whose NaN objective
+// JSON cannot encode between two that encode. The store must refuse it
+// whole: AppendEvent reports the error, the mirror keeps only the accepted
+// events, Close (which compacts the mirror into a snapshot) succeeds, and a
+// reopened store returns exactly the accepted events.
+func TestUnencodableEventRefused(t *testing.T) {
+	dir := t.TempDir()
+	st, err := journal.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.PutJob(rec("job-1", 1, server.StateRunning)); err != nil {
+		t.Fatal(err)
+	}
+	progress := func(seq uint64, objective float64) server.Event {
+		e := ev(seq, server.EventProgress)
+		e.Progress = &server.ProgressView{Stage: "place", Backend: "nesterov", Iteration: int(seq), Objective: objective}
+		return e
+	}
+	if err := st.AppendEvent("job-1", progress(1, 0.5)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.AppendEvent("job-1", progress(2, math.NaN())); err == nil {
+		t.Fatal("AppendEvent of a NaN objective succeeded")
+	}
+	if err := st.AppendEvent("job-1", progress(3, 0.25)); err != nil {
+		t.Fatal(err)
+	}
+	accepted := []server.Event{progress(1, 0.5), progress(3, 0.25)}
+	check := func(st *journal.Store, when string) {
+		t.Helper()
+		got, err := st.EventsSince("job-1", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, accepted) {
+			t.Fatalf("%s: events %+v, want %+v", when, got, accepted)
+		}
+	}
+	check(st, "before Close")
+	if err := st.Close(); err != nil {
+		t.Fatalf("Close after a refused event: %v", err)
+	}
+	st2, err := journal.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	check(st2, "after reopen")
 }

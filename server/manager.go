@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"sort"
 	"strconv"
 	"sync"
@@ -817,6 +818,17 @@ func (m *Manager) heartbeat(ctx context.Context, job *Job, epoch uint64) {
 	}
 }
 
+// progressView is the wire form of a backend progress report. JSON has no
+// NaN or infinity, so a non-finite objective is reported as 0; otherwise no
+// store could persist the event, nor a snapshot that holds it.
+func progressView(p qplacer.Progress) ProgressView {
+	obj := p.Objective
+	if math.IsNaN(obj) || math.IsInf(obj, 0) {
+		obj = 0
+	}
+	return ProgressView{Stage: string(p.Stage), Backend: p.Backend, Iteration: p.Iteration, Objective: obj}
+}
+
 // run executes one leased attempt: plan, then batch-evaluate, publishing
 // phase transitions and progress events as it goes.
 func (m *Manager) run(eng *qplacer.Engine, job *Job, ctx context.Context, cancel context.CancelFunc, epoch uint64) {
@@ -833,12 +845,7 @@ func (m *Manager) run(eng *qplacer.Engine, job *Job, ctx context.Context, cancel
 	obs := qplacer.ObserverFunc(func(p qplacer.Progress) {
 		m.st.mu.Lock()
 		if job.epoch == epoch && job.state == StateRunning {
-			pv := ProgressView{
-				Stage:     string(p.Stage),
-				Backend:   p.Backend,
-				Iteration: p.Iteration,
-				Objective: p.Objective,
-			}
+			pv := progressView(p)
 			job.progress = &pv
 			if !m.cfg.disableHeartbeat {
 				job.lease = m.st.now().Add(m.cfg.LeaseTTL)
