@@ -16,7 +16,7 @@ import (
 
 func planFor(b *testing.B, topo string, sch Scheme) *PlanResult {
 	b.Helper()
-	plan, err := Plan(Options{Topology: topo, Scheme: sch})
+	plan, err := New().Plan(context.Background(), WithOptions(Options{Topology: topo, Scheme: sch}))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func BenchmarkFig01_InfidelityVsArea(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, sch := range []Scheme{SchemeQplacer, SchemeClassic, SchemeHuman} {
 			plan := planFor(b, "grid", sch)
-			ev, err := Evaluate(plan, "bv-4", 5)
+			ev, err := New().Evaluate(context.Background(), plan, "bv-4", 5)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -79,11 +79,11 @@ func BenchmarkFig11_Fidelity(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		pq := planFor(b, "grid", SchemeQplacer)
 		pc := planFor(b, "grid", SchemeClassic)
-		eq, err := Evaluate(pq, "bv-4", 5)
+		eq, err := New().Evaluate(context.Background(), pq, "bv-4", 5)
 		if err != nil {
 			b.Fatal(err)
 		}
-		ec, err := Evaluate(pc, "bv-4", 5)
+		ec, err := New().Evaluate(context.Background(), pc, "bv-4", 5)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -130,7 +130,7 @@ func BenchmarkFig14_FalconLayout(b *testing.B) {
 func BenchmarkFig15_SegmentSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, lb := range []float64{0.2, 0.3, 0.4} {
-			plan, err := Plan(Options{Topology: "grid", LB: lb})
+			plan, err := New().Plan(context.Background(), WithOptions(Options{Topology: "grid", LB: lb}))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -144,7 +144,7 @@ func BenchmarkFig15_SegmentSweep(b *testing.B) {
 func BenchmarkTable2_Runtime(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, lb := range []float64{0.2, 0.3, 0.4} {
-			plan, err := Plan(Options{Topology: "falcon", LB: lb})
+			plan, err := New().Plan(context.Background(), WithOptions(Options{Topology: "falcon", LB: lb}))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -214,11 +214,11 @@ func BenchmarkAblationFrequencyForce(b *testing.B) {
 // BenchmarkAblationLegalization: global placement only vs full pipeline.
 func BenchmarkAblationLegalization(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		raw, err := Plan(Options{Topology: "grid", SkipLegalize: true})
+		raw, err := New().Plan(context.Background(), WithOptions(Options{Topology: "grid", SkipLegalize: true}))
 		if err != nil {
 			b.Fatal(err)
 		}
-		full, err := Plan(Options{Topology: "grid"})
+		full, err := New().Plan(context.Background(), WithOptions(Options{Topology: "grid"}))
 		if err != nil {
 			b.Fatal(err)
 		}

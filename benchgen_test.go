@@ -2,6 +2,7 @@ package qplacer
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
 )
@@ -9,7 +10,7 @@ import (
 // A parametric family name must run the full pipeline without registration.
 func TestPlanParametricTopology(t *testing.T) {
 	t.Parallel()
-	plan, err := Plan(Options{Topology: "grid-9", MaxIters: 40})
+	plan, err := New().Plan(context.Background(), WithOptions(Options{Topology: "grid-9", MaxIters: 40}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func TestGeneratedSuiteRegisterAndPlan(t *testing.T) {
 	if err := suite.Register(); err != nil {
 		t.Fatal(err)
 	}
-	plan, err := Plan(Options{Topology: "gen-e2e", MaxIters: 40})
+	plan, err := New().Plan(context.Background(), WithOptions(Options{Topology: "gen-e2e", MaxIters: 40}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestGeneratedSuiteRegisterAndPlan(t *testing.T) {
 	if len(suite.Workloads) == 0 {
 		t.Fatal("suite generated no workloads")
 	}
-	ev, err := Evaluate(plan, suite.Workloads[0].Name, 5)
+	ev, err := New().Evaluate(context.Background(), plan, suite.Workloads[0].Name, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,10 +65,11 @@ func TestCheckRejectsBrokenDocuments(t *testing.T) {
 	}
 }
 
-// TestCheckAcceptsSchemaV1Documents: the checked-in documents from before
-// the worker axis was dropped still pass, their extra columns ignored.
-func TestCheckAcceptsSchemaV1Documents(t *testing.T) {
-	for _, name := range []string{"BENCH_5.json", "BENCH_9.json", "BENCH_19.json"} {
+// TestCheckAcceptsCheckedInDocuments: every checked-in document passes
+// -check, the schema-1 ones from before the worker axis was dropped with
+// their extra columns ignored, and the schema-2 BENCH_26.json.
+func TestCheckAcceptsCheckedInDocuments(t *testing.T) {
+	for _, name := range []string{"BENCH_5.json", "BENCH_9.json", "BENCH_19.json", "BENCH_26.json"} {
 		if err := checkDocument(filepath.Join("..", "..", name)); err != nil {
 			t.Error(err)
 		}

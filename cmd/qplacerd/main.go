@@ -1,12 +1,12 @@
 // Command qplacerd serves the placement pipeline over HTTP/JSON: submit
 // placement jobs, list and poll them, stream live progress over SSE, fetch
 // results, cancel runs, and list the registries. Identical requests share
-// one job via the result cache, and every job shares the engine pool's
-// stage cache.
+// one job via the result cache, and every job shares one engine's stage
+// and plan caches.
 //
 // Usage:
 //
-//	qplacerd -addr :8080 -workers 2 -engines 1 -max-queue 64 -ttl 15m \
+//	qplacerd -addr :8080 -workers 2 -max-queue 64 -ttl 15m \
 //	    [-data-dir /var/lib/qplacerd] [-quota N] [-lease 30s] [-retries 2] \
 //	    [-log-level info] [-log-format text] [-debug-addr 127.0.0.1:6060]
 //
@@ -56,7 +56,6 @@ func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
 		workers  = flag.Int("workers", 2, "jobs executed concurrently")
-		engines  = flag.Int("engines", 1, "shared engines in the pool")
 		maxQueue = flag.Int("max-queue", 64, "pending-job queue depth (submits beyond it get 429)")
 		ttl      = flag.Duration("ttl", 15*time.Minute, "finished-job retention (result cache TTL)")
 		drain    = flag.Duration("drain", 30*time.Second, "graceful-shutdown budget for in-flight jobs")
@@ -118,7 +117,6 @@ func main() {
 
 	srv := server.New(server.Config{
 		Workers:               *workers,
-		EnginePool:            *engines,
 		QueueDepth:            *maxQueue,
 		JobTTL:                *ttl,
 		Store:                 store,
@@ -140,8 +138,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("listening on %s (workers=%d engines=%d max-queue=%d ttl=%v)",
-		ln.Addr(), *workers, *engines, *maxQueue, *ttl)
+	log.Printf("listening on %s (workers=%d max-queue=%d ttl=%v)",
+		ln.Addr(), *workers, *maxQueue, *ttl)
 
 	// The pprof surface is opt-in and lives on its own listener so profiling
 	// endpoints are never reachable through the service address.

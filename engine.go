@@ -168,15 +168,6 @@ func (e *Engine) Plan(ctx context.Context, opts ...Option) (*PlanResult, error) 
 	return e.planWith(ctx, s.opts, s.observer, s.validation, s.tracing)
 }
 
-// PlanOptions is Plan taking the options as a struct — the migration path
-// from the legacy free function. It streams progress to the engine-wide
-// observer, if one was configured at New, and verifies under the engine-wide
-// validation mode.
-func (e *Engine) PlanOptions(ctx context.Context, opts Options) (*PlanResult, error) {
-	s := e.settings
-	return e.planWith(ctx, opts, s.observer, s.validation, s.tracing)
-}
-
 // planWith runs one plan.
 func (e *Engine) planWith(ctx context.Context, opts Options, observer Observer, vmode ValidationMode, traced bool) (*PlanResult, error) {
 	start := time.Now()

@@ -34,9 +34,9 @@ func TestEngineSentinelErrors(t *testing.T) {
 	if _, err := eng.Evaluate(ctx, plan, "nope-3", 5); !errors.Is(err, ErrUnknownBenchmark) {
 		t.Fatalf("unknown benchmark err = %v, want ErrUnknownBenchmark", err)
 	}
-	// Legacy wrappers classify identically.
-	if _, err := Plan(Options{Topology: "bogus"}); !errors.Is(err, ErrUnknownTopology) {
-		t.Fatalf("legacy Plan err = %v, want ErrUnknownTopology", err)
+	// A whole Options struct classifies identically.
+	if _, err := New().Plan(ctx, WithOptions(Options{Topology: "bogus"})); !errors.Is(err, ErrUnknownTopology) {
+		t.Fatalf("WithOptions Plan err = %v, want ErrUnknownTopology", err)
 	}
 }
 
@@ -135,13 +135,13 @@ func TestEngineEvaluateMatchesLegacyAndFixesEdgeCases(t *testing.T) {
 		ev.MeanFidelity > ev.MaxFidelity {
 		t.Fatalf("inconsistent stats %+v", ev)
 	}
-	// Legacy wrapper returns the same numbers.
-	legacy, err := Evaluate(plan, "bv-4", 7)
+	// A fresh engine returns the same numbers.
+	fresh, err := New().Evaluate(ctx, plan, "bv-4", 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(legacy.MeanFidelity-ev.MeanFidelity) > 1e-15 {
-		t.Fatalf("legacy Evaluate diverges: %v vs %v", legacy.MeanFidelity, ev.MeanFidelity)
+	if math.Abs(fresh.MeanFidelity-ev.MeanFidelity) > 1e-15 {
+		t.Fatalf("fresh-engine Evaluate diverges: %v vs %v", fresh.MeanFidelity, ev.MeanFidelity)
 	}
 }
 

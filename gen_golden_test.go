@@ -131,7 +131,7 @@ func TestGeneratedSuiteConformance(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, w := range suite.Workloads {
-			ev, err := Evaluate(plan, w.Name, 3)
+			ev, err := New().Evaluate(context.Background(), plan, w.Name, 3)
 			if err != nil {
 				t.Fatalf("%s: %v", w.Name, err)
 			}

@@ -7,8 +7,6 @@ package metrics
 
 import (
 	"math"
-	"slices"
-	"sort"
 
 	"qplacer/internal/component"
 	"qplacer/internal/frequency"
@@ -74,14 +72,14 @@ func Measure(nl *component.Netlist, deltaC float64) *Report {
 	// order of a full pair sweep.
 	var num float64
 	impacted := map[int]bool{}
-	hotspotPairs(rects, func(i, j int) {
+	for i, j := range spatial.Pairs(rects) {
 		a, b := nl.Instances[i], nl.Instances[j]
 		if !frequency.NearResonant(a, b, deltaC) {
-			return
+			continue
 		}
 		length := rects[i].IntersectionLength(rects[j])
 		if length <= 0 {
-			return
+			continue
 		}
 		dc := a.Pos.Dist(b.Pos)
 		num += length * dc
@@ -90,88 +88,12 @@ func Measure(nl *component.Netlist, deltaC float64) *Report {
 		})
 		markImpacted(nl, a, impacted)
 		markImpacted(nl, b, impacted)
-	})
+	}
 	if rep.Apoly > 0 {
 		rep.Ph = 100 * num / rep.Apoly
 	}
 	rep.ImpactedQubits = sortedKeys(impacted)
 	return rep
-}
-
-// hotspotPairs calls visit for every pair i < j, in ascending (i, j)
-// order, whose rects may intersect: the pairs whose rects share a cell of a
-// spatial grid, and every pair with a rect that has a non-finite edge,
-// which no grid can file (its intersection may be NaN, and a NaN length
-// still counts). The grid's clamped cell map is monotone, so two
-// intersecting finite rects always share a cell.
-func hotspotPairs(rects []geom.Rect, visit func(i, j int)) {
-	n := len(rects)
-	var broken []int // ascending
-	var box geom.Rect
-	cell, k := 0.0, 0
-	for i, r := range rects {
-		if !finiteRect(r) {
-			broken = append(broken, i)
-			continue
-		}
-		cell = max(cell, r.W(), r.H())
-		if k == 0 {
-			box = r
-		} else {
-			box = box.Union(r)
-		}
-		k++
-	}
-	// Cells at least the widest rect put each rect in at most 2×2 cells;
-	// cells at least 1/√k of the layout's side keep the grid near k cells
-	// when a rect lies far out.
-	cell = max(cell, max(box.W(), box.H())/math.Sqrt(float64(max(k, 1))))
-	if !(cell > 0) {
-		cell = 1
-	}
-	grid := spatial.New(box, cell)
-	for i, r := range rects {
-		if finiteRect(r) {
-			grid.Add(int32(i), r)
-		}
-	}
-	mark := make([]int, n) // mark[j] == i+1 once j is a candidate of i
-	var near []int
-	for i, r := range rects {
-		near = near[:0]
-		if finiteRect(r) {
-			x0, y0, x1, y1 := grid.Range(r)
-			for y := y0; y <= y1; y++ {
-				for x := x0; x <= x1; x++ {
-					for _, j := range grid.Bucket(x, y) {
-						if int(j) > i && mark[j] != i+1 {
-							mark[j] = i + 1
-							near = append(near, int(j))
-						}
-					}
-				}
-			}
-			near = append(near, broken[sort.SearchInts(broken, i+1):]...)
-			slices.Sort(near)
-		} else {
-			for j := i + 1; j < n; j++ {
-				near = append(near, j)
-			}
-		}
-		for _, j := range near {
-			visit(i, j)
-		}
-	}
-}
-
-// finiteRect reports whether every edge of r is a finite number.
-func finiteRect(r geom.Rect) bool {
-	for _, v := range [...]float64{r.Lo.X, r.Lo.Y, r.Hi.X, r.Hi.Y} {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
-		}
-	}
-	return true
 }
 
 // markImpacted records the qubits affected by a violating instance: the

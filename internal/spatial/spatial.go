@@ -2,10 +2,13 @@
 // row-major uniform grid of ID buckets. The shelf legalizer files its placed
 // rects in one, the placer rebuilds its Verlet lists from one per frequency
 // class, and the annealer finds overlapping neighbours and frequency
-// partners through them.
+// partners through them. Pairs proposes the candidate pairs of a whole
+// layout from one, for the metrics' hotspot scan and the verifier's pair
+// checks.
 package spatial
 
 import (
+	"iter"
 	"math"
 	"slices"
 
@@ -100,4 +103,108 @@ func (g *Grid) Reset() {
 	for b := range g.buckets {
 		g.buckets[b] = g.buckets[b][:0]
 	}
+}
+
+// Pairs returns the candidate pairs of rects: every pair i < j whose rects
+// share a cell of one grid, and every pair with a rect that has a non-finite
+// edge, which no grid can file (such a pair may still intersect, or compare
+// as NaN). The clamped cell map is monotone, so every pair of intersecting
+// rects is a candidate. The pairs come in ascending (i, j) order, the order
+// of a full O(n²) sweep. The grid is built once, here: the sequence may be
+// ranged any number of times, as long as rects stays unchanged.
+//
+// Pairs and seq are small enough to inline, so a range over Pairs(rects)
+// calls the scan directly and its loop body stays off the heap.
+func Pairs(rects []geom.Rect) iter.Seq2[int, int] {
+	return newPairScan(rects).seq()
+}
+
+// pairScan is the grid behind one Pairs call.
+type pairScan struct {
+	rects  []geom.Rect
+	broken []int32 // ascending indices of the rects with a non-finite edge
+	grid   *Grid
+}
+
+func newPairScan(rects []geom.Rect) *pairScan {
+	ps := &pairScan{rects: rects}
+	var box geom.Rect
+	cell, k := 0.0, 0
+	for i, r := range rects {
+		if !finite(r) {
+			ps.broken = append(ps.broken, int32(i))
+			continue
+		}
+		cell = max(cell, r.W(), r.H())
+		if k == 0 {
+			box = r
+		} else {
+			box = box.Union(r)
+		}
+		k++
+	}
+	// Cells at least the widest rect put each rect in at most 2×2 cells;
+	// cells at least 1/√k of the layout's side keep the grid near k cells
+	// when a rect lies far out.
+	cell = max(cell, max(box.W(), box.H())/math.Sqrt(float64(max(k, 1))))
+	if !(cell > 0) {
+		cell = 1
+	}
+	ps.grid = New(box, cell)
+	for i, r := range rects {
+		if finite(r) {
+			ps.grid.Add(int32(i), r)
+		}
+	}
+	return ps
+}
+
+func (ps *pairScan) seq() iter.Seq2[int, int] {
+	return func(yield func(i, j int) bool) { ps.each(yield) }
+}
+
+func (ps *pairScan) each(yield func(i, j int) bool) {
+	n := len(ps.rects)
+	mark := make([]int32, n)     // mark[j] == i+1 once j is a candidate of i
+	near := make([]int32, 0, 64) // on the stack unless a rect has more candidates
+	for i, r := range ps.rects {
+		if !finite(r) {
+			for j := i + 1; j < n; j++ {
+				if !yield(i, j) {
+					return
+				}
+			}
+			continue
+		}
+		near = near[:0]
+		x0, y0, x1, y1 := ps.grid.Range(r)
+		for y := y0; y <= y1; y++ {
+			for x := x0; x <= x1; x++ {
+				for _, j := range ps.grid.Bucket(x, y) {
+					if int(j) > i && mark[j] != int32(i+1) {
+						mark[j] = int32(i + 1)
+						near = append(near, j)
+					}
+				}
+			}
+		}
+		k, _ := slices.BinarySearch(ps.broken, int32(i+1))
+		near = append(near, ps.broken[k:]...)
+		slices.Sort(near)
+		for _, j := range near {
+			if !yield(i, int(j)) {
+				return
+			}
+		}
+	}
+}
+
+// finite reports whether every edge of r is a finite number.
+func finite(r geom.Rect) bool {
+	for _, v := range [...]float64{r.Lo.X, r.Lo.Y, r.Hi.X, r.Hi.Y} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }

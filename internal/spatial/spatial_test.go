@@ -2,6 +2,7 @@ package spatial
 
 import (
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -110,5 +111,120 @@ func TestResetRefillDoesNotAllocate(t *testing.T) {
 	fill(0.2)
 	if allocs := testing.AllocsPerRun(20, func() { fill(0.2) }); allocs != 0 {
 		t.Fatalf("Reset and refill at new positions: %v allocations, want 0", allocs)
+	}
+}
+
+// TestPairsMatchesBruteForce holds Pairs to the O(n²) sweep: it proposes
+// every pair whose rects intersect or touch and every pair with a
+// non-finite rect, each once, in ascending (i, j) order, and the same pairs
+// on a second range.
+func TestPairsMatchesBruteForce(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	rng := rand.New(rand.NewSource(1))
+	random := func(n int, side float64) []geom.Rect {
+		rects := make([]geom.Rect, n)
+		for i := range rects {
+			x, y := rng.Float64()*side, rng.Float64()*side
+			rects[i] = geom.NewRect(x, y, x+rng.Float64()*rng.Float64()*3, y+rng.Float64()*2)
+		}
+		return rects
+	}
+	with := func(rects []geom.Rect, at map[int]geom.Rect) []geom.Rect {
+		for i, r := range at {
+			rects[i] = r
+		}
+		return rects
+	}
+	cases := []struct {
+		name  string
+		rects []geom.Rect
+	}{
+		{"empty", nil},
+		{"one", []geom.Rect{geom.NewRect(0, 0, 1, 1)}},
+		{"touching", []geom.Rect{
+			geom.NewRect(0, 0, 1, 1), geom.NewRect(1, 0, 2, 1), // edge
+			geom.NewRect(2, 1, 3, 2),       // corner
+			geom.NewRect(5, 5, 5, 5),       // a point
+			geom.NewRect(4, 5, 5, 6),       // touching the point
+			geom.NewRect(1.5, 0.5, 30, 30), // wide
+		}},
+		{"random", random(400, 40)},
+		{"far_out", with(random(200, 20), map[int]geom.Rect{
+			3: geom.NewRect(1e300, 1e300, 1e300, 1e300), 50: geom.NewRect(-1e300, 5, -1e300+1, 6),
+			51: geom.NewRect(-1e300, 5, 1e300, 6), 120: geom.NewRect(1e300, -1e300, 1e300, -1e300),
+		})},
+		{"overflowing", with(random(100, 10), map[int]geom.Rect{
+			7: geom.NewRect(-1.7e308, 2, 1.7e308, 3), 8: geom.NewRect(1, -1.7e308, 2, 1.7e308),
+		})},
+		{"non_finite", with(random(200, 20), map[int]geom.Rect{
+			0: {Lo: geom.Point{X: nan, Y: 1}, Hi: geom.Point{X: 2, Y: 2}}, 17: geom.NewRect(3, 3, inf, 4),
+			18: geom.NewRect(-inf, -inf, inf, inf), 90: {Lo: geom.Point{X: 1, Y: 1}, Hi: geom.Point{X: 2, Y: nan}},
+			199: geom.NewRect(nan, nan, nan, nan),
+		})},
+		{"all_non_finite", []geom.Rect{
+			geom.NewRect(nan, 0, 1, 1), geom.NewRect(0, -inf, 1, 1), geom.NewRect(0, 0, inf, 1), geom.NewRect(nan, nan, nan, nan),
+		}},
+	}
+	finiteRect := func(r geom.Rect) bool {
+		return slices.IndexFunc([]float64{r.Lo.X, r.Lo.Y, r.Hi.X, r.Hi.Y}, func(v float64) bool { return v-v != 0 }) < 0
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var want [][2]int
+			for i, a := range c.rects {
+				for j := i + 1; j < len(c.rects); j++ {
+					b := c.rects[j]
+					if !finiteRect(a) || !finiteRect(b) || a.Lo.X <= b.Hi.X && b.Lo.X <= a.Hi.X && a.Lo.Y <= b.Hi.Y && b.Lo.Y <= a.Hi.Y {
+						want = append(want, [2]int{i, j})
+					}
+				}
+			}
+			seq := Pairs(c.rects)
+			var got [][2]int
+			for i, j := range seq {
+				p := [2]int{i, j}
+				if !(i < j) || len(got) > 0 && slices.Compare(got[len(got)-1][:], p[:]) >= 0 {
+					t.Fatalf("pair %v after %v: not ascending", p, got[max(len(got)-1, 0):])
+				}
+				got = append(got, p)
+			}
+			for _, p := range want {
+				if _, found := slices.BinarySearchFunc(got, p, func(a, b [2]int) int { return slices.Compare(a[:], b[:]) }); !found {
+					t.Fatalf("intersecting pair %v (%v, %v) not proposed", p, c.rects[p[0]], c.rects[p[1]])
+				}
+			}
+			var again [][2]int
+			for i, j := range seq {
+				again = append(again, [2]int{i, j})
+			}
+			if !slices.Equal(got, again) {
+				t.Fatalf("second range: %d pairs, first %d", len(again), len(got))
+			}
+			t.Logf("%d rects: %d candidate pairs for %d intersecting", len(c.rects), len(got), len(want))
+		})
+	}
+}
+
+// TestPairsPrunes checks that Pairs skips pairs that lie apart: rects a
+// few cells from each other share no cell, and stopping a range early
+// stops it.
+func TestPairsPrunes(t *testing.T) {
+	var rects []geom.Rect
+	for i := range 100 {
+		x, y := float64(i%10)*3, float64(i/10)*3
+		rects = append(rects, geom.NewRect(x, y, x+1, y+1))
+	}
+	for i, j := range Pairs(rects) {
+		t.Fatalf("rects %d %v and %d %v, 2 apart, proposed", i, rects[i], j, rects[j])
+	}
+	rects = append(rects, geom.NewRect(math.NaN(), 0, 1, 1))
+	n := 0
+	for range Pairs(rects) {
+		if n++; n == 3 {
+			break
+		}
+	}
+	if n != 3 {
+		t.Fatalf("%d pairs before the break, want 3", n)
 	}
 }

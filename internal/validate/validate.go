@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"iter"
 	"math"
-	"slices"
 
 	"qplacer/internal/component"
 	"qplacer/internal/geom"
@@ -196,77 +195,22 @@ func reach(in *component.Instance) geom.Rect {
 	return keepOutRect(in).Union(claimRect(in))
 }
 
-// pairGrid proposes the instance pairs the pairwise checks visit. It files
-// every finite instance under its reach in a spatial grid; the grid's
-// clamped coordinate map is monotone, so two overlapping reaches always
-// share a cell. The checks keep every predicate of their own: the grid only
-// skips pairs that cannot overlap or collide.
-type pairGrid struct {
-	nl     *component.Netlist
-	broken []bool
-	grid   *spatial.Grid
-	mark   []int // mark[j] == stamp once j is a candidate of the current i
-	stamp  int
-	near   []int32
-}
-
-func newPairGrid(nl *component.Netlist, broken []bool) *pairGrid {
-	var box geom.Rect
-	cell, k := 0.0, 0
-	for i, in := range nl.Instances {
-		if broken[i] {
-			continue
-		}
-		r := reach(in)
-		cell = max(cell, r.W(), r.H())
-		if p := (geom.Rect{Lo: in.Pos, Hi: in.Pos}); k == 0 {
-			box = p
-		} else {
-			box = box.Union(p)
-		}
-		k++
+// pairs proposes the instance pairs the pairwise checks visit: the
+// candidate pairs of spatial.Pairs over the reaches of the intact instances
+// ids (ascending), mapped back to instance indices. The map is monotone, so
+// the pairs keep the ascending (i, j) order of the full O(n²) sweep, and the
+// checks append their violations and sum P_h in that order. The checks keep
+// every predicate of their own: the grid only skips pairs whose reaches lie
+// apart, which can neither overlap nor collide.
+func pairs(nl *component.Netlist, ids []int) iter.Seq2[int, int] {
+	rects := make([]geom.Rect, len(ids))
+	for k, i := range ids {
+		rects[k] = reach(nl.Instances[i])
 	}
-	// Cells at least the widest reach put each instance in at most 2×2
-	// cells; cells at least 1/√k of the layout's side keep the grid near k
-	// cells when an instance lies far out.
-	cell = max(cell, max(box.W(), box.H())/math.Sqrt(float64(k)))
-	if !(cell > 0) {
-		cell = 1
-	}
-	pg := &pairGrid{nl: nl, broken: broken, grid: spatial.New(box, cell), mark: make([]int, len(nl.Instances))}
-	for i, in := range nl.Instances {
-		if !broken[i] {
-			pg.grid.Add(int32(i), reach(in))
-		}
-	}
-	return pg
-}
-
-// pairs yields every finite pair i < j whose reaches share a cell, in
-// ascending (i, j) order: the order of the full O(n²) sweep, so the checks
-// append their violations and sum P_h in that order.
-func (pg *pairGrid) pairs(yield func(i, j int) bool) {
-	for i, in := range pg.nl.Instances {
-		if pg.broken[i] {
-			continue
-		}
-		pg.stamp++
-		near := pg.near[:0]
-		x0, y0, x1, y1 := pg.grid.Range(reach(in))
-		for y := y0; y <= y1; y++ {
-			for x := x0; x <= x1; x++ {
-				for _, j := range pg.grid.Bucket(x, y) {
-					if int(j) > i && pg.mark[j] != pg.stamp {
-						pg.mark[j] = pg.stamp
-						near = append(near, j)
-					}
-				}
-			}
-		}
-		slices.Sort(near)
-		pg.near = near
-		for _, j := range near {
-			if !yield(i, int(j)) {
+	cand := spatial.Pairs(rects)
+	return func(yield func(i, j int) bool) {
+		for a, b := range cand {
+			if !yield(ids[a], ids[b]) {
 				return
 			}
 		}
@@ -293,11 +237,9 @@ func Check(in Input) (*Report, error) {
 	if checkBounds {
 		die = in.Region.Inflate(boundsSlack * math.Max(in.Region.W(), in.Region.H()))
 	}
-	broken := make([]bool, len(nl.Instances)) // non-finite: skip pair checks
-	intact := 0
+	intact := make([]int, 0, len(nl.Instances)) // finite, ascending; the rest skip pair checks
 	for i, inst := range nl.Instances {
 		if !finite(inst) {
-			broken[i] = true
 			rep.Violations = append(rep.Violations, Violation{
 				Code:     CodeNonFinite,
 				Severity: SeverityError,
@@ -308,7 +250,7 @@ func Check(in Input) (*Report, error) {
 			})
 			continue
 		}
-		intact++
+		intact = append(intact, i)
 		if checkBounds && !die.ContainsRect(claimRect(inst)) {
 			rep.Violations = append(rep.Violations, Violation{
 				Code:     CodeOutOfBounds,
@@ -326,9 +268,9 @@ func Check(in Input) (*Report, error) {
 	// frequency collisions within the interaction radius (warning), over the
 	// pairs the grid proposes. Every intact pair counts as checked: a pair
 	// the grid skips is one whose footprints lie apart.
-	rep.PairsChecked = intact * (intact - 1) / 2
-	pg := newPairGrid(nl, broken)
-	for i, j := range pg.pairs {
+	rep.PairsChecked = len(intact) * (len(intact) - 1) / 2
+	cand := pairs(nl, intact)
+	for i, j := range cand {
 		a, b := nl.Instances[i], nl.Instances[j]
 		if depth := penetration(claimRect(a), claimRect(b)); depth > overlapEps {
 			rep.Violations = append(rep.Violations, Violation{
@@ -369,7 +311,7 @@ func Check(in Input) (*Report, error) {
 	}
 
 	if in.Metrics != nil {
-		checkMetrics(nl, deltaC, in.Metrics, rep, pg.pairs)
+		checkMetrics(nl, deltaC, in.Metrics, rep, cand)
 	}
 	return rep, nil
 }

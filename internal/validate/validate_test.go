@@ -610,11 +610,13 @@ func TestCheckMatchesPairScan(t *testing.T) {
 			}
 			sameReport(t, got, want)
 
-			broken := make([]bool, len(c.nl.Instances))
+			var intact []int
 			for i, inst := range c.nl.Instances {
-				broken[i] = !finite(inst)
+				if finite(inst) {
+					intact = append(intact, i)
+				}
 			}
-			num, hotspots := hotspotSum(c.nl, in.DeltaC, newPairGrid(c.nl, broken).pairs)
+			num, hotspots := hotspotSum(c.nl, in.DeltaC, pairs(c.nl, intact))
 			wantNum, wantHotspots := referenceHotspotSum(c.nl, in.DeltaC)
 			if math.Float64bits(num) != math.Float64bits(wantNum) || hotspots != wantHotspots {
 				t.Fatalf("P_h numerator %v over %d hotspots, reference %v over %d", num, hotspots, wantNum, wantHotspots)

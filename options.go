@@ -251,8 +251,8 @@ func WithTracing(enabled bool) Option {
 	return func(s *settings) { s.tracing = enabled }
 }
 
-// WithOptions replaces the whole Options struct at once — the migration
-// bridge from the legacy Plan(Options) call style.
+// WithOptions replaces the whole Options struct at once, for callers that
+// build an Options value (decoded JSON, a sweep) rather than single options.
 func WithOptions(o Options) Option {
 	return func(s *settings) { s.opts = o }
 }

@@ -29,32 +29,15 @@
 // Custom device topologies and benchmark circuits register at runtime via
 // RegisterTopology and RegisterBenchmark; the built-in Table I entries go
 // through the same registries. Failures classify with errors.Is against the
-// package sentinels (ErrUnknownTopology, ErrCancelled, ...).
-//
-// The stateless Plan and Evaluate free functions remain as thin
-// backward-compatible wrappers over a fresh single-use Engine.
+// package sentinels (ErrUnknownTopology, ErrCancelled, ...). A one-off run
+// is New().Plan(ctx, WithOptions(opts)); there are no stateless free
+// functions.
 package qplacer
 
 import (
 	"qplacer/internal/circuit"
 	"qplacer/internal/topology"
 )
-
-// Plan runs the full placement pipeline for the options on a fresh
-// single-use engine.
-//
-// Deprecated-style note: new code should hold a long-lived Engine and call
-// Engine.Plan, which caches stages across runs and honours cancellation.
-func Plan(opts Options) (*PlanResult, error) {
-	return New().PlanOptions(nil, opts)
-}
-
-// Evaluate estimates program fidelity for a registered benchmark over
-// nMappings seeded subset mappings on a fresh single-use engine. New code
-// should use Engine.Evaluate (or Engine.EvaluateAll for whole suites).
-func Evaluate(plan *PlanResult, benchName string, nMappings int) (*EvalResult, error) {
-	return New().Evaluate(nil, plan, benchName, nMappings)
-}
 
 // Benchmarks lists the paper's Table I benchmark names in evaluation order.
 // RegisteredBenchmarks also includes runtime registrations.

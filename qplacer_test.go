@@ -1,12 +1,13 @@
 package qplacer
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
 
 func TestPlanDefaults(t *testing.T) {
-	plan, err := Plan(Options{})
+	plan, err := New().Plan(context.Background(), WithOptions(Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +26,7 @@ func TestPlanDefaults(t *testing.T) {
 }
 
 func TestPlanUnknownTopology(t *testing.T) {
-	if _, err := Plan(Options{Topology: "bogus"}); err == nil {
+	if _, err := New().Plan(context.Background(), WithOptions(Options{Topology: "bogus"})); err == nil {
 		t.Fatal("unknown topology must error")
 	}
 }
@@ -33,15 +34,15 @@ func TestPlanUnknownTopology(t *testing.T) {
 // The paper's three headline claims, in miniature (grid topology):
 // Qplacer beats Classic on hotspots and fidelity; Human is hotspot-free.
 func TestHeadlineShape(t *testing.T) {
-	pq, err := Plan(Options{Topology: "grid"})
+	pq, err := New().Plan(context.Background(), WithOptions(Options{Topology: "grid"}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pc, err := Plan(Options{Topology: "grid", Scheme: SchemeClassic})
+	pc, err := New().Plan(context.Background(), WithOptions(Options{Topology: "grid", Scheme: SchemeClassic}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ph, err := Plan(Options{Topology: "grid", Scheme: SchemeHuman})
+	ph, err := New().Plan(context.Background(), WithOptions(Options{Topology: "grid", Scheme: SchemeHuman}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,11 +52,11 @@ func TestHeadlineShape(t *testing.T) {
 	if ph.Metrics.Ph > 0.01 {
 		t.Errorf("human layout Ph = %.3f, want ≈0", ph.Metrics.Ph)
 	}
-	eq, err := Evaluate(pq, "bv-4", 10)
+	eq, err := New().Evaluate(context.Background(), pq, "bv-4", 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ec, err := Evaluate(pc, "bv-4", 10)
+	ec, err := New().Evaluate(context.Background(), pc, "bv-4", 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,11 +67,11 @@ func TestHeadlineShape(t *testing.T) {
 }
 
 func TestEvaluateUnknownBenchmark(t *testing.T) {
-	plan, err := Plan(Options{Topology: "grid", SkipLegalize: true, MaxIters: 5})
+	plan, err := New().Plan(context.Background(), WithOptions(Options{Topology: "grid", SkipLegalize: true, MaxIters: 5}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Evaluate(plan, "nope-3", 5); err == nil {
+	if _, err := New().Evaluate(context.Background(), plan, "nope-3", 5); err == nil {
 		t.Fatal("unknown benchmark must error")
 	}
 }
@@ -85,7 +86,7 @@ func TestBenchmarkAndTopologyLists(t *testing.T) {
 }
 
 func TestRenderOutputs(t *testing.T) {
-	plan, err := Plan(Options{Topology: "grid", SkipLegalize: true, MaxIters: 5})
+	plan, err := New().Plan(context.Background(), WithOptions(Options{Topology: "grid", SkipLegalize: true, MaxIters: 5}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,11 +109,11 @@ func TestRenderOutputs(t *testing.T) {
 }
 
 func TestSegmentSizeChangesCellCount(t *testing.T) {
-	small, err := Plan(Options{Topology: "grid", LB: 0.2, SkipLegalize: true, MaxIters: 5})
+	small, err := New().Plan(context.Background(), WithOptions(Options{Topology: "grid", LB: 0.2, SkipLegalize: true, MaxIters: 5}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	large, err := Plan(Options{Topology: "grid", LB: 0.4, SkipLegalize: true, MaxIters: 5})
+	large, err := New().Plan(context.Background(), WithOptions(Options{Topology: "grid", LB: 0.4, SkipLegalize: true, MaxIters: 5}))
 	if err != nil {
 		t.Fatal(err)
 	}

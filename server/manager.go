@@ -1,6 +1,6 @@
 // Package server turns the qplacer Engine into a placement service: an
-// asynchronous job manager fans submitted placement requests out over a pool
-// of shared engines (so the stage cache warms across requests), a lease-based
+// asynchronous job manager runs submitted placement requests on one shared
+// engine (so the stage and plan caches warm across requests), a lease-based
 // work queue retries jobs whose worker died, a pluggable Store decides what
 // survives a restart (in-memory by default, an append-only journal for
 // durability), and HTTP/JSON handlers expose submit / poll / list / result /
@@ -51,9 +51,6 @@ type Config struct {
 	// Workers is the number of jobs placed/evaluated concurrently
 	// (default 2). Each placement runs on its job's worker goroutine.
 	Workers int
-	// EnginePool is the number of shared engines the workers draw from
-	// (default 1: every request shares one stage cache).
-	EnginePool int
 	// QueueDepth bounds the pending-job queue (default 64); submits beyond
 	// it fail with ErrQueueFull (HTTP 429).
 	QueueDepth int
@@ -77,8 +74,6 @@ type Config struct {
 	// QuotaPerClient caps the live (queued+running) jobs per Request.Client
 	// (0 = unlimited). Submits beyond it fail with ErrQuotaExceeded (429).
 	QuotaPerClient int
-	// EngineOptions are forwarded to every engine in the pool.
-	EngineOptions []qplacer.Option
 	// DefaultPlacer, DefaultLegalizer, and DefaultDetailedPlacer fill
 	// requests that leave the backend unset, before normalization ("" keeps
 	// the package defaults, "nesterov"/"shelf"/"none"). Requests naming a
@@ -107,9 +102,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = 2
-	}
-	if c.EnginePool <= 0 {
-		c.EnginePool = 1
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
@@ -162,13 +154,13 @@ type Stats struct {
 	CacheHits   uint64
 }
 
-// Manager owns the job queue, the engine pool, and the store. It is safe
+// Manager owns the job queue, the shared engine, and the store. It is safe
 // for concurrent use.
 type Manager struct {
-	cfg     Config
-	st      *index
-	engines []*qplacer.Engine
-	wg      sync.WaitGroup
+	cfg    Config
+	st     *index
+	engine *qplacer.Engine // every job and Validate call plans here
+	wg     sync.WaitGroup
 
 	// pending is the FIFO of claimable jobs; cond (on st.mu) wakes workers
 	// when it grows or the manager closes.
@@ -182,9 +174,6 @@ type Manager struct {
 	// as the job workers, so a burst of POST /v1/validate cannot run more
 	// placements at once than the job queue would allow.
 	validateSem chan struct{}
-	// validateRR round-robins Validate calls over the engine pool (guarded
-	// by st.mu).
-	validateRR uint64
 
 	// metrics is the real registry behind /metrics; its lifecycle counters
 	// are incremented under st.mu, alongside the transitions they record.
@@ -211,9 +200,7 @@ func NewManager(cfg Config) *Manager {
 	}
 	m.cond = sync.NewCond(&m.st.mu)
 	m.log = cfg.Logger
-	for i := 0; i < cfg.EnginePool; i++ {
-		m.engines = append(m.engines, qplacer.New(cfg.EngineOptions...))
-	}
+	m.engine = qplacer.New()
 	m.metrics = newServiceMetrics(m)
 	// A store that can report fsync latency (the journal) feeds the
 	// histogram; the interface assertion keeps Store implementations free
@@ -225,9 +212,8 @@ func NewManager(cfg Config) *Manager {
 	}
 	m.recover()
 	for w := 0; w < cfg.Workers; w++ {
-		eng := m.engines[w%len(m.engines)]
 		m.wg.Add(1)
-		go m.worker(eng)
+		go m.worker()
 	}
 	go m.leaseSweeper()
 	return m
@@ -378,8 +364,8 @@ func (m *Manager) validationMode() qplacer.ValidationMode {
 
 // Validate synchronously plans the given options and returns the
 // independent verifier's report alongside the normalized options. Calls
-// share the engine pool's stage and plan caches (with a single-engine pool,
-// re-validating a just-finished job is a warm cache hit) and are bounded to
+// share the jobs' engine and its stage and plan caches (re-validating a
+// just-finished job is a warm cache hit) and are bounded to
 // the worker count: excess callers wait their turn or give up with their
 // context. Cancelling ctx also aborts an in-flight placement.
 func (m *Manager) Validate(ctx context.Context, opts qplacer.Options) (*qplacer.ValidationReport, qplacer.Options, error) {
@@ -393,11 +379,7 @@ func (m *Manager) Validate(ctx context.Context, opts qplacer.Options) (*qplacer.
 	case <-ctx.Done():
 		return nil, norm.Options, fmt.Errorf("%w: %w", qplacer.ErrCancelled, ctx.Err())
 	}
-	m.st.mu.Lock()
-	m.validateRR++
-	eng := m.engines[int(m.validateRR)%len(m.engines)]
-	m.st.mu.Unlock()
-	plan, err := eng.Plan(ctx,
+	plan, err := m.engine.Plan(ctx,
 		qplacer.WithOptions(norm.Options),
 		qplacer.WithValidation(qplacer.ValidationAnnotate))
 	if err != nil {
@@ -689,14 +671,14 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 
 // worker claims and runs jobs until the manager closes and the backlog is
 // empty.
-func (m *Manager) worker(eng *qplacer.Engine) {
+func (m *Manager) worker() {
 	defer m.wg.Done()
 	for {
 		job, ctx, cancel, epoch := m.claim()
 		if job == nil {
 			return
 		}
-		m.run(eng, job, ctx, cancel, epoch)
+		m.run(job, ctx, cancel, epoch)
 	}
 }
 
@@ -831,7 +813,7 @@ func progressView(p qplacer.Progress) ProgressView {
 
 // run executes one leased attempt: plan, then batch-evaluate, publishing
 // phase transitions and progress events as it goes.
-func (m *Manager) run(eng *qplacer.Engine, job *Job, ctx context.Context, cancel context.CancelFunc, epoch uint64) {
+func (m *Manager) run(job *Job, ctx context.Context, cancel context.CancelFunc, epoch uint64) {
 	defer cancel()
 	if !m.cfg.disableHeartbeat {
 		go m.heartbeat(ctx, job, epoch)
@@ -858,7 +840,7 @@ func (m *Manager) run(eng *qplacer.Engine, job *Job, ctx context.Context, cancel
 	// report to the result document, strict mode turns an invalid placement
 	// into a failed job (ErrInvalidPlacement → 422).
 	planStart := time.Now()
-	plan, err := eng.Plan(ctx, qplacer.WithOptions(job.Request.Options),
+	plan, err := m.engine.Plan(ctx, qplacer.WithOptions(job.Request.Options),
 		qplacer.WithObserver(obs), qplacer.WithValidation(m.validationMode()))
 	if err != nil {
 		m.finish(job, epoch, nil, err)
@@ -874,7 +856,7 @@ func (m *Manager) run(eng *qplacer.Engine, job *Job, ctx context.Context, cancel
 	}
 	m.st.mu.Unlock()
 
-	batch, err := eng.EvaluateAll(ctx, plan, job.Request.Benchmarks, job.Request.Mappings)
+	batch, err := m.engine.EvaluateAll(ctx, plan, job.Request.Benchmarks, job.Request.Mappings)
 	if err != nil {
 		m.finish(job, epoch, nil, err)
 		return

@@ -36,7 +36,7 @@ type serviceMetrics struct {
 }
 
 // newServiceMetrics registers the manager's metric set. Queue depth, running
-// jobs, and the engine pool's cache counters are polled at scrape time from
+// jobs, and the engine's cache counters are polled at scrape time from
 // the manager itself, so they are never stale copies.
 func newServiceMetrics(m *Manager) *serviceMetrics {
 	reg := obs.NewRegistry()
@@ -90,27 +90,21 @@ func newServiceMetrics(m *Manager) *serviceMetrics {
 			_, running := m.st.counts()
 			return float64(running)
 		})
-	sumEngines := func(pick func(qplacer.EngineStats) uint64) func() uint64 {
-		return func() uint64 {
-			var total uint64
-			for _, eng := range m.engines {
-				total += pick(eng.Stats())
-			}
-			return total
-		}
+	engineStat := func(pick func(qplacer.EngineStats) uint64) func() uint64 {
+		return func() uint64 { return pick(m.engine.Stats()) }
 	}
 	reg.CounterFunc("qplacerd_engine_plan_cache_hits_total",
-		"Engine plan-cache hits across the pool.",
-		sumEngines(func(s qplacer.EngineStats) uint64 { return s.PlanCacheHits }))
+		"Engine plan-cache hits.",
+		engineStat(func(s qplacer.EngineStats) uint64 { return s.PlanCacheHits }))
 	reg.CounterFunc("qplacerd_engine_plan_cache_misses_total",
-		"Engine plan-cache misses across the pool.",
-		sumEngines(func(s qplacer.EngineStats) uint64 { return s.PlanCacheMisses }))
+		"Engine plan-cache misses.",
+		engineStat(func(s qplacer.EngineStats) uint64 { return s.PlanCacheMisses }))
 	reg.CounterFunc("qplacerd_engine_stage_cache_hits_total",
-		"Engine stage-cache hits across the pool.",
-		sumEngines(func(s qplacer.EngineStats) uint64 { return s.StageCacheHits }))
+		"Engine stage-cache hits.",
+		engineStat(func(s qplacer.EngineStats) uint64 { return s.StageCacheHits }))
 	reg.CounterFunc("qplacerd_engine_stage_cache_misses_total",
-		"Engine stage-cache misses across the pool.",
-		sumEngines(func(s qplacer.EngineStats) uint64 { return s.StageCacheMisses }))
+		"Engine stage-cache misses.",
+		engineStat(func(s qplacer.EngineStats) uint64 { return s.StageCacheMisses }))
 	return sm
 }
 

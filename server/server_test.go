@@ -586,7 +586,7 @@ func TestManagerDefaultBackends(t *testing.T) {
 
 // TestManagerConcurrentSubmitStress hammers one manager with duplicate
 // submits from many goroutines; under -race this is the data-race check for
-// the store, the result cache, and the engine pool.
+// the store, the result cache, and the shared engine.
 func TestManagerConcurrentSubmitStress(t *testing.T) {
 	mgr := newMgr(t, server.Config{Workers: 4, QueueDepth: 16})
 	defer func() {
