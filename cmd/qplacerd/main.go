@@ -7,7 +7,7 @@
 // Usage:
 //
 //	qplacerd -addr :8080 -workers 2 -max-queue 64 -ttl 15m \
-//	    [-data-dir /var/lib/qplacerd] [-quota N] [-lease 30s] [-retries 2] \
+//	    [-data-dir /var/lib/qplacerd] [-quota N] [-retries 2] \
 //	    [-log-level info] [-log-format text] [-debug-addr 127.0.0.1:6060]
 //
 // Structured logs (level/format set by -log-level and -log-format) go to
@@ -20,8 +20,8 @@
 //	curl localhost:8080/v1/jobs/job-1/result
 //
 // With -data-dir the job store is durable: jobs (and their results, within
-// -ttl) survive a restart, and a daemon killed mid-job re-leases and
-// re-runs that job on the next boot, bounded by -retries.
+// -ttl) survive a restart, and a daemon killed mid-job re-runs that job on
+// the next boot, at most -retries times before it fails.
 //
 // SIGINT/SIGTERM drain gracefully: running jobs finish (up to -drain), then
 // the process exits. If the drain budget expires first, in-flight work is
@@ -61,8 +61,7 @@ func main() {
 		drain    = flag.Duration("drain", 30*time.Second, "graceful-shutdown budget for in-flight jobs")
 		dataDir  = flag.String("data-dir", "", "durable job store directory (empty = in-memory, lost on restart)")
 		quota    = flag.Int("quota", 0, "max live jobs per client, keyed by X-Client-ID or remote host (0 = unlimited)")
-		lease    = flag.Duration("lease", 30*time.Second, "job lease TTL; an attempt that stops heartbeating this long is re-queued")
-		retries  = flag.Int("retries", 2, "re-queues per job after lost leases/crashes before it fails")
+		retries  = flag.Int("retries", 2, "re-runs per job after crashes (with -data-dir) before it fails; 0 = none")
 		placer   = flag.String("placer", "", "default placement backend for requests that leave it unset: "+
 			strings.Join(qplacer.Placers(), "|"))
 		legalize = flag.String("legalizer", "", "default legalization backend for requests that leave it unset: "+
@@ -115,13 +114,16 @@ func main() {
 		store = js
 	}
 
+	maxRetries := *retries
+	if maxRetries == 0 {
+		maxRetries = -1 // server.Config reads 0 as its default
+	}
 	srv := server.New(server.Config{
 		Workers:               *workers,
 		QueueDepth:            *maxQueue,
 		JobTTL:                *ttl,
 		Store:                 store,
-		LeaseTTL:              *lease,
-		MaxRetries:            *retries,
+		MaxRetries:            maxRetries,
 		QuotaPerClient:        *quota,
 		DefaultPlacer:         *placer,
 		DefaultLegalizer:      *legalize,

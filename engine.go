@@ -59,7 +59,7 @@ type EngineStats struct {
 }
 
 // Stats reports the engine's cache hit/miss counters. Safe for concurrent
-// use; services export it (qplacerd sums it across the engine pool into
+// use; services export it (qplacerd polls its one shared engine into
 // Prometheus counters).
 func (e *Engine) Stats() EngineStats {
 	return EngineStats{

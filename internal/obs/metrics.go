@@ -143,7 +143,7 @@ func (c *Counter) expose(w io.Writer) error {
 }
 
 // CounterFunc is a counter whose value is polled at exposition time — used
-// for counts owned elsewhere (the engine pool's cache counters).
+// for counts owned elsewhere (the shared engine's cache counters).
 type CounterFunc struct {
 	name, help string
 	fn         func() uint64

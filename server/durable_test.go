@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -316,34 +317,87 @@ func TestJobsListPagination(t *testing.T) {
 	}
 }
 
-// TestLeaseExpiryExhaustsRetries forces lease expiry with the test hooks (no
-// heartbeat, aggressive sweeps): each expiry re-queues the job until the
-// retry budget runs out, at which point it fails with retries_exhausted and
-// the retry counter shows every expiry.
-func TestLeaseExpiryExhaustsRetries(t *testing.T) {
-	cfg := server.ConfigWithTestHooks(server.Config{
-		Workers:    1,
-		LeaseTTL:   150 * time.Millisecond,
-		MaxRetries: 1,
-	}, 25*time.Millisecond)
-	m := newMgr(t, cfg)
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		_ = m.Shutdown(ctx)
-	}()
-	view, _, err := m.Submit(slowRequest(72))
-	if err != nil {
-		t.Fatal(err)
+// TestRecoveryRetryBudget seeds the store with a job that a crash left
+// running and boots a manager on it: recovery re-runs the job while its
+// persisted attempts are within MaxRetries and fails it, unclaimed, with
+// retries_exhausted once they exceed it. MaxRetries -1 allows no re-run.
+func TestRecoveryRetryBudget(t *testing.T) {
+	cases := []struct {
+		name       string
+		maxRetries int
+		attempts   int
+		want       server.State
+	}{
+		{"over budget", 1, 2, server.StateFailed},
+		{"at budget", 1, 1, server.StateDone},
+		{"no retries", -1, 1, server.StateFailed},
 	}
-	got := pollMgr(t, m, view.ID, server.StateFailed)
-	if got.Attempts != 2 {
-		t.Fatalf("failed after %d attempts, want 2 (initial + 1 retry)", got.Attempts)
-	}
-	if !strings.Contains(got.Error, "retry budget exhausted") && !strings.Contains(got.Error, "lease expired") {
-		t.Fatalf("failure reason %q does not mention the lease/retry budget", got.Error)
-	}
-	if stats := m.Stats(); stats.Retried != 2 {
-		t.Fatalf("Stats.Retried = %d, want 2", stats.Retried)
+	for i, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			req := fastRequest(int64(300 + i))
+			opts, err := req.Options.Normalized()
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Options = opts
+			cfg := storeCfg(t, server.Config{Workers: 1, MaxRetries: tc.maxRetries})
+			if cfg.Store == nil {
+				cfg.Store = server.NewMemoryStore()
+			}
+			crashed := server.JobRecord{
+				ID: "job-1", Seq: 1, Request: req, State: server.StateRunning,
+				Attempts: tc.attempts, Created: time.Now(), Started: time.Now(),
+			}
+			if err := cfg.Store.PutJob(crashed); err != nil {
+				t.Fatal(err)
+			}
+
+			srv := server.New(cfg)
+			ts := httptest.NewServer(srv.Handler())
+			defer func() {
+				ts.Close()
+				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+				defer cancel()
+				_ = srv.Shutdown(ctx)
+			}()
+			m := srv.Manager()
+			got := pollMgr(t, m, crashed.ID, tc.want)
+			evs, _, _, err := m.Events(crashed.ID, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			claims := 0
+			for _, ev := range evs {
+				if ev.Type == server.EventState && ev.State == server.StateRunning {
+					claims++
+					if ev.Attempt != tc.attempts+1 {
+						t.Errorf("re-run claimed as attempt %d, want %d", ev.Attempt, tc.attempts+1)
+					}
+				}
+			}
+
+			if tc.want == server.StateDone {
+				if got.Attempts != tc.attempts+1 || claims != 1 {
+					t.Fatalf("re-run job: attempts=%d claims=%d, want %d and 1", got.Attempts, claims, tc.attempts+1)
+				}
+				if n := m.Stats().Recovered; n != 1 {
+					t.Fatalf("Stats.Recovered = %d, want 1", n)
+				}
+				return
+			}
+			if got.Attempts != tc.attempts || claims != 0 {
+				t.Fatalf("over-budget job: attempts=%d claims=%d, want %d and 0 (never claimed)", got.Attempts, claims, tc.attempts)
+			}
+			if n := m.Stats().Recovered; n != 0 {
+				t.Fatalf("Stats.Recovered = %d, want 0", n)
+			}
+			var body struct {
+				Code string `json:"code"`
+			}
+			code := call(t, http.MethodGet, ts.URL+"/v1/jobs/"+crashed.ID+"/result", "", &body)
+			if code != http.StatusInternalServerError || body.Code != "retries_exhausted" {
+				t.Fatalf("result of over-budget job: status %d code %q, want 500 retries_exhausted", code, body.Code)
+			}
+		})
 	}
 }

@@ -2,16 +2,6 @@ package server
 
 import "time"
 
-// ConfigWithTestHooks returns cfg with the attempt's liveness signals
-// (heartbeat and the observer's lease extension) disabled and an aggressive
-// lease sweep, so the external test package can force lease expiry (which
-// never happens in a healthy in-process run).
-func ConfigWithTestHooks(cfg Config, sweepEvery time.Duration) Config {
-	cfg.disableHeartbeat = true
-	cfg.sweepEvery = sweepEvery
-	return cfg
-}
-
 // ConfigWithKeepalive returns cfg with the SSE keepalive interval shortened,
 // so tests can observe keepalive comments without waiting 15 seconds.
 func ConfigWithKeepalive(cfg Config, keepalive time.Duration) Config {

@@ -240,9 +240,9 @@ func TestTornTailTolerated(t *testing.T) {
 	}
 }
 
-// TestClosedStoreRefusesWrites pins the post-Close contract the manager's
-// lease sweeper relies on: writes report os.ErrClosed instead of touching
-// released files, and Close itself is idempotent.
+// TestClosedStoreRefusesWrites pins the post-Close contract: a write that
+// arrives after the manager's Shutdown closed the store reports os.ErrClosed
+// instead of touching released files, and Close itself is idempotent.
 func TestClosedStoreRefusesWrites(t *testing.T) {
 	st, err := journal.Open(t.TempDir())
 	if err != nil {

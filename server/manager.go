@@ -1,11 +1,11 @@
 // Package server turns the qplacer Engine into a placement service: an
 // asynchronous job manager runs submitted placement requests on one shared
-// engine (so the stage and plan caches warm across requests), a lease-based
-// work queue retries jobs whose worker died, a pluggable Store decides what
-// survives a restart (in-memory by default, an append-only journal for
-// durability), and HTTP/JSON handlers expose submit / poll / list / result /
-// cancel plus an SSE progress stream and the topology and benchmark
-// registries.
+// engine (so the stage and plan caches warm across requests), a pluggable
+// Store decides what survives a restart (in-memory by default, an
+// append-only journal for durability, whose unfinished jobs re-run at the
+// next boot within a retry budget), and HTTP/JSON handlers expose submit /
+// poll / list / result / cancel plus an SSE progress stream and the topology
+// and benchmark registries.
 package server
 
 import (
@@ -37,8 +37,8 @@ var (
 	// ErrQuotaExceeded reports a submit rejected because the client already
 	// has its quota of live (queued or running) jobs (HTTP 429).
 	ErrQuotaExceeded = errors.New("server: per-client quota exceeded")
-	// ErrRetriesExhausted marks a job failed because its lease expired more
-	// times than the retry budget allows.
+	// ErrRetriesExhausted marks a job failed at boot because crashes
+	// interrupted it more times than the retry budget allows.
 	ErrRetriesExhausted = errors.New("server: retry budget exhausted")
 	// ErrInvalidArgument reports malformed list-endpoint parameters.
 	ErrInvalidArgument = errors.New("server: invalid argument")
@@ -62,14 +62,10 @@ type Config struct {
 	// durable backend. The manager owns the store once passed in and closes
 	// it during Shutdown.
 	Store Store
-	// LeaseTTL is how long a claimed job may go without a heartbeat before
-	// it is considered abandoned and re-queued (default 30s). Running jobs
-	// heartbeat automatically, so in-process leases only expire when a
-	// worker wedges; across a crash+restart every non-terminal job is
-	// re-queued immediately.
-	LeaseTTL time.Duration
-	// MaxRetries is how many times an abandoned job is re-queued before it
-	// fails with ErrRetriesExhausted (default 2: up to 3 attempts total).
+	// MaxRetries is how many times a job interrupted by a crash is re-run
+	// at the next boot before it fails with ErrRetriesExhausted instead
+	// (0 selects the default 2, up to 3 attempts in total; negative allows
+	// no re-run).
 	MaxRetries int
 	// QuotaPerClient caps the live (queued+running) jobs per Request.Client
 	// (0 = unlimited). Submits beyond it fail with ErrQuotaExceeded (429).
@@ -86,17 +82,13 @@ type Config struct {
 	// of merely annotating the result document. Every job's result carries
 	// the independent verifier's report either way.
 	StrictValidation bool
-	// Logger receives the service's structured logs (job lifecycle, lease
-	// expiries, HTTP requests). nil discards everything, which keeps
+	// Logger receives the service's structured logs (job lifecycle, store
+	// recovery, HTTP requests). nil discards everything, which keeps
 	// embedded and test managers quiet by default.
 	Logger *slog.Logger
 
-	// Test hooks (see export_test.go): disable the per-run heartbeat so
-	// lease expiry can be forced, override the sweep cadence, and shorten
-	// the SSE keepalive interval.
-	disableHeartbeat bool
-	sweepEvery       time.Duration
-	sseKeepalive     time.Duration
+	// Test hook (see export_test.go): shorten the SSE keepalive interval.
+	sseKeepalive time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -112,22 +104,10 @@ func (c Config) withDefaults() Config {
 	if c.Store == nil {
 		c.Store = NewMemoryStore()
 	}
-	if c.LeaseTTL <= 0 {
-		c.LeaseTTL = 30 * time.Second
-	}
 	if c.MaxRetries < 0 {
 		c.MaxRetries = 0
 	} else if c.MaxRetries == 0 {
 		c.MaxRetries = 2
-	}
-	if c.sweepEvery <= 0 {
-		c.sweepEvery = c.LeaseTTL / 4
-		if c.sweepEvery < 10*time.Millisecond {
-			c.sweepEvery = 10 * time.Millisecond
-		}
-		if c.sweepEvery > 5*time.Second {
-			c.sweepEvery = 5 * time.Second
-		}
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.DiscardHandler)
@@ -147,7 +127,6 @@ type Stats struct {
 	Done        uint64
 	Failed      uint64
 	Cancelled   uint64
-	Retried     uint64
 	Recovered   uint64
 	QuotaDenied uint64
 	StoreErrors uint64
@@ -166,9 +145,6 @@ type Manager struct {
 	// when it grows or the manager closes.
 	pending []*Job
 	cond    *sync.Cond
-	// stopSweep terminates the lease sweeper.
-	stopSweep chan struct{}
-	sweepDone chan struct{}
 
 	// validateSem bounds synchronous Validate calls to the same concurrency
 	// as the job workers, so a burst of POST /v1/validate cannot run more
@@ -194,8 +170,6 @@ func NewManager(cfg Config) *Manager {
 	m := &Manager{
 		cfg:         cfg,
 		st:          newIndex(cfg.JobTTL, cfg.Store),
-		stopSweep:   make(chan struct{}),
-		sweepDone:   make(chan struct{}),
 		validateSem: make(chan struct{}, cfg.Workers),
 	}
 	m.cond = sync.NewCond(&m.st.mu)
@@ -215,14 +189,13 @@ func NewManager(cfg Config) *Manager {
 		m.wg.Add(1)
 		go m.worker()
 	}
-	go m.leaseSweeper()
 	return m
 }
 
 // recover rebuilds the index from the Store: terminal jobs become servable
 // snapshots (done jobs re-enter the result cache, so resubmits stay
 // idempotent across a restart), and queued or running jobs are re-queued —
-// a job that was mid-run when the process died is re-leased by the next
+// a job that was mid-run when the process died runs again on the next
 // worker, bounded by the retry budget.
 func (m *Manager) recover() {
 	recs, err := m.cfg.Store.LoadJobs()
@@ -591,7 +564,6 @@ func (m *Manager) Stats() Stats {
 		Done:        m.metrics.done.Value(),
 		Failed:      m.metrics.failed.Value(),
 		Cancelled:   m.metrics.cancelled.Value(),
-		Retried:     m.metrics.retried.Value(),
 		Recovered:   m.metrics.recovered.Value(),
 		QuotaDenied: m.metrics.quotaDenied.Value(),
 		StoreErrors: m.metrics.storeErrors.Value(),
@@ -660,8 +632,6 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 		m.st.mu.Unlock()
 		<-drained
 	}
-	close(m.stopSweep)
-	<-m.sweepDone
 	if ferr := m.st.persist.Flush(); ferr != nil {
 		m.metrics.storeErrors.Inc()
 	}
@@ -674,20 +644,17 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 func (m *Manager) worker() {
 	defer m.wg.Done()
 	for {
-		job, ctx, cancel, epoch := m.claim()
+		job, ctx, cancel := m.claim()
 		if job == nil {
 			return
 		}
-		m.run(job, ctx, cancel, epoch)
+		m.run(job, ctx, cancel)
 	}
 }
 
 // claim blocks until a queued job is available (or the manager is closed
-// and drained), leases it, and publishes the running transition. The
-// returned epoch fences every callback of this attempt: a lease expiry
-// bumps the job's epoch, turning the stale attempt's observer and finish
-// into no-ops.
-func (m *Manager) claim() (*Job, context.Context, context.CancelFunc, uint64) {
+// and drained), counts the attempt, and publishes the running transition.
+func (m *Manager) claim() (*Job, context.Context, context.CancelFunc) {
 	m.st.mu.Lock()
 	defer m.st.mu.Unlock()
 	for {
@@ -695,7 +662,7 @@ func (m *Manager) claim() (*Job, context.Context, context.CancelFunc, uint64) {
 			m.cond.Wait()
 		}
 		if len(m.pending) == 0 {
-			return nil, nil, nil, 0
+			return nil, nil, nil
 		}
 		job := m.pending[0]
 		m.pending = m.pending[1:]
@@ -708,95 +675,11 @@ func (m *Manager) claim() (*Job, context.Context, context.CancelFunc, uint64) {
 		job.started = m.st.now()
 		job.cancel = cancel
 		job.attempts++
-		job.epoch++
-		job.lease = m.st.now().Add(m.cfg.LeaseTTL)
 		m.persistJob(job)
 		m.publish(job, Event{Type: EventState, State: StateRunning, Attempt: job.attempts})
 		m.log.Info("job claimed", "job", job.ID, "attempt", job.attempts,
 			"request_id", job.Request.RequestID)
-		return job, ctx, cancel, job.epoch
-	}
-}
-
-// leaseSweeper re-queues running jobs whose lease expired — the worker
-// died, wedged, or (across a restart) belonged to a previous process — and
-// fails jobs that exhausted their retry budget.
-func (m *Manager) leaseSweeper() {
-	defer close(m.sweepDone)
-	ticker := time.NewTicker(m.cfg.sweepEvery)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-m.stopSweep:
-			return
-		case <-ticker.C:
-		}
-		m.st.mu.Lock()
-		now := m.st.now()
-		for _, job := range m.st.jobs {
-			if job.state == StateRunning && now.After(job.lease) {
-				m.expireLease(job)
-			}
-		}
-		m.st.mu.Unlock()
-	}
-}
-
-// expireLease requeues (or, past the retry budget, fails) a job whose
-// lease lapsed. Caller holds st.mu.
-func (m *Manager) expireLease(job *Job) {
-	job.epoch++ // fence the stale attempt's callbacks
-	if job.cancel != nil {
-		job.cancel()
-		job.cancel = nil
-	}
-	job.phase = ""
-	job.progress = nil
-	m.metrics.retried.Inc()
-	m.metrics.leaseExpiries.Inc()
-	m.log.Warn("lease expired", "job", job.ID, "attempt", job.attempts,
-		"max_retries", m.cfg.MaxRetries, "request_id", job.Request.RequestID)
-	if job.attempts > m.cfg.MaxRetries {
-		job.state = StateFailed
-		job.err = fmt.Errorf("%w: lease expired on attempt %d of %d",
-			ErrRetriesExhausted, job.attempts, m.cfg.MaxRetries+1)
-		job.finished = m.st.now()
-		m.metrics.failed.Inc()
-		m.st.dropKey(job)
-		m.persistJob(job)
-		m.publish(job, Event{Type: EventState, State: StateFailed, Error: job.err.Error()})
-		return
-	}
-	job.state = StateQueued
-	job.started = time.Time{}
-	m.pending = append(m.pending, job)
-	m.persistJob(job)
-	m.publish(job, Event{Type: EventState, State: StateQueued})
-	m.cond.Signal()
-}
-
-// heartbeat extends the job's lease while its attempt is alive, so leases
-// only lapse when the worker (or the whole process) actually dies.
-func (m *Manager) heartbeat(ctx context.Context, job *Job, epoch uint64) {
-	interval := m.cfg.LeaseTTL / 3
-	if interval < 10*time.Millisecond {
-		interval = 10 * time.Millisecond
-	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-ticker.C:
-		}
-		m.st.mu.Lock()
-		if job.epoch != epoch || job.state != StateRunning {
-			m.st.mu.Unlock()
-			return
-		}
-		job.lease = m.st.now().Add(m.cfg.LeaseTTL)
-		m.st.mu.Unlock()
+		return job, ctx, cancel
 	}
 }
 
@@ -811,29 +694,22 @@ func progressView(p qplacer.Progress) ProgressView {
 	return ProgressView{Stage: string(p.Stage), Backend: p.Backend, Iteration: p.Iteration, Objective: obj}
 }
 
-// run executes one leased attempt: plan, then batch-evaluate, publishing
-// phase transitions and progress events as it goes.
-func (m *Manager) run(job *Job, ctx context.Context, cancel context.CancelFunc, epoch uint64) {
+// run executes one claimed attempt: plan, then batch-evaluate, publishing
+// phase transitions and progress events as it goes. The job stays running
+// until finish: only Submit and recover queue a job, so no second attempt
+// can take it over meanwhile.
+func (m *Manager) run(job *Job, ctx context.Context, cancel context.CancelFunc) {
 	defer cancel()
-	if !m.cfg.disableHeartbeat {
-		go m.heartbeat(ctx, job, epoch)
-	}
 
 	// Stream backend progress into the job (for GET /v1/jobs/{id}) and its
-	// event history (for the SSE stream), extending the lease as a side
-	// effect. The callback fires from the engine's hot loop, so it only
-	// copies a small struct under the index lock; durable backends buffer
-	// the event append.
+	// event history (for the SSE stream). The callback fires from the
+	// engine's hot loop, so it only copies a small struct under the index
+	// lock; durable backends buffer the event append.
 	obs := qplacer.ObserverFunc(func(p qplacer.Progress) {
+		pv := progressView(p)
 		m.st.mu.Lock()
-		if job.epoch == epoch && job.state == StateRunning {
-			pv := progressView(p)
-			job.progress = &pv
-			if !m.cfg.disableHeartbeat {
-				job.lease = m.st.now().Add(m.cfg.LeaseTTL)
-			}
-			m.publish(job, Event{Type: EventProgress, Progress: &pv})
-		}
+		job.progress = &pv
+		m.publish(job, Event{Type: EventProgress, Progress: &pv})
 		m.st.mu.Unlock()
 	})
 	// Jobs always run the independent verifier: annotate mode attaches the
@@ -843,7 +719,7 @@ func (m *Manager) run(job *Job, ctx context.Context, cancel context.CancelFunc, 
 	plan, err := m.engine.Plan(ctx, qplacer.WithOptions(job.Request.Options),
 		qplacer.WithObserver(obs), qplacer.WithValidation(m.validationMode()))
 	if err != nil {
-		m.finish(job, epoch, nil, err)
+		m.finish(job, nil, err)
 		return
 	}
 	m.metrics.observePlan(job.Request.Options.Topology,
@@ -851,27 +727,26 @@ func (m *Manager) run(job *Job, ctx context.Context, cancel context.CancelFunc, 
 		time.Since(planStart))
 
 	m.st.mu.Lock()
-	if job.epoch == epoch && job.state == StateRunning && job.phase != "cancelling" {
+	if job.phase != "cancelling" {
 		job.phase = "evaluating"
 	}
 	m.st.mu.Unlock()
 
 	batch, err := m.engine.EvaluateAll(ctx, plan, job.Request.Benchmarks, job.Request.Mappings)
 	if err != nil {
-		m.finish(job, epoch, nil, err)
+		m.finish(job, nil, err)
 		return
 	}
-	m.finish(job, epoch, &qplacer.ResultDocument{
+	m.finish(job, &qplacer.ResultDocument{
 		Plan:       plan,
 		Batch:      batch,
 		Validation: plan.Validation,
 	}, nil)
 }
 
-// finish publishes the attempt's terminal state — unless the attempt is
-// stale (its lease expired and the job moved on) — and maintains the result
+// finish publishes the attempt's terminal state and maintains the result
 // cache: only successful jobs stay cached for dedup.
-func (m *Manager) finish(job *Job, epoch uint64, doc *qplacer.ResultDocument, err error) {
+func (m *Manager) finish(job *Job, doc *qplacer.ResultDocument, err error) {
 	var raw json.RawMessage
 	if err == nil {
 		raw, err = json.Marshal(doc)
@@ -881,9 +756,6 @@ func (m *Manager) finish(job *Job, epoch uint64, doc *qplacer.ResultDocument, er
 	}
 	m.st.mu.Lock()
 	defer m.st.mu.Unlock()
-	if job.epoch != epoch || job.state != StateRunning {
-		return // superseded by a lease expiry; the newer attempt owns the job
-	}
 	job.phase = ""
 	job.progress = nil
 	job.finished = m.st.now()

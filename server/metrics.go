@@ -18,16 +18,14 @@ import (
 type serviceMetrics struct {
 	reg *obs.Registry
 
-	submitted     *obs.Counter
-	done          *obs.Counter
-	failed        *obs.Counter
-	cancelled     *obs.Counter
-	retried       *obs.Counter
-	recovered     *obs.Counter
-	quotaDenied   *obs.Counter
-	storeErrors   *obs.Counter
-	cacheHits     *obs.Counter
-	leaseExpiries *obs.Counter
+	submitted   *obs.Counter
+	done        *obs.Counter
+	failed      *obs.Counter
+	cancelled   *obs.Counter
+	recovered   *obs.Counter
+	quotaDenied *obs.Counter
+	storeErrors *obs.Counter
+	cacheHits   *obs.Counter
 
 	sseSubscribers *obs.Gauge
 	journalFsync   *obs.Histogram
@@ -51,8 +49,6 @@ func newServiceMetrics(m *Manager) *serviceMetrics {
 			"Jobs that ended in failure (pipeline error or retry budget)."),
 		cancelled: reg.Counter("qplacerd_jobs_cancelled_total",
 			"Jobs cancelled while queued or running."),
-		retried: reg.Counter("qplacerd_jobs_retried_total",
-			"Lease expiries handled (re-queues plus budget-exhausted failures)."),
 		recovered: reg.Counter("qplacerd_jobs_recovered_total",
 			"Jobs re-queued from the durable store at startup."),
 		quotaDenied: reg.Counter("qplacerd_quota_denied_total",
@@ -61,8 +57,6 @@ func newServiceMetrics(m *Manager) *serviceMetrics {
 			"Store operations that failed (the in-memory index stays authoritative)."),
 		cacheHits: reg.Counter("qplacerd_cache_hits_total",
 			"Submits served from a live job for the same normalized request."),
-		leaseExpiries: reg.Counter("qplacerd_lease_expiries_total",
-			"Running jobs whose lease lapsed without a heartbeat."),
 
 		sseSubscribers: reg.Gauge("qplacerd_sse_subscribers",
 			"Currently connected SSE event streams."),
@@ -84,7 +78,7 @@ func newServiceMetrics(m *Manager) *serviceMetrics {
 			return float64(queued)
 		})
 	reg.GaugeFunc("qplacerd_jobs_running",
-		"Jobs currently leased by a worker.", func() float64 {
+		"Jobs a worker is currently placing or evaluating.", func() float64 {
 			m.st.mu.Lock()
 			defer m.st.mu.Unlock()
 			_, running := m.st.counts()

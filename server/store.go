@@ -17,8 +17,8 @@ type State string
 const (
 	// StateQueued means the job is waiting for a worker.
 	StateQueued State = "queued"
-	// StateRunning means a worker holds the job's lease and is placing or
-	// evaluating it.
+	// StateRunning means a worker is placing or evaluating the job. A crash
+	// leaves it running in the Store; the next boot queues it again.
 	StateRunning State = "running"
 	// StateDone means the job finished and its result is available.
 	StateDone State = "done"
@@ -263,12 +263,9 @@ type Job struct {
 	cancel    context.CancelFunc
 	hits      int // duplicate submits served from this job
 
-	// Lease/retry bookkeeping. attempts counts claims; epoch increments on
-	// every claim and lease expiry so a superseded run's callbacks become
-	// no-ops; lease is when the current claim expires unless heartbeated.
+	// attempts counts claims, persisted at each one, so recovery can charge
+	// a crashed attempt against the retry budget.
 	attempts int
-	epoch    uint64
-	lease    time.Time
 
 	// eventSeq is the Seq of the job's latest Event; notify is closed and
 	// replaced on every published event (watch-channel pattern for SSE).
