@@ -95,8 +95,7 @@ type Entry struct {
 	DetailMoved  int     `json:"detail_moved,omitempty"`
 	DetailHPWLmm float64 `json:"detail_hpwl_mm,omitempty"`
 
-	// Timings is the per-stage span breakdown from one extra traced run,
-	// kept out of the measured runs so tracing cannot perturb ns_per_iter.
+	// Timings is the per-stage span breakdown of the best measured run.
 	Timings *qplacer.SpanTiming `json:"timings,omitempty"`
 }
 
@@ -114,7 +113,6 @@ func main() {
 		out        = flag.String("out", "", "write the JSON document here (default stdout)")
 		quick      = flag.Bool("quick", false, "CI smoke preset: grid only, -iters 30, -runs 1")
 		check      = flag.String("check", "", "validate an existing document instead of benchmarking")
-		noTimings  = flag.Bool("no-timings", false, "skip the extra traced run that records the per-stage span breakdown")
 		suites     = flag.String("suite", "", "comma-separated generated-suite files (see qplacer-gen); their topologies join the sweep and their spec hashes are recorded")
 		version    = flag.Bool("version", false, "print build/version info and exit")
 	)
@@ -170,7 +168,7 @@ func main() {
 		for _, placer := range splitList(*placers) {
 			for _, legalizer := range splitList(*legalizers) {
 				for _, detailed := range splitList(*detaileds) {
-					e, err := measure(ctx, topo, placer, legalizer, detailed, *iters, *runs, *warmup, !*noTimings)
+					e, err := measure(ctx, topo, placer, legalizer, detailed, *iters, *runs, *warmup)
 					if err != nil {
 						log.Fatal(err)
 					}
@@ -199,10 +197,8 @@ func main() {
 
 // measure runs the pipeline warmup+runs times on fresh engines and keeps the
 // fastest measurement. Placements are bit-deterministic, so the quality
-// columns are identical across runs; only the clock varies. With timings set,
-// one additional traced run captures the per-stage span breakdown after the
-// measured runs, so tracing overhead never touches the timing columns.
-func measure(ctx context.Context, topo, placer, legalizer, detailed string, iters, runs, warmup int, timings bool) (Entry, error) {
+// columns are identical across runs; only the clock varies.
+func measure(ctx context.Context, topo, placer, legalizer, detailed string, iters, runs, warmup int) (Entry, error) {
 	e := Entry{Topology: topo, Placer: placer, Legalizer: legalizer, Detailed: detailed}
 	opts := qplacer.Options{
 		Topology:       topo,
@@ -228,6 +224,7 @@ func measure(ctx context.Context, topo, placer, legalizer, detailed string, iter
 			e.NsPerIter = nsPerIter
 			e.PlaceMS = float64(plan.PlaceRuntime.Microseconds()) / 1e3
 			e.TotalMS = totalMS
+			e.Timings = plan.Timings
 		}
 		e.Iterations = plan.PlaceIterations
 		e.HPWLmm = place.HPWL(plan.Netlist)
@@ -235,13 +232,6 @@ func measure(ctx context.Context, topo, placer, legalizer, detailed string, iter
 		e.PhPercent = plan.Metrics.Ph
 		e.DetailMoved = plan.DetailMoved
 		e.DetailHPWLmm = plan.DetailHPWLAfter
-	}
-	if timings {
-		plan, err := qplacer.New(qplacer.WithTracing(true)).Plan(ctx, qplacer.WithOptions(opts))
-		if err != nil {
-			return e, fmt.Errorf("%s/%s/%s/%s traced run: %w", topo, placer, legalizer, detailed, err)
-		}
-		e.Timings = plan.Timings
 	}
 	return e, nil
 }

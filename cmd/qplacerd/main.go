@@ -40,11 +40,9 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
-	"qplacer"
 	"qplacer/internal/obs"
 	"qplacer/server"
 	"qplacer/server/journal"
@@ -62,13 +60,7 @@ func main() {
 		dataDir  = flag.String("data-dir", "", "durable job store directory (empty = in-memory, lost on restart)")
 		quota    = flag.Int("quota", 0, "max live jobs per client, keyed by X-Client-ID or remote host (0 = unlimited)")
 		retries  = flag.Int("retries", 2, "re-runs per job after crashes (with -data-dir) before it fails; 0 = none")
-		placer   = flag.String("placer", "", "default placement backend for requests that leave it unset: "+
-			strings.Join(qplacer.Placers(), "|"))
-		legalize = flag.String("legalizer", "", "default legalization backend for requests that leave it unset: "+
-			strings.Join(qplacer.Legalizers(), "|"))
-		detailed = flag.String("detailed", "", "default detailed-placement backend for requests that leave it unset: "+
-			strings.Join(qplacer.DetailedPlacers(), "|"))
-		strict = flag.Bool("strict-validation", false,
+		strict   = flag.Bool("strict-validation", false,
 			"fail jobs whose placement carries error-severity violations (422 invalid_placement)")
 		logLevel  = flag.String("log-level", "info", "structured-log level: debug|info|warn|error")
 		logFormat = flag.String("log-format", "text", "structured-log format: text|json")
@@ -87,24 +79,6 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Fail fast on a misconfigured backend default: without this check the
-	// daemon would boot cleanly and then 400 every request that relies on it.
-	if *placer != "" {
-		if _, err := qplacer.PlacerByName(*placer); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if *legalize != "" {
-		if _, err := qplacer.LegalizerByName(*legalize); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if *detailed != "" {
-		if _, err := qplacer.DetailedPlacerByName(*detailed); err != nil {
-			log.Fatal(err)
-		}
-	}
-
 	var store server.Store
 	if *dataDir != "" {
 		js, err := journal.Open(*dataDir)
@@ -119,17 +93,14 @@ func main() {
 		maxRetries = -1 // server.Config reads 0 as its default
 	}
 	srv := server.New(server.Config{
-		Workers:               *workers,
-		QueueDepth:            *maxQueue,
-		JobTTL:                *ttl,
-		Store:                 store,
-		MaxRetries:            maxRetries,
-		QuotaPerClient:        *quota,
-		DefaultPlacer:         *placer,
-		DefaultLegalizer:      *legalize,
-		DefaultDetailedPlacer: *detailed,
-		StrictValidation:      *strict,
-		Logger:                logger,
+		Workers:          *workers,
+		QueueDepth:       *maxQueue,
+		JobTTL:           *ttl,
+		Store:            store,
+		MaxRetries:       maxRetries,
+		QuotaPerClient:   *quota,
+		StrictValidation: *strict,
+		Logger:           logger,
 	})
 	if *dataDir != "" {
 		stats := srv.Manager().Stats()

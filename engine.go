@@ -139,9 +139,8 @@ type PlanResult struct {
 	Validation *ValidationReport
 
 	// Timings is the per-stage timing breakdown recorded while the plan was
-	// computed; nil when the computing run had tracing disabled. Warm cache
-	// hits share the cold run's breakdown (a hit does no stage work of its
-	// own to time).
+	// computed. Warm cache hits share the cold run's breakdown (a hit does no
+	// stage work of its own to time).
 	Timings *SpanTiming
 }
 
@@ -165,11 +164,11 @@ func (e *Engine) Plan(ctx context.Context, opts ...Option) (*PlanResult, error) 
 	for _, o := range opts {
 		o(&s)
 	}
-	return e.planWith(ctx, s.opts, s.observer, s.validation, s.tracing)
+	return e.planWith(ctx, s.opts, s.observer, s.validation)
 }
 
 // planWith runs one plan.
-func (e *Engine) planWith(ctx context.Context, opts Options, observer Observer, vmode ValidationMode, traced bool) (*PlanResult, error) {
+func (e *Engine) planWith(ctx context.Context, opts Options, observer Observer, vmode ValidationMode) (*PlanResult, error) {
 	start := time.Now()
 	if ctx == nil {
 		ctx = context.Background()
@@ -177,7 +176,7 @@ func (e *Engine) planWith(ctx context.Context, opts Options, observer Observer, 
 	if observer == nil {
 		observer = nopObserver{}
 	}
-	norm, err := opts.normalized()
+	norm, err := opts.Normalized()
 	if err != nil {
 		return nil, err
 	}
@@ -194,10 +193,7 @@ func (e *Engine) planWith(ctx context.Context, opts Options, observer Observer, 
 	// The tracer is built only after the plan-cache lookup misses, so the
 	// warm path stays allocation-free; StartAt backdates the root span to
 	// cover normalization and the lookup itself.
-	var root *obs.Span
-	if traced {
-		root = obs.NewSpan("plan")
-	}
+	root := obs.NewSpan("plan")
 	rootTimer := root.StartAt(start)
 
 	st, err := e.stage(norm, root)

@@ -100,12 +100,10 @@ type legalizer struct {
 	slot   []int       // instance ID → index in placed, -1 while unplaced
 	order  []int       // placed index → instance ID
 
-	// Witnesses the next query tests first: the placed index that answered
-	// the last overlapping query, and the instance and partner of the last
-	// failed guard check (-1 for none). Placed rects and placements are never
-	// removed, only re-fixed, so a witness always names a placed instance,
-	// and it is re-tested against current state before it answers.
-	blocker                 int
+	// The witness the next guard check tests first: the instance and
+	// partner of the last failed guard check (-1 for none). Placements are
+	// never removed, only re-fixed, so the witness always names a placed
+	// instance, and it is re-tested against current state before it answers.
 	guardInst, guardPartner int
 
 	// Spatial index of the placed rects (by placed index) over the widest
@@ -130,32 +128,30 @@ type legalizer struct {
 // workCounts tallies what the spot search did. The counts are exact per
 // seed, so they pin the search's cost where wall time is too noisy.
 type workCounts struct {
-	probes      int // free offsets evaluated (bounds and guard checks)
-	bits        int // mask bits tested: one per offset the spiral walk visits
-	rasterized  int // placed rects whose blocked offsets went into a mask
-	queries     int // grid queries that widened a mask's covered rings
-	scans       int // overlapsPlaced queries that scanned buckets
-	blockerHits int // overlapsPlaced queries answered by the last blocker
-	guardHits   int // failed guard checks answered by the last violator
+	probes     int // free offsets evaluated (bounds and guard checks)
+	bits       int // mask bits tested: one per offset the spiral walk visits
+	rasterized int // placed rects whose blocked offsets went into a mask
+	queries    int // grid queries that widened a mask's covered rings
+	scans      int // overlapsPlaced queries, each a bucket scan
+	guardHits  int // failed guard checks answered by the last violator
 }
 
 func (w workCounts) since(before workCounts) workCounts {
 	return workCounts{
-		probes:      w.probes - before.probes,
-		bits:        w.bits - before.bits,
-		rasterized:  w.rasterized - before.rasterized,
-		queries:     w.queries - before.queries,
-		scans:       w.scans - before.scans,
-		blockerHits: w.blockerHits - before.blockerHits,
-		guardHits:   w.guardHits - before.guardHits,
+		probes:     w.probes - before.probes,
+		bits:       w.bits - before.bits,
+		rasterized: w.rasterized - before.rasterized,
+		queries:    w.queries - before.queries,
+		scans:      w.scans - before.scans,
+		guardHits:  w.guardHits - before.guardHits,
 	}
 }
 
 func (w workCounts) String() string {
 	return fmt.Sprintf("spot search: %d probes evaluated, %d mask bits tested; "+
 		"mask: %d rects rasterized in %d grid queries; "+
-		"overlap queries: %d by bucket scan, %d by last-blocker witness; %d guard failures by last-violator witness",
-		w.probes, w.bits, w.rasterized, w.queries, w.scans, w.blockerHits, w.guardHits)
+		"overlap queries: %d by bucket scan; %d guard failures by last-violator witness",
+		w.probes, w.bits, w.rasterized, w.queries, w.scans, w.guardHits)
 }
 
 // guardedApart reports whether centres a and b keep the guard distance.
@@ -176,7 +172,7 @@ var spotGrowth = [...]float64{0, 0.08, 0.20}
 const maxGridCells = 512
 
 func (lg *legalizer) setup() {
-	lg.blocker, lg.guardInst, lg.guardPartner = -1, -1, -1
+	lg.guardInst, lg.guardPartner = -1, -1
 	n := len(lg.nl.Instances)
 	lg.slot = make([]int, n)
 	for i := range lg.slot {
@@ -308,25 +304,17 @@ func overlapsEps(a, b geom.Rect) bool {
 
 // overlapsPlaced reports whether r overlaps any fixed legal rect, except
 // instance skip's own (-1 skips nothing), by exactly the overlapsEps test:
-// placed rects are stored pre-shrunk, so only r is shrunk here. The rect
-// that answered the last overlapping query is tested first, since nearby
-// queries are usually blocked by the same rect; otherwise the query goes
-// through the spatial index. Either way the answer is whether some rect
-// overlaps, and lg.blocker names one that does. The spiral search asks its
+// placed rects are stored pre-shrunk, so only r is shrunk here. The query
+// scans the spatial index's buckets under r. The spiral search asks its
 // blocked-offset mask instead; this serves the integration pass.
 func (lg *legalizer) overlapsPlaced(r geom.Rect, skip int) bool {
 	r = r.Inflate(-overlapEps / 2)
-	if b := lg.blocker; b >= 0 && lg.order[b] != skip && r.Overlaps(lg.placed[b]) {
-		lg.work.blockerHits++
-		return true
-	}
 	lg.work.scans++
 	x0, y0, x1, y1 := lg.grid.Range(r)
 	for y := y0; y <= y1; y++ {
 		for x := x0; x <= x1; x++ {
 			for _, idx := range lg.grid.Bucket(x, y) {
 				if lg.order[idx] != skip && r.Overlaps(lg.placed[idx]) {
-					lg.blocker = int(idx)
 					return true
 				}
 			}

@@ -262,9 +262,8 @@ func (d *differential) checkStats(res *Result) {
 // the frequency guards on and off, and checks every escalation level of
 // every findSpot call against the reference search on the same state. It
 // then throws adversarial queries at the final state: targets far outside
-// the grid or non-finite, rects exactly on the bounds edges, the cached
-// blocker as the skipped instance, and the cached blocker re-fixed
-// elsewhere. It also holds the search to a third of the reference's
+// the grid or non-finite, rects exactly on the bounds edges, a neighbour
+// as the skipped instance, and a neighbour re-fixed elsewhere. It also holds the search to a third of the reference's
 // probes, so a change that re-adds probes fails without timing noise.
 func TestFindSpotMatchesReference(t *testing.T) {
 	type tc struct {
@@ -291,8 +290,8 @@ func TestFindSpotMatchesReference(t *testing.T) {
 		}
 		d.checkStats(res)
 		w := d.lg.work
-		t.Logf("%s (guards %v): %d levels; %d probes and %d mask bits vs %d reference offsets; %d rects rasterized in %d grid queries; %d bucket scans, %d blocker hits, %d guard hits; %d fallbacks, %d failures",
-			c.dev, c.aware, d.levels, w.probes, w.bits, d.ref.visited, w.rasterized, w.queries, w.scans, w.blockerHits, w.guardHits, d.fallbacks, d.failures)
+		t.Logf("%s (guards %v): %d levels; %d probes and %d mask bits vs %d reference offsets; %d rects rasterized in %d grid queries; %d bucket scans, %d guard hits; %d fallbacks, %d failures",
+			c.dev, c.aware, d.levels, w.probes, w.bits, d.ref.visited, w.rasterized, w.queries, w.scans, w.guardHits, d.fallbacks, d.failures)
 		if 3*w.probes > d.ref.visited {
 			t.Errorf("%s: %d probes evaluated, more than a third of the reference's %d", c.dev, w.probes, d.ref.visited)
 		}
@@ -313,6 +312,7 @@ func (d *differential) adversarial() {
 	nan, inf := math.NaN(), math.Inf(1)
 	for _, id := range ids {
 		in := nl.Instances[id]
+		nb := nl.Instances[neighbour(lg, in)]
 		r := LegalRect(in)
 		hw, hh := r.W()/2, r.H()/2
 		b := lg.bounds
@@ -332,31 +332,36 @@ func (d *differential) adversarial() {
 			{X: b.Lo.X - float64(maxRings)*p, Y: b.Center().Y},
 		}
 		for _, want := range wants {
-			for _, skip := range []int{-1, id} {
+			// The neighbour as the skipped instance: its own rect must not
+			// answer for the query.
+			for _, skip := range []int{-1, id, nb.ID} {
 				lg.findSpot(in, want, skip)
 			}
-			// The cached blocker as the skipped instance: its own rect must
-			// not answer for the query.
-			if lg.blocker >= 0 {
-				lg.findSpot(in, want, lg.order[lg.blocker])
-			}
 		}
-		// Re-fix the cached blocker elsewhere between probes, then back.
+		// Re-fix the neighbour elsewhere between probes, then back.
+		old := nb.Pos
 		for _, want := range wants[:2] {
 			lg.findSpot(in, in.Pos, -1)
-			if lg.blocker < 0 {
-				continue
-			}
-			other := nl.Instances[lg.order[lg.blocker]]
-			old := other.Pos
 			for _, to := range []geom.Point{want, {X: old.X + 3*p, Y: old.Y}} {
-				other.Pos = to
-				lg.fix(other.ID, LegalRect(other))
+				nb.Pos = to
+				lg.fix(nb.ID, LegalRect(nb))
 				lg.findSpot(in, in.Pos, -1)
 				lg.findSpot(in, old, -1)
 			}
-			other.Pos = old
-			lg.fix(other.ID, LegalRect(other))
+			nb.Pos = old
+			lg.fix(nb.ID, LegalRect(nb))
 		}
 	}
+}
+
+// neighbour returns the placed instance other than in whose centre is
+// nearest in's: the one most likely to block a search around in.
+func neighbour(lg *legalizer, in *component.Instance) int {
+	best, bestD := -1, math.Inf(1)
+	for _, id := range lg.order {
+		if d := lg.nl.Instances[id].Pos.Dist2(in.Pos); id != in.ID && d < bestD {
+			best, bestD = id, d
+		}
+	}
+	return best
 }

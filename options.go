@@ -85,12 +85,6 @@ type Options struct {
 // scheme validated — which the Engine uses as its plan-cache key. Services
 // deduplicating equivalent requests should key on this value.
 func (o Options) Normalized() (Options, error) {
-	return o.normalized()
-}
-
-// normalized fills in defaults and validates the scheme, returning the
-// canonical form used as cache key.
-func (o Options) normalized() (Options, error) {
 	// Non-finite numerics can slip past every downstream <= 0 guard (NaN
 	// compares false both ways) and poison cache keys, and a negative Δc
 	// would be read as the default by the placer but as "no pairs" by the
@@ -154,14 +148,10 @@ type settings struct {
 	workers    int
 	observer   Observer
 	validation ValidationMode
-	tracing    bool
 }
 
 func defaultSettings() settings {
-	return settings{
-		workers: runtime.GOMAXPROCS(0),
-		tracing: true,
-	}
+	return settings{workers: runtime.GOMAXPROCS(0)}
 }
 
 // Option configures an Engine at construction (New) or one call (Plan).
@@ -238,17 +228,6 @@ func WithObserver(obs Observer) Option {
 // option it applies to every plan; as a per-call option to that call only.
 func WithValidation(mode ValidationMode) Option {
 	return func(s *settings) { s.validation = mode }
-}
-
-// WithTracing toggles the span tracer (default on). Traced plans carry a
-// per-stage timing breakdown in PlanResult.Timings; untraced plans run the
-// exact same code with a nil span, leave Timings nil, and pay nothing
-// beyond a pointer test per instrumented site. Tracing never changes
-// placement results and is not part of the cache key — but
-// note the cache stores whatever the first (cold) run produced, so a warm
-// hit may carry timings even when the hitting call disabled tracing.
-func WithTracing(enabled bool) Option {
-	return func(s *settings) { s.tracing = enabled }
 }
 
 // WithOptions replaces the whole Options struct at once, for callers that

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -134,7 +135,7 @@ func TestDurableRestartServesResultAndDedup(t *testing.T) {
 // TestForcedDrainFlushesInFlight pins the drain satellite: when the
 // shutdown budget expires with a job mid-run, the job is flushed back to
 // the durable store as queued (not cancelled, not charged a retry), and the
-// next boot re-leases and runs it.
+// next boot re-claims and runs it.
 func TestForcedDrainFlushesInFlight(t *testing.T) {
 	dir := t.TempDir()
 	js, err := journal.Open(dir)
@@ -175,9 +176,9 @@ func TestForcedDrainFlushesInFlight(t *testing.T) {
 	if got := m2.Stats().Recovered; got != 1 {
 		t.Fatalf("Stats.Recovered = %d, want 1", got)
 	}
-	// The recovered job is re-leased by the new process's worker.
+	// The recovered job is re-claimed by the new process's worker.
 	if got := pollMgr(t, m2, view.ID, server.StateRunning); got.Attempts != 1 {
-		t.Fatalf("re-leased job attempts = %d, want 1", got.Attempts)
+		t.Fatalf("re-claimed job attempts = %d, want 1", got.Attempts)
 	}
 }
 
@@ -340,7 +341,11 @@ func TestRecoveryRetryBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 			req.Options = opts
-			cfg := storeCfg(t, server.Config{Workers: 1, MaxRetries: tc.maxRetries})
+			var logs bytes.Buffer
+			cfg := storeCfg(t, server.Config{
+				Workers: 1, MaxRetries: tc.maxRetries,
+				Logger: slog.New(slog.NewTextHandler(&logs, nil)),
+			})
 			if cfg.Store == nil {
 				cfg.Store = server.NewMemoryStore()
 			}
@@ -353,6 +358,12 @@ func TestRecoveryRetryBudget(t *testing.T) {
 			}
 
 			srv := server.New(cfg)
+			// Recovery logs inside New. A failed job leaves the worker idle,
+			// so nothing else writes to logs while it is read here.
+			var bootLog string
+			if tc.want == server.StateFailed {
+				bootLog = logs.String()
+			}
 			ts := httptest.NewServer(srv.Handler())
 			defer func() {
 				ts.Close()
@@ -390,6 +401,10 @@ func TestRecoveryRetryBudget(t *testing.T) {
 			}
 			if n := m.Stats().Recovered; n != 0 {
 				t.Fatalf("Stats.Recovered = %d, want 0", n)
+			}
+			want := fmt.Sprintf(`level=WARN msg="recovered job over retry budget" job=%s attempts=%d`, crashed.ID, tc.attempts)
+			if !strings.Contains(bootLog, want) {
+				t.Fatalf("boot log does not name the over-budget job:\n%s\nwant a line with %s", bootLog, want)
 			}
 			var body struct {
 				Code string `json:"code"`

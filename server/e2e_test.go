@@ -157,7 +157,7 @@ func stripVolatile(doc map[string]any) {
 
 // TestCrashRecoveryE2E is the acceptance test for the durable subsystem:
 // SIGKILL a real qplacerd mid-placement, restart it on the same -data-dir,
-// and require the recovered daemon to re-lease, finish, and serve a result
+// and require the recovered daemon to re-claim, finish, and serve a result
 // identical (minus wall-clock fields) to a run that was never interrupted.
 func TestCrashRecoveryE2E(t *testing.T) {
 	if testing.Short() {
@@ -200,7 +200,7 @@ func TestCrashRecoveryE2E(t *testing.T) {
 	_ = cmd.Wait()
 
 	// Boot #2 on the same data-dir: the job must come back via the list
-	// endpoint, get re-leased (a second attempt), and complete.
+	// endpoint, get re-claimed (a second attempt), and complete.
 	_, base2 := startDaemon(t, bin, dataDir)
 	var page server.JobsResponse
 	if code := call(t, http.MethodGet, base2+"/v1/jobs", "", &page); code != http.StatusOK {
@@ -214,7 +214,7 @@ func TestCrashRecoveryE2E(t *testing.T) {
 	}
 	final := pollJob(t, base2, sub.Job.ID, server.StateDone)
 	if final.Attempts != 2 {
-		t.Fatalf("recovered job attempts = %d, want 2 (crashed attempt + re-lease)", final.Attempts)
+		t.Fatalf("recovered job attempts = %d, want 2 (crashed attempt + re-claim)", final.Attempts)
 	}
 	var recovered map[string]any
 	if code := call(t, http.MethodGet, base2+"/v1/jobs/"+sub.Job.ID+"/result", "", &recovered); code != http.StatusOK {

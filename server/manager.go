@@ -70,13 +70,6 @@ type Config struct {
 	// QuotaPerClient caps the live (queued+running) jobs per Request.Client
 	// (0 = unlimited). Submits beyond it fail with ErrQuotaExceeded (429).
 	QuotaPerClient int
-	// DefaultPlacer, DefaultLegalizer, and DefaultDetailedPlacer fill
-	// requests that leave the backend unset, before normalization ("" keeps
-	// the package defaults, "nesterov"/"shelf"/"none"). Requests naming a
-	// backend explicitly win.
-	DefaultPlacer         string
-	DefaultLegalizer      string
-	DefaultDetailedPlacer string
 	// StrictValidation fails jobs whose placement carries error-severity
 	// violations (ErrInvalidPlacement → 422 at the result endpoint) instead
 	// of merely annotating the result document. Every job's result carries
@@ -201,6 +194,7 @@ func (m *Manager) recover() {
 	recs, err := m.cfg.Store.LoadJobs()
 	if err != nil {
 		m.metrics.storeErrors.Inc()
+		m.log.Error("store recovery failed", "error", err.Error())
 		return
 	}
 	sort.Slice(recs, func(i, j int) bool { return recs[i].Seq < recs[j].Seq })
@@ -237,6 +231,8 @@ func (m *Manager) recover() {
 			job.state = StateFailed
 			job.err = fmt.Errorf("%w: %d attempts", ErrRetriesExhausted, rec.Attempts)
 			job.finished = m.st.now()
+			m.log.Warn("recovered job over retry budget", "job", job.ID,
+				"attempts", rec.Attempts, "max_retries", m.cfg.MaxRetries)
 			m.metrics.failed.Inc()
 			m.persistJob(job)
 			m.publish(job, Event{Type: EventState, State: StateFailed, Error: job.err.Error()})
@@ -279,20 +275,10 @@ func (m *Manager) publish(job *Job, ev Event) {
 }
 
 // normalize validates the raw request against the registries and fills in
-// defaults — the manager's configured backend defaults first, then the
-// package normalization — producing the canonical form the cache keys on.
+// the package defaults, producing the canonical form the cache keys on.
 // Failures wrap the qplacer sentinels so handlers can map them to status
 // codes.
 func (m *Manager) normalize(req Request) (Request, error) {
-	if req.Options.Placer == "" {
-		req.Options.Placer = m.cfg.DefaultPlacer
-	}
-	if req.Options.Legalizer == "" {
-		req.Options.Legalizer = m.cfg.DefaultLegalizer
-	}
-	if req.Options.DetailedPlacer == "" {
-		req.Options.DetailedPlacer = m.cfg.DefaultDetailedPlacer
-	}
 	opts, err := req.Options.Normalized()
 	if err != nil {
 		return req, err

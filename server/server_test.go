@@ -548,42 +548,6 @@ func TestBackendSelectionKeysResultCache(t *testing.T) {
 	}
 }
 
-// TestManagerDefaultBackends checks the daemon-level -placer/-legalizer
-// defaults flow into requests that leave the backend unset, without
-// overriding explicit choices.
-func TestManagerDefaultBackends(t *testing.T) {
-	mgr := newMgr(t, server.Config{Workers: 1, DefaultLegalizer: "greedy", DefaultDetailedPlacer: "swap"})
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		_ = mgr.Shutdown(ctx)
-	}()
-
-	view, _, err := mgr.Submit(fastRequest(61))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if view.Request.Options.Legalizer != "greedy" {
-		t.Fatalf("manager default not applied: %+v", view.Request.Options)
-	}
-	if view.Request.Options.DetailedPlacer != "swap" {
-		t.Fatalf("manager detailed default not applied: %+v", view.Request.Options)
-	}
-	explicit := fastRequest(62)
-	explicit.Options.Legalizer = "shelf"
-	explicit.Options.DetailedPlacer = "none"
-	view2, _, err := mgr.Submit(explicit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if view2.Request.Options.Legalizer != "shelf" {
-		t.Fatalf("explicit backend overridden: %+v", view2.Request.Options)
-	}
-	if view2.Request.Options.DetailedPlacer != "none" {
-		t.Fatalf("explicit detailed backend overridden: %+v", view2.Request.Options)
-	}
-}
-
 // TestManagerConcurrentSubmitStress hammers one manager with duplicate
 // submits from many goroutines; under -race this is the data-race check for
 // the store, the result cache, and the shared engine.

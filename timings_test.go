@@ -112,17 +112,6 @@ func TestSpanTreeDeterminism(t *testing.T) {
 	}
 }
 
-func TestWithTracingOff(t *testing.T) {
-	eng := New(WithTracing(false))
-	plan, err := eng.Plan(context.Background(), WithTopology("grid"), WithMaxIters(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Timings != nil {
-		t.Fatalf("untraced plan has Timings: %+v", plan.Timings)
-	}
-}
-
 func TestWarmHitSharesColdTimings(t *testing.T) {
 	eng := New()
 	opts := []Option{WithTopology("grid"), WithMaxIters(5)}
@@ -169,23 +158,6 @@ func TestTimingsJSONShape(t *testing.T) {
 		t.Fatalf("timings did not round-trip: %+v", doc.Timings)
 	}
 
-	// An untraced plan must omit the block entirely.
-	eng2 := New(WithTracing(false))
-	plan2, err := eng2.Plan(context.Background(), WithTopology("grid"), WithMaxIters(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw2, err := json.Marshal(plan2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m map[string]json.RawMessage
-	if err := json.Unmarshal(raw2, &m); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := m["timings"]; ok {
-		t.Fatal("untraced plan JSON carries a timings block")
-	}
 }
 
 func TestSpanTimingFind(t *testing.T) {
