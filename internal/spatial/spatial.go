@@ -106,12 +106,13 @@ func (g *Grid) Reset() {
 }
 
 // Pairs returns the candidate pairs of rects: every pair i < j whose rects
-// share a cell of one grid, and every pair with a rect that has a non-finite
-// edge, which no grid can file (such a pair may still intersect, or compare
-// as NaN). The clamped cell map is monotone, so every pair of intersecting
-// rects is a candidate. The pairs come in ascending (i, j) order, the order
-// of a full O(n²) sweep. The grid is built once, here: the sequence may be
-// ranged any number of times, as long as rects stays unchanged.
+// share a cell of one grid, and every pair with a rect the grid does not
+// file: one with a non-finite edge (such a pair may still intersect, or
+// compare as NaN), or one wider or taller than the grid itself. The clamped
+// cell map is monotone, so every pair of intersecting rects is a candidate.
+// The pairs come in ascending (i, j) order, the order of a full O(n²)
+// sweep. The grid is built once, here: the sequence may be ranged any
+// number of times, as long as rects stays unchanged.
 //
 // Pairs and seq are small enough to inline, so a range over Pairs(rects)
 // calls the scan directly and its loop body stays off the heap.
@@ -121,42 +122,84 @@ func Pairs(rects []geom.Rect) iter.Seq2[int, int] {
 
 // pairScan is the grid behind one Pairs call.
 type pairScan struct {
-	rects  []geom.Rect
-	broken []int32 // ascending indices of the rects with a non-finite edge
-	grid   *Grid
+	rects []geom.Rect
+	all   []int32 // ascending indices of the rects paired with every rect
+	grid  *Grid
 }
 
+// newPairScan files the rects in a grid over the finite rects' extent. If
+// a cell then holds over a quarter of them, a few far-out or oversized
+// rects have stretched the cells, so the rects are filed again over the
+// extent of their edges without the outermost 1/64 on each side.
 func newPairScan(rects []geom.Rect) *pairScan {
 	ps := &pairScan{rects: rects}
 	var box geom.Rect
-	cell, k := 0.0, 0
-	for i, r := range rects {
-		if !finite(r) {
-			ps.broken = append(ps.broken, int32(i))
-			continue
+	k := 0
+	for _, r := range rects {
+		if finite(r) {
+			if k == 0 {
+				box = r
+			} else {
+				box = box.Union(r)
+			}
+			k++
 		}
-		cell = max(cell, r.W(), r.H())
-		if k == 0 {
-			box = r
-		} else {
-			box = box.Union(r)
-		}
-		k++
 	}
-	// Cells at least the widest rect put each rect in at most 2×2 cells;
-	// cells at least 1/√k of the layout's side keep the grid near k cells
-	// when a rect lies far out.
-	cell = max(cell, max(box.W(), box.H())/math.Sqrt(float64(max(k, 1))))
+	ps.file(box)
+	if k >= 64 && slices.ContainsFunc(ps.grid.buckets, func(b []int32) bool { return len(b) > k/4 }) {
+		ps.file(innerBox(rects, k))
+	}
+	return ps
+}
+
+// file puts every finite rect no wider or taller than box in a grid over
+// box and lists the others in all. The cells are at least the widest rect
+// filed, so each lies in at most 2×2 cells, and at least 1/√n of the box's
+// side, so the grid stays near n cells when a rect lies far out.
+func (ps *pairScan) file(box geom.Rect) {
+	limit := max(box.W(), box.H())
+	ps.all = ps.all[:0]
+	cell, n := 0.0, 0
+	for i, r := range ps.rects {
+		if side := max(r.W(), r.H()); !finite(r) || side > limit {
+			ps.all = append(ps.all, int32(i))
+		} else {
+			cell = max(cell, side)
+			n++
+		}
+	}
+	cell = max(cell, limit/math.Sqrt(float64(max(n, 1))))
 	if !(cell > 0) {
 		cell = 1
 	}
 	ps.grid = New(box, cell)
-	for i, r := range rects {
-		if finite(r) {
+	all := ps.all
+	for i, r := range ps.rects {
+		if len(all) > 0 && int(all[0]) == i {
+			all = all[1:]
+		} else {
 			ps.grid.Add(int32(i), r)
 		}
 	}
-	return ps
+}
+
+// innerBox returns the box of the k finite rects' edges without the
+// outermost 1/64 of them on each side.
+func innerBox(rects []geom.Rect, k int) geom.Rect {
+	edges := make([]float64, 4*k)
+	lx, ly, hx, hy := edges[:k], edges[k:2*k], edges[2*k:3*k], edges[3*k:]
+	k = 0
+	for _, r := range rects {
+		if finite(r) {
+			lx[k], ly[k], hx[k], hy[k] = r.Lo.X, r.Lo.Y, r.Hi.X, r.Hi.Y
+			k++
+		}
+	}
+	for _, vs := range [][]float64{lx, ly, hx, hy} {
+		slices.Sort(vs)
+	}
+	q := k / 64
+	return geom.Rect{Lo: geom.Point{X: lx[q], Y: ly[q]}, Hi: geom.Point{X: hx[k-1-q], Y: hy[k-1-q]}}
 }
 
 func (ps *pairScan) seq() iter.Seq2[int, int] {
@@ -167,8 +210,10 @@ func (ps *pairScan) each(yield func(i, j int) bool) {
 	n := len(ps.rects)
 	mark := make([]int32, n)     // mark[j] == i+1 once j is a candidate of i
 	near := make([]int32, 0, 64) // on the stack unless a rect has more candidates
+	all := ps.all                // those of ps.all after i
 	for i, r := range ps.rects {
-		if !finite(r) {
+		if len(all) > 0 && int(all[0]) == i {
+			all = all[1:]
 			for j := i + 1; j < n; j++ {
 				if !yield(i, j) {
 					return
@@ -188,8 +233,7 @@ func (ps *pairScan) each(yield func(i, j int) bool) {
 				}
 			}
 		}
-		k, _ := slices.BinarySearch(ps.broken, int32(i+1))
-		near = append(near, ps.broken[k:]...)
+		near = append(near, all...)
 		slices.Sort(near)
 		for _, j := range near {
 			if !yield(i, int(j)) {

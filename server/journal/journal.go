@@ -16,6 +16,13 @@
 // hard kill may lose the newest few progress events but never a lifecycle
 // transition — recovery then just re-runs the job from its last durable
 // state.
+//
+// A compaction rewrites the whole state, so it runs only when the log holds
+// something to fold in: at Open after a crash (a non-empty log, torn or
+// not) or on a directory without a snapshot, at Close if anything was
+// appended, and every compactAfter records. A clean shutdown leaves an
+// empty log behind its snapshot, and the next Open appends to that log as
+// it is.
 package journal
 
 import (
@@ -71,7 +78,7 @@ type Store struct {
 	events map[string][]server.Event
 
 	unflushed  int // buffered event ops not yet flushed
-	logRecords int // ops appended since the last compaction
+	logRecords int // ops appended since the last compaction or Open
 	closed     bool
 
 	// fsyncObs, when set, observes the duration of every fsync of the live
@@ -103,8 +110,11 @@ func (st *Store) syncLog() error {
 }
 
 // Open loads (or initializes) the journal under dir: snapshot first, then a
-// replay of the matching generation's log, then an immediate compaction so
-// every boot starts from a fresh snapshot and an empty log.
+// replay of the matching generation's log. When a snapshot loaded and that
+// log is absent or empty, the state a clean Close leaves, the log is opened
+// for append as it is; otherwise Open compacts, so the next boot starts
+// from a fresh snapshot and a torn tail is never appended to. Either way
+// every other generation's log is deleted.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: creating %s: %w", dir, err)
@@ -114,12 +124,21 @@ func Open(dir string) (*Store, error) {
 		jobs:   map[string]server.JobRecord{},
 		events: map[string][]server.Event{},
 	}
-	if err := st.load(); err != nil {
+	clean, err := st.load()
+	if err != nil {
 		return nil, err
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if err := st.compact(); err != nil {
+	if clean {
+		var f *os.File
+		if f, err = os.OpenFile(st.logPath(st.gen), os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644); err == nil {
+			st.startLog(st.gen, f)
+		}
+	} else {
+		err = st.compact()
+	}
+	if err != nil {
 		return nil, err
 	}
 	return st, nil
@@ -127,12 +146,14 @@ func Open(dir string) (*Store, error) {
 
 // load reads the snapshot and replays the current generation's log into the
 // mirror. A truncated final log line (torn write at the moment of a crash)
-// is tolerated and dropped.
-func (st *Store) load() error {
+// is tolerated and dropped. clean reports a snapshot behind an absent or
+// empty log: the snapshot alone holds the state.
+func (st *Store) load() (clean bool, err error) {
+	snapped := false
 	if raw, err := os.ReadFile(filepath.Join(st.dir, snapshotName)); err == nil {
 		var snap snapshot
 		if err := json.Unmarshal(raw, &snap); err != nil {
-			return fmt.Errorf("journal: corrupt snapshot: %w", err)
+			return false, fmt.Errorf("journal: corrupt snapshot: %w", err)
 		}
 		st.gen = snap.Generation
 		for _, rec := range snap.Jobs {
@@ -141,18 +162,24 @@ func (st *Store) load() error {
 		for id, evs := range snap.Events {
 			st.events[id] = evs
 		}
+		snapped = true
 	} else if !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("journal: reading snapshot: %w", err)
+		return false, fmt.Errorf("journal: reading snapshot: %w", err)
 	}
 
 	f, err := os.Open(st.logPath(st.gen))
 	if errors.Is(err, os.ErrNotExist) {
-		return nil
+		return snapped, nil
 	}
 	if err != nil {
-		return fmt.Errorf("journal: opening log: %w", err)
+		return false, fmt.Errorf("journal: opening log: %w", err)
 	}
 	defer f.Close()
+	if fi, err := f.Stat(); err != nil {
+		return false, fmt.Errorf("journal: opening log: %w", err)
+	} else if fi.Size() == 0 {
+		return snapped, nil
+	}
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 1<<20), 64<<20) // results can be large
 	for sc.Scan() {
@@ -165,9 +192,9 @@ func (st *Store) load() error {
 		st.apply(o)
 	}
 	if err := sc.Err(); err != nil && !errors.Is(err, bufio.ErrTooLong) {
-		return fmt.Errorf("journal: replaying log: %w", err)
+		return false, fmt.Errorf("journal: replaying log: %w", err)
 	}
-	return nil
+	return false, nil
 }
 
 // apply folds one log op into the mirror.
@@ -251,19 +278,25 @@ func (st *Store) compact() error {
 	if err != nil {
 		return err
 	}
-	// Older generations are now fully folded into the snapshot.
+	st.startLog(next, f)
+	return nil
+}
+
+// startLog makes f, the empty log of generation gen, the live log, and
+// deletes every other generation's log: the snapshot of generation gen
+// holds all they did. Caller holds mu.
+func (st *Store) startLog(gen uint64, f *os.File) {
 	old, _ := filepath.Glob(filepath.Join(st.dir, "journal-*.log"))
 	for _, p := range old {
-		if p != st.logPath(next) {
+		if p != st.logPath(gen) {
 			_ = os.Remove(p)
 		}
 	}
-	st.gen = next
+	st.gen = gen
 	st.f = f
 	st.w = bufio.NewWriterSize(f, 1<<16)
 	st.unflushed = 0
 	st.logRecords = 0
-	return nil
 }
 
 // append writes one encoded op to the log. sync forces it (and everything
@@ -271,13 +304,13 @@ func (st *Store) compact() error {
 // batches. Callers encode the op before they change the mirror, so the
 // mirror holds only what the log and a snapshot can hold. Caller holds mu.
 func (st *Store) append(raw []byte, sync bool) error {
+	st.logRecords++ // before the write, so Close compacts (and reports) after a failed one
 	if _, err := st.w.Write(raw); err != nil {
 		return err
 	}
 	if err := st.w.WriteByte('\n'); err != nil {
 		return err
 	}
-	st.logRecords++
 	if sync {
 		if err := st.w.Flush(); err != nil {
 			return err
@@ -388,15 +421,20 @@ func (st *Store) Flush() error {
 	return st.syncLog()
 }
 
-// Close implements server.Store: one final compaction, then release the
-// files. Close is idempotent; every method after it reports os.ErrClosed.
+// Close implements server.Store: a final compaction if anything was
+// appended since the last one (or since Open), then release the files. An
+// idle store leaves its snapshot and empty log as they are. Close is
+// idempotent; every method after it reports os.ErrClosed.
 func (st *Store) Close() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.closed {
 		return nil
 	}
-	err := st.compact()
+	var err error
+	if st.logRecords > 0 {
+		err = st.compact()
+	}
 	if st.f != nil {
 		if cerr := st.f.Close(); err == nil {
 			err = cerr
