@@ -88,11 +88,11 @@ type annealer struct {
 
 	// The overlap grid files instances by centre in cells of side cell (≥
 	// max charge extent) from the origin, covering the region so that no
-	// instance is clamped. freqGrid[c] files class c's members in cells at
-	// least the cutoff wide; cand holds one query's in-cutoff partners.
+	// instance is clamped. partners files them for the frequency term, nil
+	// without a collision map; cand holds one query's in-cutoff partners.
 	cell     float64
 	grid     *spatial.Grid
-	freqGrid []*spatial.Grid
+	partners *frequency.PartnerGrid
 	cand     []int32
 
 	totalCost float64
@@ -245,48 +245,36 @@ func (a *annealer) clamp(i int) {
 }
 
 // fillGrids files every instance, in ascending ID order, at its centre: in
-// the overlap grid and, with a collision map, in its frequency class's
-// grid. Those cells are at least the class kind's cutoff wide (the slack
-// absorbs the rounding of the cell arithmetic), so a partner within the
-// cutoff along both axes sits in a neighbouring cell.
+// the overlap grid and, with a collision map, in the partner grid, whose
+// cells are at least the cutoff of the instance's kind wide.
 func (a *annealer) fillGrids() {
 	a.grid = spatial.New(a.region, a.cell)
 	if a.cm != nil {
-		a.freqGrid = make([]*spatial.Grid, a.cm.NumClasses())
+		a.partners = frequency.NewPartnerGrid(a.cm, nil, a.region, a.cutoff)
 	}
 	for i := range a.nl.Instances {
-		r := geom.RectAt(geom.Point{X: a.xy[2*i], Y: a.xy[2*i+1]}, 0, 0)
-		a.grid.Add(int32(i), r)
-		if a.cm == nil {
-			continue
+		p := geom.Point{X: a.xy[2*i], Y: a.xy[2*i+1]}
+		a.grid.Add(int32(i), geom.RectAt(p, 0, 0))
+		if a.partners != nil {
+			a.partners.Add(i, p)
 		}
-		c := a.cm.Class(i)
-		if a.freqGrid[c] == nil {
-			a.freqGrid[c] = spatial.New(a.region, a.cutoff(i)*(1+1e-9))
-		}
-		a.freqGrid[c].Add(int32(i), r)
 	}
 }
 
-// moveTo moves instance i to (x, y), re-filing it in each grid whose cell
-// for it changes. Instances that stay in their cell keep their place in its
-// bucket, so the overlap sum's order follows the accepted moves alone.
+// moveTo moves instance i to (x, y). It re-files i in the overlap grid only
+// if its cell changes: instances that stay in their cell keep their place
+// in its bucket, so the overlap sum's order follows the accepted moves
+// alone.
 func (a *annealer) moveTo(i int, x, y float64) {
 	from, to := geom.Point{X: a.xy[2*i], Y: a.xy[2*i+1]}, geom.Point{X: x, Y: y}
 	a.xy[2*i], a.xy[2*i+1] = x, y
-	refile(a.grid, int32(i), from, to)
-	if a.cm != nil {
-		refile(a.freqGrid[a.cm.Class(i)], int32(i), from, to)
+	fx, fy := a.grid.Cell(from)
+	if tx, ty := a.grid.Cell(to); fx != tx || fy != ty {
+		a.grid.Remove(int32(i), geom.RectAt(from, 0, 0))
+		a.grid.Add(int32(i), geom.RectAt(to, 0, 0))
 	}
-}
-
-// refile moves id from point from to point to in g unless both share a
-// cell.
-func refile(g *spatial.Grid, id int32, from, to geom.Point) {
-	fx, fy := g.Cell(from)
-	if tx, ty := g.Cell(to); fx != tx || fy != ty {
-		g.Remove(id, geom.RectAt(from, 0, 0))
-		g.Add(id, geom.RectAt(to, 0, 0))
+	if a.partners != nil {
+		a.partners.Move(i, to)
 	}
 }
 
@@ -326,27 +314,18 @@ func (a *annealer) instCost(i int, x, y float64) float64 {
 			}
 		}
 	}
-	if a.cm == nil {
+	if a.partners == nil {
 		return cost
 	}
 	// Only partners within the cutoff along both axes can add a term:
 	// Hypot(dx, dy) ≥ max(|dx|, |dy|), and a NaN offset fails every test.
 	// The terms are summed in ascending partner ID, so the sum does not
-	// depend on the order of the grids' buckets.
+	// depend on the order of the grid's buckets.
 	cut := a.cutoff(i)
-	p := geom.Point{X: x, Y: y}
 	a.cand = a.cand[:0]
-	for c := range a.cm.ResonantClasses(a.cm.Class(i)) {
-		g := a.freqGrid[c]
-		cx, cy := g.Cell(p)
-		for gy := cy - 1; gy <= cy+1; gy++ {
-			for gx := cx - 1; gx <= cx+1; gx++ {
-				for _, j := range g.Bucket(gx, gy) {
-					if math.Abs(x-a.xy[2*j]) < cut && math.Abs(y-a.xy[2*j+1]) < cut && a.cm.NearResonant(i, int(j)) {
-						a.cand = append(a.cand, j)
-					}
-				}
-			}
+	for j := range a.partners.Near(i, geom.Point{X: x, Y: y}) {
+		if math.Abs(x-a.xy[2*j]) < cut && math.Abs(y-a.xy[2*j+1]) < cut {
+			a.cand = append(a.cand, int32(j))
 		}
 	}
 	slices.Sort(a.cand)

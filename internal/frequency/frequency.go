@@ -414,24 +414,6 @@ func (cm *CollisionMap) classMembers(c int32) []int32 {
 	return cm.members[cm.start[c]:cm.start[c+1]]
 }
 
-// Class returns the frequency class of instance i, in [0, NumClasses()).
-func (cm *CollisionMap) Class(i int) int { return int(cm.class[i]) }
-
-// NumClasses returns the number of frequency classes.
-func (cm *CollisionMap) NumClasses() int { return len(cm.byFreq) }
-
-// ResonantClasses yields the classes that class c resonates with, c itself
-// included unless its frequency is not finite.
-func (cm *CollisionMap) ResonantClasses(c int) iter.Seq[int] {
-	return func(yield func(int) bool) {
-		for _, r := range cm.window(int32(c)) {
-			if !yield(int(r)) {
-				return
-			}
-		}
-	}
-}
-
 // Len returns the number of instances the map describes.
 func (cm *CollisionMap) Len() int { return len(cm.class) }
 

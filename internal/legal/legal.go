@@ -96,15 +96,10 @@ type legalizer struct {
 	bounds geom.Rect
 	pitch  float64 // the search grid pitch: the pitch constant, varied only by tests
 
-	placed []geom.Rect // legal rects of fixed instances, shrunk by overlapEps/2
-	slot   []int       // instance ID → index in placed, -1 while unplaced
-	order  []int       // placed index → instance ID
-
-	// The witness the next guard check tests first: the instance and
-	// partner of the last failed guard check (-1 for none). Placements are
-	// never removed, only re-fixed, so the witness always names a placed
-	// instance, and it is re-tested against current state before it answers.
-	guardInst, guardPartner int
+	placed   []geom.Rect            // legal rects of fixed instances, shrunk by overlapEps/2
+	slot     []int                  // instance ID → index in placed, -1 while unplaced
+	order    []int                  // placed index → instance ID
+	partners *frequency.PartnerGrid // fixed instances by centre, for the isolation guard
 
 	// Spatial index of the placed rects (by placed index) over the widest
 	// bounds findSpot searches: nx×ny cells of side cell from gridLo.
@@ -133,7 +128,8 @@ type workCounts struct {
 	rasterized int // placed rects whose blocked offsets went into a mask
 	queries    int // grid queries that widened a mask's covered rings
 	scans      int // overlapsPlaced queries, each a bucket scan
-	guardHits  int // failed guard checks answered by the last violator
+	guards     int // isolation guard checks
+	guardFails int // guard checks that failed
 }
 
 func (w workCounts) since(before workCounts) workCounts {
@@ -143,15 +139,16 @@ func (w workCounts) since(before workCounts) workCounts {
 		rasterized: w.rasterized - before.rasterized,
 		queries:    w.queries - before.queries,
 		scans:      w.scans - before.scans,
-		guardHits:  w.guardHits - before.guardHits,
+		guards:     w.guards - before.guards,
+		guardFails: w.guardFails - before.guardFails,
 	}
 }
 
 func (w workCounts) String() string {
 	return fmt.Sprintf("spot search: %d probes evaluated, %d mask bits tested; "+
 		"mask: %d rects rasterized in %d grid queries; "+
-		"overlap queries: %d by bucket scan; %d guard failures by last-violator witness",
-		w.probes, w.bits, w.rasterized, w.queries, w.scans, w.guardHits)
+		"overlap queries: %d by bucket scan; %d guard checks, %d failed",
+		w.probes, w.bits, w.rasterized, w.queries, w.scans, w.guards, w.guardFails)
 }
 
 // guardedApart reports whether centres a and b keep the guard distance.
@@ -172,7 +169,6 @@ var spotGrowth = [...]float64{0, 0.08, 0.20}
 const maxGridCells = 512
 
 func (lg *legalizer) setup() {
-	lg.guardInst, lg.guardPartner = -1, -1
 	n := len(lg.nl.Instances)
 	lg.slot = make([]int, n)
 	for i := range lg.slot {
@@ -185,6 +181,7 @@ func (lg *legalizer) setup() {
 	lg.gridLo = reach.Lo
 	lg.grid = spatial.New(reach, lg.cell)
 	lg.nx, lg.ny = lg.grid.Size()
+	lg.partners = frequency.NewPartnerGrid(lg.cm, nil, reach, func(i int) float64 { return frequency.GuardMM(lg.nl.Instances[i].Kind) })
 	lg.mask = blockMask{
 		rows:    make([]uint64, maskSpan*maskWords),
 		cols:    make([]uint64, maskSpan*maskWords),
@@ -323,13 +320,14 @@ func (lg *legalizer) overlapsPlaced(r geom.Rect, skip int) bool {
 	return false
 }
 
-// fix records instance instID's legal rect r as placed.
+// fix records instance instID's legal rect r, and its centre, as placed.
 func (lg *legalizer) fix(instID int, r geom.Rect) {
 	r = r.Inflate(-overlapEps / 2)
 	if idx := lg.slot[instID]; idx >= 0 {
 		lg.grid.Remove(int32(idx), lg.placed[idx])
 		lg.placed[idx] = r
 		lg.grid.Add(int32(idx), r)
+		lg.partners.Move(instID, lg.nl.Instances[instID].Pos)
 		return
 	}
 	idx := len(lg.placed)
@@ -337,31 +335,36 @@ func (lg *legalizer) fix(instID int, r geom.Rect) {
 	lg.placed = append(lg.placed, r)
 	lg.order = append(lg.order, instID)
 	lg.grid.Add(int32(idx), r)
+	lg.partners.Add(instID, lg.nl.Instances[instID].Pos)
 }
 
-// guardOK reports whether centre c keeps the isolation distance from the
-// already-placed near-resonant partners of instance in. The partner that
-// failed the instance's last check is tested first, at its current
-// position: a failing check otherwise scans far into the partner list.
-func (lg *legalizer) guardOK(in *component.Instance, c geom.Point) bool {
-	if !lg.cfg.FrequencyAware {
-		return true
-	}
+// guardClear reports whether centre c keeps the isolation guard
+// (frequency.GuardMM of in's kind) from every near-resonant partner of in
+// filed in placed, whose cells are at least that guard wide.
+func guardClear(nl *component.Netlist, placed *frequency.PartnerGrid, in *component.Instance, c geom.Point) bool {
 	guard := frequency.GuardMM(in.Kind)
-	if in.ID == lg.guardInst && !guardedApart(lg.nl.Instances[lg.guardPartner].Pos, c, guard) {
-		lg.work.guardHits++
-		return false
-	}
-	for pid := range lg.cm.Partners(in.ID) {
-		if lg.slot[pid] < 0 {
-			continue
-		}
-		if !guardedApart(lg.nl.Instances[pid].Pos, c, guard) {
-			lg.guardInst, lg.guardPartner = in.ID, pid
+	for pid := range placed.Near(in.ID, c) {
+		if !guardedApart(nl.Instances[pid].Pos, c, guard) {
 			return false
 		}
 	}
 	return true
+}
+
+// guardOK reports whether centre c keeps the isolation guard from the
+// placed partners of instance in, or the legalizer is not frequency-aware.
+func (lg *legalizer) guardOK(in *component.Instance, c geom.Point) bool {
+	return !lg.cfg.FrequencyAware || lg.guarded(in, c)
+}
+
+// guarded is guardClear over the placed instances, counted in lg.work.
+func (lg *legalizer) guarded(in *component.Instance, c geom.Point) bool {
+	lg.work.guards++
+	ok := guardClear(lg.nl, lg.partners, in, c)
+	if !ok {
+		lg.work.guardFails++
+	}
+	return ok
 }
 
 // spotOutcome is what one escalation level of findSpot found: the first
@@ -431,8 +434,7 @@ func (lg *legalizer) findSpot(in *component.Instance, want geom.Point, skip int)
 // full walk's: the walk visits only the offset box outside which no probe
 // rect fits in bounds, and it reads the offsets whose probes placed rects
 // block from the call's blocked-offset mask, a word of them at a time (a
-// blocked probe records no fallback and checks no guard). The guard
-// witness in guardOK answers from the last violator.
+// blocked probe records no fallback and checks no guard).
 type spiralSearch struct {
 	lg     *legalizer
 	in     *component.Instance
@@ -873,7 +875,8 @@ func (lg *legalizer) pullIn(sid int, cluster []int, res *Result) bool {
 // closer to the centroid, (b) keeps the segment's resonator in one cluster,
 // and (c) keeps the segment isolation guard (frequency.GuardMM) from
 // near-resonant segments of other resonators, so compaction never
-// reintroduces hotspots.
+// reintroduces hotspots. The guard holds compaction even when the
+// legalizer is not frequency-aware.
 func (lg *legalizer) compact(res *Result) error {
 	var cx, cy float64
 	for _, in := range lg.nl.Instances {
@@ -909,12 +912,15 @@ func (lg *legalizer) compact(res *Result) error {
 			if !ok || spot.Dist2(centroid) >= old.Dist2(centroid)-1e-9 {
 				continue
 			}
-			if !lg.guardOK(in, spot) {
+			if !lg.guarded(in, spot) {
 				continue
 			}
 			in.Pos = spot
 			lg.fix(sid, LegalRect(in))
-			if !lg.compactionSafe(sid) {
+			// The guard needs no second look: a segment's partners are
+			// segments, all placed by now, and re-fixing sid moves none of
+			// them.
+			if lg.clusters.count(lg.nl, in.Resonator) != 1 {
 				in.Pos = old
 				lg.fix(sid, LegalRect(in))
 				continue
@@ -927,21 +933,4 @@ func (lg *legalizer) compact(res *Result) error {
 		}
 	}
 	return nil
-}
-
-// compactionSafe checks the integrity and resonance guards for a segment at
-// its current position. The resonance guard applies to exactly the
-// segment's collision-map partners: segments of other resonators within Δc
-// of it.
-func (lg *legalizer) compactionSafe(sid int) bool {
-	in := lg.nl.Instances[sid]
-	if lg.clusters.count(lg.nl, in.Resonator) != 1 {
-		return false
-	}
-	for pid := range lg.cm.Partners(sid) {
-		if !guardedApart(lg.nl.Instances[pid].Pos, in.Pos, frequency.GuardMM(in.Kind)) {
-			return false
-		}
-	}
-	return true
 }

@@ -255,18 +255,18 @@ func passNotes(t *testing.T, devName string) []string {
 // pass notes on its span for a falcon seed-1 placement. The counts are
 // exact, so any change to which offsets the spiral walks, which probes the
 // mask leaves free, which rects it rasterizes and how its radius grows, or
-// to the number of overlap queries the integration pass asks, shows up
-// here. The refine pass searches no spots and notes nothing.
+// to the number of overlap queries and isolation guard checks the passes
+// ask, shows up here. The refine pass searches no spots and notes nothing.
 func TestLegalWorkCountsFalcon(t *testing.T) {
 	want := []string{
 		"qubits: spot search: 36 probes evaluated, 432 mask bits tested; mask: 25 rects rasterized in 31 grid queries; " +
-			"overlap queries: 0 by bucket scan; 8 guard failures by last-violator witness",
+			"overlap queries: 0 by bucket scan; 36 guard checks, 9 failed",
 		"segments: spot search: 4483 probes evaluated, 1621390 mask bits tested; mask: 46486 rects rasterized in 2656 grid queries; " +
-			"overlap queries: 0 by bucket scan; 2887 guard failures by last-violator witness",
+			"overlap queries: 0 by bucket scan; 4483 guard checks, 3890 failed",
 		"integrate: spot search: 0 probes evaluated, 0 mask bits tested; mask: 0 rects rasterized in 0 grid queries; " +
-			"overlap queries: 12909 by bucket scan; 143 guard failures by last-violator witness",
+			"overlap queries: 12909 by bucket scan; 911 guard checks, 471 failed",
 		"compact: spot search: 3521 probes evaluated, 3185669 mask bits tested; mask: 122776 rects rasterized in 6289 grid queries; " +
-			"overlap queries: 0 by bucket scan; 1563 guard failures by last-violator witness",
+			"overlap queries: 0 by bucket scan; 4065 guard checks, 2483 failed",
 	}
 	if got := passNotes(t, "falcon"); !slices.Equal(got, want) {
 		t.Errorf("legalize pass notes:\n got %q\nwant %q", got, want)
@@ -281,13 +281,13 @@ func TestLegalWorkCountsEagle(t *testing.T) {
 	}
 	want := []string{
 		"qubits: spot search: 2301 probes evaluated, 10845 mask bits tested; mask: 163 rects rasterized in 158 grid queries; " +
-			"overlap queries: 0 by bucket scan; 2082 guard failures by last-violator witness",
+			"overlap queries: 0 by bucket scan; 2301 guard checks, 2174 failed",
 		"segments: spot search: 52423 probes evaluated, 12181991 mask bits tested; mask: 387354 rects rasterized in 12254 grid queries; " +
-			"overlap queries: 0 by bucket scan; 34039 guard failures by last-violator witness",
+			"overlap queries: 0 by bucket scan; 52423 guard checks, 49171 failed",
 		"integrate: spot search: 0 probes evaluated, 0 mask bits tested; mask: 0 rects rasterized in 0 grid queries; " +
-			"overlap queries: 61662 by bucket scan; 228 guard failures by last-violator witness",
+			"overlap queries: 61662 by bucket scan; 1350 guard checks, 915 failed",
 		"compact: spot search: 38528 probes evaluated, 17165096 mask bits tested; mask: 765899 rects rasterized in 33793 grid queries; " +
-			"overlap queries: 0 by bucket scan; 22788 guard failures by last-violator witness",
+			"overlap queries: 0 by bucket scan; 41932 guard checks, 33182 failed",
 	}
 	if got := passNotes(t, "eagle"); !slices.Equal(got, want) {
 		t.Errorf("legalize pass notes:\n got %q\nwant %q", got, want)

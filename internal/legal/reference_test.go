@@ -182,7 +182,7 @@ func (ref *refSearch) overlaps(r geom.Rect, skip int) bool {
 	return false
 }
 
-// refGuardOK is guardOK without the witness: a scan of every placed
+// refGuardOK is guardOK without the partner grid: a scan of every placed
 // partner.
 func refGuardOK(lg *legalizer, in *component.Instance, c geom.Point) bool {
 	if !lg.cfg.FrequencyAware {
@@ -290,8 +290,8 @@ func TestFindSpotMatchesReference(t *testing.T) {
 		}
 		d.checkStats(res)
 		w := d.lg.work
-		t.Logf("%s (guards %v): %d levels; %d probes and %d mask bits vs %d reference offsets; %d rects rasterized in %d grid queries; %d bucket scans, %d guard hits; %d fallbacks, %d failures",
-			c.dev, c.aware, d.levels, w.probes, w.bits, d.ref.visited, w.rasterized, w.queries, w.scans, w.guardHits, d.fallbacks, d.failures)
+		t.Logf("%s (guards %v): %d levels; %d probes and %d mask bits vs %d reference offsets; %d rects rasterized in %d grid queries; %d bucket scans, %d of %d guard checks failed; %d fallbacks, %d failures",
+			c.dev, c.aware, d.levels, w.probes, w.bits, d.ref.visited, w.rasterized, w.queries, w.scans, w.guardFails, w.guards, d.fallbacks, d.failures)
 		if 3*w.probes > d.ref.visited {
 			t.Errorf("%s: %d probes evaluated, more than a third of the reference's %d", c.dev, w.probes, d.ref.visited)
 		}

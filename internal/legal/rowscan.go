@@ -23,7 +23,7 @@ const maxGuardTries = 400
 // resonator integration comes for free as long as a chain fits on few
 // shelves. With FrequencyAware set, the cursor slides forward past spots that
 // would violate the isolation guard against already-placed collision-map
-// partners (cm.Partners); residual fallbacks are counted like LegalizeCtx's.
+// partners (guardClear); residual fallbacks are counted like LegalizeCtx's.
 //
 // The layout is overlap-free by construction (the cursor only advances and
 // shelves are disjoint bands), at the cost of larger displacement than
@@ -61,18 +61,9 @@ func RowScanCtx(ctx context.Context, nl *component.Netlist, region geom.Rect, cm
 		return units[a].key.X < units[b].key.X
 	})
 
-	placed := make([]bool, len(nl.Instances))
-	guardClear := func(in *component.Instance, c geom.Point) bool {
-		if !cfg.FrequencyAware {
-			return true
-		}
-		guard := frequency.GuardMM(in.Kind)
-		for pid := range cm.Partners(in.ID) {
-			if placed[pid] && !guardedApart(nl.Instances[pid].Pos, c, guard) {
-				return false
-			}
-		}
-		return true
+	placed := frequency.NewPartnerGrid(cm, nil, bounds, func(i int) float64 { return frequency.GuardMM(nl.Instances[i].Kind) })
+	clearAt := func(in *component.Instance, c geom.Point) bool {
+		return !cfg.FrequencyAware || guardClear(nl, placed, in, c)
 	}
 
 	cursorX := bounds.Lo.X
@@ -96,14 +87,14 @@ func RowScanCtx(ctx context.Context, nl *component.Netlist, region geom.Rect, cm
 			if cursorX+w > bounds.Hi.X && cursorX > bounds.Lo.X {
 				newShelf()
 			}
-			if !guardClear(in, geom.Point{X: cursorX + w/2, Y: baseY + h/2}) {
+			if !clearAt(in, geom.Point{X: cursorX + w/2, Y: baseY + h/2}) {
 				ok := false
 				for try := 0; try < maxGuardTries; try++ {
 					cursorX += pitch
 					if cursorX+w > bounds.Hi.X {
 						newShelf()
 					}
-					if guardClear(in, geom.Point{X: cursorX + w/2, Y: baseY + h/2}) {
+					if clearAt(in, geom.Point{X: cursorX + w/2, Y: baseY + h/2}) {
 						ok = true
 						break
 					}
@@ -119,7 +110,7 @@ func RowScanCtx(ctx context.Context, nl *component.Netlist, region geom.Rect, cm
 				res.SegmentDisplacement += spot.Dist(in.Pos)
 			}
 			in.Pos = spot
-			placed[id] = true
+			placed.Add(id, spot)
 			cursorX += w
 			if h > shelfH {
 				shelfH = h

@@ -1,6 +1,13 @@
 package place
 
-import "math"
+import (
+	"cmp"
+	"math"
+	"slices"
+
+	"qplacer/internal/frequency"
+	"qplacer/internal/geom"
+)
 
 // This file implements the incremental (delta) gradient evaluation. Two
 // independent mechanisms reuse work across Nesterov iterations, both exact
@@ -67,12 +74,13 @@ func bitsEqual(a, b []float64) bool {
 
 // verlet is one pair family's active-list state. The chain family lists
 // its pairs explicitly; a frequency family finds its collision pairs within
-// reach through a pairGrid at each rebuild, since its pairs are the
+// reach through a partner grid at each rebuild, since its pairs are the
 // collision map's, too many to list (Eagle's segments make 529,263).
 type verlet struct {
-	pairs  [][2]int  // the chain family's pairs, ascending; nil for a frequency family
-	grid   *pairGrid // a frequency family's candidate search; nil for the chain family
-	total  int       // pairs in the family
+	pairs  [][2]int               // the chain family's pairs, ascending; nil for a frequency family
+	ids    []int32                // a frequency family's instances, ascending; nil for the chain family
+	grid   *frequency.PartnerGrid // their partner grid
+	total  int                    // pairs in the family
 	rcut   float64
 	margin float64
 
@@ -124,7 +132,7 @@ func (v *verlet) rebuild(xy []float64) {
 	reach := v.rcut + v.margin
 	r2 := reach * reach
 	if v.grid != nil {
-		v.active = v.grid.within(xy, r2, v.active[:0])
+		v.active = v.within(xy, r2, v.active[:0])
 		return
 	}
 	v.active = v.active[:0]
@@ -135,6 +143,27 @@ func (v *verlet) rebuild(xy []float64) {
 			v.active = append(v.active, [2]int32{int32(p[0]), int32(p[1])})
 		}
 	}
+}
+
+// within appends to out every collision pair (i, j), i < j, of a frequency
+// family whose squared distance at xy is below r2, in ascending order (a
+// scan's over the family's pairs), and returns it. It files the instances
+// in ascending ID, each after asking for its partners filed before it.
+func (v *verlet) within(xy []float64, r2 float64, out [][2]int32) [][2]int32 {
+	v.grid.Reset()
+	start := len(out)
+	for _, j := range v.ids {
+		p := geom.Point{X: xy[2*j], Y: xy[2*j+1]}
+		for i := range v.grid.Near(int(j), p) {
+			dx, dy := xy[2*i]-p.X, xy[2*i+1]-p.Y
+			if dx*dx+dy*dy < r2 {
+				out = append(out, [2]int32{int32(i), j})
+			}
+		}
+		v.grid.Add(int(j), p)
+	}
+	slices.SortFunc(out[start:], func(a, b [2]int32) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1])) })
+	return out
 }
 
 // pairRepulsionActive accumulates a finite-range repulsive potential

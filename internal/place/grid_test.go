@@ -104,7 +104,7 @@ func TestVerletGridRebuildMatchesScan(t *testing.T) {
 				}
 				reach := f.vl.rcut + f.vl.margin
 				want := scanWithin(xy, f.pairs, reach*reach)
-				got := f.vl.grid.within(xy, reach*reach, nil)
+				got := f.vl.within(xy, reach*reach, nil)
 				if !slices.Equal(got, want) {
 					t.Fatalf("%s: grid found %d pairs within reach, the scan %d", label, len(got), len(want))
 				}

@@ -475,22 +475,21 @@ func (e *engine) setupDelta() {
 }
 
 // frequencyFamily returns the Verlet state of the collision pairs between
-// qubits, or between the other instances, found through a pairGrid. Without
-// a collision map the family is empty.
+// qubits, or between the other instances, found through a partner grid.
+// Without a collision map the family is empty.
 func (e *engine) frequencyFamily(qubits bool, rcut float64) *verlet {
 	v := newVerlet(nil, rcut)
 	if e.cm == nil {
 		return v
 	}
-	var ids []int32
 	for i, in := range e.nl.Instances {
 		if (in.Kind == component.KindQubit) == qubits {
-			ids = append(ids, int32(i))
+			v.ids = append(v.ids, int32(i))
 			v.total += e.cm.Degree(i)
 		}
 	}
 	v.total /= 2
-	v.grid = newPairGrid(e.cm, ids, e.region, rcut+v.margin)
+	v.grid = frequency.NewPartnerGrid(e.cm, v.ids, e.region, func(int) float64 { return rcut + v.margin })
 	return v
 }
 

@@ -1,10 +1,11 @@
 // Package spatial is the one neighbourhood index of the pipeline: a flat,
 // row-major uniform grid of ID buckets. The shelf legalizer files its placed
-// rects in one, the placer rebuilds its Verlet lists from one per frequency
-// class, and the annealer finds overlapping neighbours and frequency
-// partners through them. Pairs proposes the candidate pairs of a whole
-// layout from one, for the metrics' hotspot scan and the verifier's pair
-// checks.
+// rects in one and the annealer its instances, for overlap queries, and
+// frequency.PartnerGrid keeps one per frequency class for the near-resonant
+// partner queries of the placer's Verlet rebuilds, the annealer and both
+// legalizers' isolation guards. Pairs proposes the candidate pairs of a
+// whole layout from one, for the metrics' hotspot scan and the verifier's
+// pair checks.
 package spatial
 
 import (

@@ -196,21 +196,20 @@ func reach(in *component.Instance) geom.Rect {
 }
 
 // pairs proposes the instance pairs the pairwise checks visit: the
-// candidate pairs of spatial.Pairs over the reaches of the intact instances
-// ids (ascending), mapped back to instance indices. The map is monotone, so
-// the pairs keep the ascending (i, j) order of the full O(n²) sweep, and the
-// checks append their violations and sum P_h in that order. The checks keep
-// every predicate of their own: the grid only skips pairs whose reaches lie
-// apart, which can neither overlap nor collide.
-func pairs(nl *component.Netlist, ids []int) iter.Seq2[int, int] {
-	rects := make([]geom.Rect, len(ids))
-	for k, i := range ids {
-		rects[k] = reach(nl.Instances[i])
+// candidate pairs of spatial.Pairs over the instances' reaches, less those
+// with an instance that is not intact, in the ascending (i, j) order of the
+// O(n²) sweep, in which the checks append violations and sum P_h. The grid
+// only skips pairs whose reaches lie apart, which can neither overlap nor
+// collide.
+func pairs(nl *component.Netlist, intact []bool) iter.Seq2[int, int] {
+	rects := make([]geom.Rect, len(nl.Instances))
+	for i, in := range nl.Instances {
+		rects[i] = reach(in)
 	}
 	cand := spatial.Pairs(rects)
 	return func(yield func(i, j int) bool) {
-		for a, b := range cand {
-			if !yield(ids[a], ids[b]) {
+		for i, j := range cand {
+			if intact[i] && intact[j] && !yield(i, j) {
 				return
 			}
 		}
@@ -237,7 +236,8 @@ func Check(in Input) (*Report, error) {
 	if checkBounds {
 		die = in.Region.Inflate(boundsSlack * math.Max(in.Region.W(), in.Region.H()))
 	}
-	intact := make([]int, 0, len(nl.Instances)) // finite, ascending; the rest skip pair checks
+	intact := make([]bool, len(nl.Instances)) // finite; the rest skip pair checks
+	nIntact := 0
 	for i, inst := range nl.Instances {
 		if !finite(inst) {
 			rep.Violations = append(rep.Violations, Violation{
@@ -250,7 +250,8 @@ func Check(in Input) (*Report, error) {
 			})
 			continue
 		}
-		intact = append(intact, i)
+		intact[i] = true
+		nIntact++
 		if checkBounds && !die.ContainsRect(claimRect(inst)) {
 			rep.Violations = append(rep.Violations, Violation{
 				Code:     CodeOutOfBounds,
@@ -268,7 +269,7 @@ func Check(in Input) (*Report, error) {
 	// frequency collisions within the interaction radius (warning), over the
 	// pairs the grid proposes. Every intact pair counts as checked: a pair
 	// the grid skips is one whose footprints lie apart.
-	rep.PairsChecked = len(intact) * (len(intact) - 1) / 2
+	rep.PairsChecked = nIntact * (nIntact - 1) / 2
 	cand := pairs(nl, intact)
 	for i, j := range cand {
 		a, b := nl.Instances[i], nl.Instances[j]

@@ -610,11 +610,9 @@ func TestCheckMatchesPairScan(t *testing.T) {
 			}
 			sameReport(t, got, want)
 
-			var intact []int
+			intact := make([]bool, len(c.nl.Instances))
 			for i, inst := range c.nl.Instances {
-				if finite(inst) {
-					intact = append(intact, i)
-				}
+				intact[i] = finite(inst)
 			}
 			num, hotspots := hotspotSum(c.nl, in.DeltaC, pairs(c.nl, intact))
 			wantNum, wantHotspots := referenceHotspotSum(c.nl, in.DeltaC)
