@@ -3,7 +3,6 @@ package qplacer
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"qplacer/internal/component"
 	"qplacer/internal/frequency"
@@ -75,14 +74,13 @@ type StageState struct {
 	Collision *frequency.CollisionMap
 }
 
-// PlaceOutcome reports a finished global placement.
+// PlaceOutcome reports a finished global placement. The engine times the
+// call itself (the plan's "place" span), so backends report no runtime.
 type PlaceOutcome struct {
 	// Region is the placement region the backend worked in; the legalizer
 	// packs the layout within (roughly) this rectangle.
 	Region     geom.Rect
 	Iterations int
-	Runtime    time.Duration
-	AvgIterMS  float64
 	// Overflow is the backend's final density-overflow fraction (0 when the
 	// backend does not track one); benchmark harnesses use it to check
 	// quality parity across worker counts.

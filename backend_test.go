@@ -6,7 +6,6 @@ import (
 	"errors"
 	"strings"
 	"testing"
-	"time"
 
 	"qplacer/internal/geom"
 	"qplacer/internal/testutil"
@@ -50,7 +49,6 @@ type stubPlacer struct{ name string }
 func (s stubPlacer) Name() string { return s.name }
 
 func (s stubPlacer) Place(ctx context.Context, st *StageState, obs Observer) (*PlaceOutcome, error) {
-	start := time.Now()
 	nl := st.Netlist
 	for q, instID := range nl.QubitInst {
 		c := st.Device.Coords[q]
@@ -71,7 +69,7 @@ func (s stubPlacer) Place(ctx context.Context, st *StageState, obs Observer) (*P
 	for _, r := range rects[1:] {
 		region = region.Union(r)
 	}
-	return &PlaceOutcome{Region: region, Iterations: 1, Runtime: time.Since(start)}, nil
+	return &PlaceOutcome{Region: region, Iterations: 1}, nil
 }
 
 func TestRegisterPlacerDuplicateAndValidation(t *testing.T) {
@@ -99,6 +97,39 @@ func TestRegisterPlacerDuplicateAndValidation(t *testing.T) {
 	}
 	if plan.Options.Placer != name || plan.PlaceIterations != 1 {
 		t.Fatalf("custom placer not used: %+v", plan.Options)
+	}
+}
+
+// TestExternalPlacerTimedByPlaceSpan: a backend that reports only its
+// region and iteration count, like README's custom Placer, still gets a
+// real place time, because the engine's place span is the plan's one
+// place timing and the wire carries no second one.
+func TestExternalPlacerTimedByPlaceSpan(t *testing.T) {
+	name := testutil.UniqueName(t)
+	if err := RegisterPlacer(stubPlacer{name: name}); err != nil {
+		t.Fatal(err)
+	}
+	plan, err := New().Plan(context.Background(),
+		WithTopology("grid"), WithPlacer(name), WithSkipLegalize(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	placeNode := plan.Timings.Find("place")
+	if placeNode == nil || placeNode.WallMS <= 0 {
+		t.Fatalf("place span = %+v, want a positive wall time", placeNode)
+	}
+	data, err := json.Marshal(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var view map[string]json.RawMessage
+	if err := json.Unmarshal(data, &view); err != nil {
+		t.Fatal(err)
+	}
+	for key := range view {
+		if strings.HasSuffix(key, "_ms") {
+			t.Errorf("plan wire form carries %q besides its place span", key)
+		}
 	}
 }
 

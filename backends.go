@@ -52,8 +52,6 @@ func (nesterovPlacer) Place(ctx context.Context, st *StageState, observer Observ
 	return &PlaceOutcome{
 		Region:     res.Region,
 		Iterations: res.Iterations,
-		Runtime:    res.Runtime,
-		AvgIterMS:  res.AvgIterMS,
 		Overflow:   res.Overflow,
 	}, nil
 }
@@ -87,8 +85,6 @@ func (annealPlacer) Place(ctx context.Context, st *StageState, observer Observer
 	return &PlaceOutcome{
 		Region:     res.Region,
 		Iterations: res.Sweeps,
-		Runtime:    res.Runtime,
-		AvgIterMS:  res.AvgIterMS,
 	}, nil
 }
 

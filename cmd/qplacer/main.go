@@ -179,8 +179,8 @@ func main() {
 		fmt.Printf("scheme       %v   placer %s   legalizer %s\n",
 			sch, plan.Options.Placer, plan.Options.Legalizer)
 	}
-	fmt.Printf("cells        %d   iters %d   runtime %v\n",
-		plan.NumCells, plan.PlaceIterations, plan.PlaceRuntime.Round(1e6))
+	fmt.Printf("cells        %d   iters %d   runtime %.1f ms\n",
+		plan.NumCells, plan.PlaceIterations, plan.Timings.Find("place").WallMS)
 	fmt.Printf("A_mer        %.1f mm²   A_poly %.1f mm²   utilization %.3f\n",
 		m.Amer, m.Apoly, m.Utilization)
 	fmt.Printf("P_h          %.3f %%   violations %d   impacted qubits %d\n",

@@ -118,8 +118,6 @@ type PlanResult struct {
 	Metrics   *metrics.Report
 
 	PlaceIterations int
-	PlaceRuntime    time.Duration
-	AvgIterMS       float64
 	// PlaceOverflow is the placement backend's final density-overflow
 	// fraction (see PlaceOutcome.Overflow); 0 for backends that do not
 	// track one and for the Human baseline.
@@ -136,11 +134,13 @@ type PlanResult struct {
 
 	// Validation is the independent verifier's report, set when the plan ran
 	// under WithValidation (or by the caller via Validate); nil otherwise.
+	// The plan's JSON omits it: ResultDocument.Validation carries it.
 	Validation *ValidationReport
 
 	// Timings is the per-stage timing breakdown recorded while the plan was
-	// computed. Warm cache hits share the cold run's breakdown (a hit does no
-	// stage work of its own to time).
+	// computed; its "place" node is the plan's global-placement time.
+	// Warm cache hits share the cold run's breakdown (a hit does no stage
+	// work of its own to time).
 	Timings *SpanTiming
 }
 
@@ -217,10 +217,7 @@ func (e *Engine) planWith(ctx context.Context, opts Options, observer Observer, 
 		// The manual baseline is a deterministic construction, not an
 		// optimization — it bypasses the placer/legalizer backends.
 		placeTimer := root.ChildCPU("place").Start()
-		start := time.Now()
-		hres := place.PlaceHuman(nl)
-		out.Region = hres.Region
-		out.PlaceRuntime = time.Since(start)
+		out.Region = place.PlaceHuman(nl).Region
 		placeTimer.End()
 		out.PlaceIterations = 1
 		out.Integrated = true
@@ -248,8 +245,6 @@ func (e *Engine) planWith(ctx context.Context, opts Options, observer Observer, 
 		}
 		out.Region = pres.Region
 		out.PlaceIterations = pres.Iterations
-		out.PlaceRuntime = pres.Runtime
-		out.AvgIterMS = pres.AvgIterMS
 		out.PlaceOverflow = pres.Overflow
 		if !norm.SkipLegalize {
 			legalizer, err := LegalizerByName(norm.Legalizer)

@@ -22,8 +22,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%.1f     %4d   %.3f  %.3f  %v\n",
+		fmt.Printf("%.1f     %4d   %.3f  %.3f  %.0f ms\n",
 			lb, plan.NumCells, plan.Metrics.Utilization, plan.Metrics.Ph,
-			plan.PlaceRuntime.Round(1e6))
+			plan.Timings.Find("place").WallMS)
 	}
 }

@@ -19,8 +19,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("placed %d cells on %s in %v (%d iterations)\n",
-		plan.NumCells, plan.Device.Name, plan.PlaceRuntime.Round(1e6), plan.PlaceIterations)
+	fmt.Printf("placed %d cells on %s in %.0f ms (%d iterations)\n",
+		plan.NumCells, plan.Device.Name, plan.Timings.Find("place").WallMS, plan.PlaceIterations)
 	fmt.Printf("area %.1f mm², utilization %.2f, hotspot proportion %.3f%%\n",
 		plan.Metrics.Amer, plan.Metrics.Utilization, plan.Metrics.Ph)
 

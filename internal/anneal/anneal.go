@@ -20,7 +20,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"time"
 
 	"qplacer/internal/component"
 	"qplacer/internal/frequency"
@@ -67,12 +66,10 @@ func DefaultConfig() Config {
 
 // Result reports a finished annealing run.
 type Result struct {
-	Region    geom.Rect // placement region used for the cost (and legalizer)
-	Sweeps    int       // sweeps completed
-	Cost      float64   // final total cost
-	Accepted  int       // accepted moves
-	Runtime   time.Duration
-	AvgIterMS float64 // milliseconds per sweep
+	Region   geom.Rect // placement region used for the cost (and legalizer)
+	Sweeps   int       // sweeps completed
+	Cost     float64   // final total cost
+	Accepted int       // accepted moves
 }
 
 // annealer carries per-run state.
@@ -102,7 +99,6 @@ type annealer struct {
 // Place runs the annealer on the netlist, mutating instance positions. The
 // collision map is nil for frequency-oblivious runs (the Classic baseline).
 func Place(ctx context.Context, nl *component.Netlist, cm *frequency.CollisionMap, cfg Config) (*Result, error) {
-	start := time.Now()
 	if cfg.Sweeps <= 0 {
 		return nil, fmt.Errorf("anneal: Sweeps must be positive")
 	}
@@ -152,14 +148,11 @@ func Place(ctx context.Context, nl *component.Netlist, cm *frequency.CollisionMa
 	sweepTimer.End()
 	a.nl.SetPositions(a.xy)
 
-	elapsed := time.Since(start)
 	return &Result{
-		Region:    a.region,
-		Sweeps:    sweeps,
-		Cost:      a.totalCost,
-		Accepted:  a.accepted,
-		Runtime:   elapsed,
-		AvgIterMS: float64(elapsed) / float64(time.Millisecond) / float64(sweeps),
+		Region:   a.region,
+		Sweeps:   sweeps,
+		Cost:     a.totalCost,
+		Accepted: a.accepted,
 	}, nil
 }
 

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"time"
 
 	"qplacer/internal/component"
 	"qplacer/internal/fft"
@@ -123,8 +122,6 @@ type Result struct {
 	Iterations int
 	HPWL       float64 // final half-perimeter wirelength (mm)
 	Overflow   float64 // final density overflow fraction
-	Runtime    time.Duration
-	AvgIterMS  float64
 }
 
 // chargeArea returns the electrostatic charge (area) of an instance. Qubits
@@ -198,7 +195,6 @@ type engine struct {
 // checks ctx once per iteration and returns ctx.Err() as soon as it fires,
 // leaving the netlist at the positions of the last completed iteration.
 func PlaceCtx(ctx context.Context, nl *component.Netlist, cm *frequency.CollisionMap, cfg Config) (*Result, error) {
-	start := time.Now()
 	if cfg.MaxIters <= 0 {
 		return nil, fmt.Errorf("place: MaxIters must be positive")
 	}
@@ -312,15 +308,12 @@ func PlaceCtx(ctx context.Context, nl *component.Netlist, cm *frequency.Collisio
 	nl.SetPositions(final)
 	e.annotateSpan()
 
-	elapsed := time.Since(start)
 	return &Result{
 		Mode:       cfg.Mode,
 		Region:     e.region,
 		Iterations: iters,
 		HPWL:       HPWL(nl),
 		Overflow:   e.overflow,
-		Runtime:    elapsed,
-		AvgIterMS:  float64(elapsed) / float64(time.Millisecond) / float64(iters),
 	}, nil
 }
 

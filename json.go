@@ -46,8 +46,8 @@ type ResultDocument struct {
 	Plan       *PlanResult  `json:"plan"`
 	Evaluation *EvalResult  `json:"evaluation,omitempty"`
 	Batch      *BatchResult `json:"batch,omitempty"`
-	// Validation mirrors Plan.Validation at the top level so clients can
-	// check a result's verdict without digging into the plan view.
+	// Validation is Plan.Validation on the wire: the plan view omits the
+	// report, so this top-level block is its only copy.
 	Validation *ValidationReport `json:"validation,omitempty"`
 }
 
@@ -134,18 +134,15 @@ type planResultJSON struct {
 	Metrics         *metricsJSON   `json:"metrics,omitempty"`
 	Placement       []instanceJSON `json:"placement"`
 	PlaceIterations int            `json:"place_iterations"`
-	PlaceRuntimeMS  float64        `json:"place_runtime_ms"`
-	AvgIterMS       float64        `json:"avg_iter_ms"`
 	PlaceOverflow   float64        `json:"place_overflow"`
 	NumCells        int            `json:"num_cells"`
 	Integrated      bool           `json:"integrated"`
 	// The detail fields are omitempty so runs on the default "none" stage
 	// keep the exact pre-stage wire bytes.
-	DetailMoved      int               `json:"detail_moved,omitempty"`
-	DetailHPWLBefore float64           `json:"detail_hpwl_before_mm,omitempty"`
-	DetailHPWLAfter  float64           `json:"detail_hpwl_after_mm,omitempty"`
-	Validation       *ValidationReport `json:"validation,omitempty"`
-	Timings          *SpanTiming       `json:"timings,omitempty"`
+	DetailMoved      int         `json:"detail_moved,omitempty"`
+	DetailHPWLBefore float64     `json:"detail_hpwl_before_mm,omitempty"`
+	DetailHPWLAfter  float64     `json:"detail_hpwl_after_mm,omitempty"`
+	Timings          *SpanTiming `json:"timings,omitempty"`
 }
 
 // MarshalJSON renders the full plan — options, device, placed instances,
@@ -158,15 +155,12 @@ func (p *PlanResult) MarshalJSON() ([]byte, error) {
 		Region:           toRectJSON(p.Region),
 		Placement:        []instanceJSON{},
 		PlaceIterations:  p.PlaceIterations,
-		PlaceRuntimeMS:   float64(p.PlaceRuntime.Microseconds()) / 1e3,
-		AvgIterMS:        p.AvgIterMS,
 		PlaceOverflow:    p.PlaceOverflow,
 		NumCells:         p.NumCells,
 		Integrated:       p.Integrated,
 		DetailMoved:      p.DetailMoved,
 		DetailHPWLBefore: p.DetailHPWLBefore,
 		DetailHPWLAfter:  p.DetailHPWLAfter,
-		Validation:       p.Validation,
 		Timings:          p.Timings,
 	}
 	if p.Device != nil {

@@ -56,11 +56,13 @@ const DefaultMappings = 50
 // defaults (§V-C). Options is comparable: the normalized value doubles as
 // the Engine's stage- and plan-cache key.
 type Options struct {
-	Topology string  `json:"topology"` // any registered topology name (see RegisteredTopologies)
-	Scheme   Scheme  `json:"scheme"`   // placement strategy, as its string name on the wire
-	LB       float64 `json:"lb"`       // resonator segment size l_b in mm (default 0.3)
-	DeltaC   float64 `json:"delta_c"`  // detuning threshold Δc in GHz (default 0.1)
-	Seed     int64   `json:"seed"`     // engine seed (default 1)
+	// Topology is any resolvable name: a registered topology or a
+	// parametric one such as "grid-64" (see TopologyCatalog, ResolveTopology).
+	Topology string  `json:"topology"`
+	Scheme   Scheme  `json:"scheme"`  // placement strategy, as its string name on the wire
+	LB       float64 `json:"lb"`      // resonator segment size l_b in mm (default 0.3)
+	DeltaC   float64 `json:"delta_c"` // detuning threshold Δc in GHz (default 0.1)
+	Seed     int64   `json:"seed"`    // engine seed (default 1)
 
 	// MaxIters overrides the global-placement iteration cap (0 = default).
 	// The gradient placer reads it as Nesterov iterations; the annealing

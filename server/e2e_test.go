@@ -146,8 +146,6 @@ func startDaemon(t *testing.T, bin, dataDir string) (*exec.Cmd, string) {
 // document; everything that remains is deterministic for a given request.
 func stripVolatile(doc map[string]any) {
 	if plan, ok := doc["plan"].(map[string]any); ok {
-		delete(plan, "place_runtime_ms")
-		delete(plan, "avg_iter_ms")
 		delete(plan, "timings") // span wall/cpu times differ run to run
 	}
 	if batch, ok := doc["batch"].(map[string]any); ok {

@@ -178,8 +178,20 @@ func TestValidationReportOnTheWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := string(data)
-	if !strings.Contains(s, `"validation"`) || !strings.Contains(s, `"valid":true`) {
+	if !strings.Contains(s, `"valid":true`) {
 		t.Fatalf("validation block missing from wire form: %s", s[:200])
+	}
+	// The document's top-level block is the report's one copy: the plan
+	// view must not repeat it.
+	if n := strings.Count(s, `"validation"`); n != 1 {
+		t.Fatalf("result document carries %d \"validation\" keys, want 1", n)
+	}
+	var top map[string]json.RawMessage
+	if err := json.Unmarshal(data, &top); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := top["validation"]; !ok {
+		t.Fatal("the validation key is not top-level")
 	}
 	// An unannotated plan keeps the block off the wire entirely.
 	bare := legalizedPlan(t)
