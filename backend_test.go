@@ -100,39 +100,6 @@ func TestRegisterPlacerDuplicateAndValidation(t *testing.T) {
 	}
 }
 
-// TestExternalPlacerTimedByPlaceSpan: a backend that reports only its
-// region and iteration count, like README's custom Placer, still gets a
-// real place time, because the engine's place span is the plan's one
-// place timing and the wire carries no second one.
-func TestExternalPlacerTimedByPlaceSpan(t *testing.T) {
-	name := testutil.UniqueName(t)
-	if err := RegisterPlacer(stubPlacer{name: name}); err != nil {
-		t.Fatal(err)
-	}
-	plan, err := New().Plan(context.Background(),
-		WithTopology("grid"), WithPlacer(name), WithSkipLegalize(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	placeNode := plan.Timings.Find("place")
-	if placeNode == nil || placeNode.WallMS <= 0 {
-		t.Fatalf("place span = %+v, want a positive wall time", placeNode)
-	}
-	data, err := json.Marshal(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var view map[string]json.RawMessage
-	if err := json.Unmarshal(data, &view); err != nil {
-		t.Fatal(err)
-	}
-	for key := range view {
-		if strings.HasSuffix(key, "_ms") {
-			t.Errorf("plan wire form carries %q besides its place span", key)
-		}
-	}
-}
-
 // stubLegalizer is an honest minimal legalizer: it repacks every instance's
 // fully padded footprint onto left-to-right shelves, which is overlap-free
 // by construction — so custom-backend registrations stay conformant under
@@ -168,6 +135,42 @@ func TestRegisterLegalizerDuplicate(t *testing.T) {
 	}
 	if err := RegisterLegalizer(nil); err == nil {
 		t.Fatal("nil legalizer must be rejected")
+	}
+}
+
+// TestExternalPlacerTimedByPlaceSpan: a backend that reports only its
+// region and iteration count, like README's custom Placer, still gets a
+// real place time, because the engine's place span is the plan's one
+// place timing and the wire carries no second one.
+// It is declared after the duplicate-registration tests so the names
+// those take from testutil.UniqueName, which the conformance subtests
+// carry, stay the same.
+func TestExternalPlacerTimedByPlaceSpan(t *testing.T) {
+	name := testutil.UniqueName(t)
+	if err := RegisterPlacer(stubPlacer{name: name}); err != nil {
+		t.Fatal(err)
+	}
+	plan, err := New().Plan(context.Background(),
+		WithTopology("grid"), WithPlacer(name), WithSkipLegalize(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	placeNode := plan.Timings.Find("place")
+	if placeNode == nil || placeNode.WallMS <= 0 {
+		t.Fatalf("place span = %+v, want a positive wall time", placeNode)
+	}
+	data, err := json.Marshal(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var view map[string]json.RawMessage
+	if err := json.Unmarshal(data, &view); err != nil {
+		t.Fatal(err)
+	}
+	for key := range view {
+		if strings.HasSuffix(key, "_ms") {
+			t.Errorf("plan wire form carries %q besides its place span", key)
+		}
 	}
 }
 
